@@ -65,7 +65,6 @@ from .ts_projection import (
     cutoff_bound,
     marginal_ts_admg,
     marginal_ts_dmag,
-    project_arbitrary,
     simple_marginal_ts_admg,
 )
 
@@ -112,7 +111,6 @@ __all__ = [
     "parse_mixed_graph",
     "parse_template",
     "path_weightset",
-    "project_arbitrary",
     "serialize_template",
     "simple_marginal_ts_admg",
     "summary_prefilter",

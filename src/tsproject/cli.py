@@ -25,10 +25,11 @@ from .finite_projection import canonical_dag, dmag_project, m_separated
 from .graph_model import (
     TsVertex,
     ValidationError,
+    make_template,
     parse_mixed_graph,
     parse_template,
 )
-from .summary_mwdg import ConeTuple, touch_set, tuple_sets
+from .summary_mwdg import ConeTuple, touch_set
 from .ts_projection import (
     canonical_ts_dag,
     cutoff_bound,
@@ -90,9 +91,9 @@ def _cmd_project(args, want_dmag: bool) -> int:
             dag = canonical_dag(marginal)
             marginal = dmag_project(dag, marginal.vertices)
     elif want_dmag:
-        marginal = marginal_ts_dmag(tpl, observed, args.window, jobs=args.jobs)
+        marginal = marginal_ts_dmag(tpl, observed, args.window)
     else:
-        marginal = marginal_ts_admg(tpl, observed, args.window, jobs=args.jobs)
+        marginal = marginal_ts_admg(tpl, observed, args.window)
     _emit_graph(marginal, args)
     return 0
 
@@ -121,9 +122,7 @@ def _explain_dump(engine: CommonAncestorEngine, i: str, tau: int, j: str) -> dic
                     {
                         (t.a0, t.coeffs)
                         for subset in monoid
-                        for t in tuple_sets(
-                            engine.summary, tau_side, pi, subset, classes, engine.goc
-                        )
+                        for t in engine.tuples(tau_side, pi, subset)
                     }
                 )
                 entry[side].append(
@@ -224,10 +223,13 @@ def _cmd_verify(args) -> int:
                         tpl, i, tau, j, w
                     ):
                         ok = False
-        shortcut_tpl = oracle_testkit.random_template(
+        base = oracle_testkit.random_template(
             seed * 3000 + n, n_vars=3, max_lag=2, edge_density=0.2
         )
-        lag1 = make_all_lag1(shortcut_tpl)
+        lag1 = make_template(
+            base.variables,
+            directed=set(base.directed_t) | {(v, 1, v) for v in base.variables},
+        )
         engine = CommonAncestorEngine(lag1)
         for i in lag1.variables:
             for j in lag1.variables:
@@ -237,17 +239,6 @@ def _cmd_verify(args) -> int:
     report("ancestor-vs-window-oracle", ok)
 
     return 0 if not failures else 1
-
-
-def make_all_lag1(tpl):
-    """Extend a template with lag-1 auto-edges on every variable."""
-    from .graph_model import make_template
-
-    return make_template(
-        tpl.variables,
-        directed=set(tpl.directed_t) | {(v, 1, v) for v in tpl.variables},
-        bidirected=tpl.bidirected_t,
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -265,7 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", choices=["dioph", "window"], default="dioph")
         p.add_argument("--out", help="write JSON here instead of stdout")
         p.add_argument("--dot", help="also write a DOT rendering to this file")
-        p.add_argument("--jobs", type=int, default=1)
         return p
 
     add_projection("project-admg", "marginal ts-ADMG on a finite window")
@@ -276,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", required=True)
     p.add_argument("--tau", required=True, type=int)
     p.add_argument("--j", required=True)
-    p.add_argument("--method", choices=["dioph", "window", "auto"], default="auto")
+    p.add_argument("--method", choices=["dioph", "window"], default="dioph")
     p.add_argument("--explain", action="store_true", help="dump the cone machinery to stderr")
 
     p = sub.add_parser("msep", help="m-separation query on a serialized finite graph")

@@ -59,7 +59,7 @@ class TsGraphTemplate:
         for src, lag, dst in self.directed_t | self.bidirected_t:
             if src not in index or dst not in index:
                 raise ValidationError(f"unknown variable in edge ({src}, {lag}, {dst})")
-            if not isinstance(lag, int) or lag < 0:
+            if type(lag) is not int or lag < 0:  # bool is an int subclass
                 raise ValidationError(f"negative or non-integer lag in ({src}, {lag}, {dst})")
             if lag == 0 and src == dst:
                 raise ValidationError(f"self edge ({src}, 0, {dst})")
@@ -122,12 +122,22 @@ def parse_template(text: str) -> TsGraphTemplate:
         raise ValidationError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "variables" not in doc:
         raise ValidationError("template document must be an object with a 'variables' key")
+    names = doc["variables"]
+    if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
+        raise ValidationError("'variables' must be a list of strings")
     for key in ("directed", "bidirected"):
-        for entry in doc.get(key, []):
-            if not (isinstance(entry, list) and len(entry) == 3):
+        entries = doc.get(key, [])
+        if not isinstance(entries, list):
+            raise ValidationError(f"'{key}' must be a list")
+        for entry in entries:
+            if not (
+                isinstance(entry, list)
+                and len(entry) == 3
+                and all(isinstance(v, str) for v in entry[:2])
+            ):
                 raise ValidationError(f"malformed {key} entry {entry!r}")
     return make_template(
-        doc["variables"],
+        names,
         directed=[(src, lag, dst) for src, dst, lag in doc.get("directed", [])],
         bidirected=[(a, lag, b) for a, b, lag in doc.get("bidirected", [])],
     )
@@ -226,15 +236,20 @@ class FiniteMixedGraph:
         key = self.vertex_key
         lines = ["digraph {"]
         for v in self.sorted_vertices():
-            lines.append(f'  "{v.label()}";')
+            lines.append(f"  {_dot_id(v)};")
         for u, v in sorted(self.directed, key=lambda e: (key(e[0]), key(e[1]))):
-            lines.append(f'  "{u.label()}" -> "{v.label()}";')
+            lines.append(f"  {_dot_id(u)} -> {_dot_id(v)};")
         for u, v in sorted(
             self.bidirected, key=lambda e: tuple(sorted((key(e[0]), key(e[1]))))
         ):
-            lines.append(f'  "{u.label()}" -> "{v.label()}" [dir=both];')
+            lines.append(f"  {_dot_id(u)} -> {_dot_id(v)} [dir=both];")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _dot_id(v: TsVertex) -> str:
+    """Quoted DOT identifier for a vertex label."""
+    return '"' + v.label().replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def parse_mixed_graph(text: str) -> FiniteMixedGraph:
@@ -246,16 +261,29 @@ def parse_mixed_graph(text: str) -> FiniteMixedGraph:
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise ValidationError("graph document must be an object with a 'vertices' key")
 
+    def items(key: str) -> list:
+        value = doc.get(key, [])
+        if not isinstance(value, list):
+            raise ValidationError(f"'{key}' must be a list")
+        return value
+
     def vert(item: object) -> TsVertex:
         if not (isinstance(item, list) and len(item) == 2):
             raise ValidationError(f"malformed vertex {item!r}")
-        return TsVertex(str(item[0]), int(item[1]))
+        if type(item[1]) is not int or item[1] < 0:  # bool is an int subclass
+            raise ValidationError(f"offset of vertex {item!r} must be a non-negative integer")
+        return TsVertex(str(item[0]), item[1])
+
+    def edge(item: object) -> tuple[TsVertex, TsVertex]:
+        if not (isinstance(item, list) and len(item) == 2):
+            raise ValidationError(f"malformed edge {item!r}; expected a pair of vertices")
+        return vert(item[0]), vert(item[1])
 
     return FiniteMixedGraph(
-        vertices=frozenset(vert(v) for v in doc["vertices"]),
-        directed=frozenset((vert(u), vert(v)) for u, v in doc.get("directed", [])),
-        bidirected=frozenset((vert(u), vert(v)) for u, v in doc.get("bidirected", [])),
-        latent=frozenset(vert(v) for v in doc.get("latent", [])),
+        vertices=frozenset(vert(v) for v in items("vertices")),
+        directed=frozenset(edge(e) for e in items("directed")),
+        bidirected=frozenset(edge(e) for e in items("bidirected")),
+        latent=frozenset(vert(v) for v in items("latent")),
     )
 
 

@@ -82,10 +82,29 @@ class GraphOfCycles:
         for c1, c2 in itertools.combinations(self.classes, 2):
             if c1.node_set & c2.node_set:
                 self.nx.add_edge(c1, c2)
+        self._adj = {c: frozenset(self.nx[c]) for c in self.classes}
+        self._accessors: dict[frozenset[CycleClass], dict] = {}
 
     @property
     def edges(self) -> frozenset[frozenset[CycleClass]]:
         return frozenset(frozenset(e) for e in self.nx.edges)
+
+    def accessors(
+        self, touch: frozenset[CycleClass]
+    ) -> dict[CycleClass, frozenset[CycleClass]]:
+        """For each class w outside ``touch``, its touch-access points: the
+        neighbours of w that some path from ``touch`` reaches in GoC - w."""
+        if touch not in self._accessors:
+            table = {}
+            for w in (c for c in self.classes if c not in touch):
+                reached, frontier = set(touch), list(touch)
+                while frontier:
+                    fresh = self._adj[frontier.pop()] - reached - {w}
+                    reached |= fresh
+                    frontier.extend(fresh)
+                table[w] = self._adj[w] & reached
+            self._accessors[touch] = table
+        return self._accessors[touch]
 
 
 def _minkowski(a: Iterable[int], b: Iterable[int]) -> tuple[int, ...]:
@@ -152,28 +171,7 @@ def touch_set(pi: Sequence[str], classes: Iterable[CycleClass]) -> frozenset[Cyc
 def access_points(goc: GraphOfCycles, s: Iterable[CycleClass]) -> frozenset[CycleClass]:
     """All S-access points: v such that some path from S has v as the
     second-to-last node and ends at a node outside S."""
-    s = set(s)
-    g = goc.nx
-    points = set()
-    for v in g.nodes:
-        neighbors = set(g.neighbors(v))
-        for w in neighbors - s:
-            # v accesses w iff some path from S reaches v without using w.
-            h = g.subgraph(n for n in g.nodes if n != w)
-            if any(t in h and nx.has_path(h, v, t) for t in s):
-                points.add(v)
-                break
-    return frozenset(points)
-
-
-def _is_access_point_for(
-    goc: GraphOfCycles, touch: frozenset[CycleClass], v: CycleClass, w: CycleClass
-) -> bool:
-    """Whether v is a touch-access point for the specific class w (w outside touch)."""
-    if w in touch or not goc.nx.has_edge(v, w):
-        return False
-    h = goc.nx.subgraph(n for n in goc.nx.nodes if n != w)
-    return any(t in h and nx.has_path(h, v, t) for t in touch)
+    return frozenset().union(*goc.accessors(frozenset(s)).values())
 
 
 def generating_set(
@@ -228,11 +226,8 @@ def closure(
     """cl(S) = S, plus the touch set, plus every class outside the touch set for
     which S contains a touch-access point.  cl(empty) is the touch set."""
     s = frozenset(s)
-    extra = {
-        w
-        for w in goc.classes
-        if w not in touch and any(_is_access_point_for(goc, touch, v, w) for v in s)
-    }
+    accessors = goc.accessors(touch)
+    extra = {w for w in goc.classes if w not in touch and accessors[w] & s}
     return s | touch | extra
 
 

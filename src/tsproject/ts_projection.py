@@ -10,7 +10,6 @@ of that marginal.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -24,12 +23,7 @@ from .graph_model import (
     make_template,
     unroll_window,
 )
-from .summary_mwdg import (
-    build_mw_summary,
-    cycle_free_paths,
-    enumerate_cycle_classes,
-    path_weightset,
-)
+from .summary_mwdg import path_weightset
 
 
 def canonical_ts_dag(tpl: TsGraphTemplate) -> TsGraphTemplate:
@@ -56,7 +50,6 @@ def simple_marginal_ts_admg(
     tpl: TsGraphTemplate,
     p: int,
     engine: Optional[CommonAncestorEngine] = None,
-    jobs: int = 1,
 ) -> FiniteMixedGraph:
     """Marginal of a ts-DAG over all its variables on the window [t-p, t].
 
@@ -118,13 +111,7 @@ def simple_marginal_ts_admg(
                 break
         return edges
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(scan, patterns))
-    else:
-        results = [scan(pattern) for pattern in patterns]
-
-    bidirected = frozenset(edge for edges in results for edge in edges)
+    bidirected = frozenset(edge for pattern in patterns for edge in scan(pattern))
     return FiniteMixedGraph(
         vertices=segment.vertices,
         directed=segment.directed,
@@ -137,7 +124,6 @@ def marginal_ts_admg(
     tpl: TsGraphTemplate,
     observed_vars: Iterable[str],
     p: int,
-    jobs: int = 1,
 ) -> FiniteMixedGraph:
     """Marginal ts-ADMG of an infinite ts-ADMG onto observed_vars x [0..p]."""
     observed_vars = tuple(dict.fromkeys(observed_vars))
@@ -146,7 +132,7 @@ def marginal_ts_admg(
     for v in observed_vars:
         tpl.index(v)
     ctpl = canonical_ts_dag(tpl)
-    full = simple_marginal_ts_admg(ctpl, p, jobs=jobs)
+    full = simple_marginal_ts_admg(ctpl, p)
     keep = frozenset(
         TsVertex(var, off) for var in observed_vars for off in range(p + 1)
     )
@@ -157,10 +143,9 @@ def marginal_ts_dmag(
     tpl: TsGraphTemplate,
     observed_vars: Iterable[str],
     p: int,
-    jobs: int = 1,
 ) -> FiniteMixedGraph:
     """Marginal ts-DMAG: DMAG projection of the canonical DAG of the marginal ts-ADMG."""
-    marginal = marginal_ts_admg(tpl, observed_vars, p, jobs=jobs)
+    marginal = marginal_ts_admg(tpl, observed_vars, p)
     dag = canonical_dag(marginal)
     return dmag_project(dag, marginal.vertices)
 
@@ -186,22 +171,15 @@ def cutoff_bound(tpl: TsGraphTemplate, p: int) -> CutoffQuantities:
     common-ancestor witness relevant to the window [t-p, t]."""
     if tpl.bidirected_t:
         raise ValidationError("cutoff bound is defined for ts-DAGs")
-    summary = build_mw_summary(tpl)
-    classes = enumerate_cycle_classes(summary)
-    maxima = [max(c.weights) for c in classes]
+    engine = CommonAncestorEngine(tpl)
+    maxima = [max(c.weights) for c in engine.classes]
     big_k = max(maxima, default=0)
     big_m = sum(maxima)
     big_l = 0
-    for k in summary.nodes:
-        for i in summary.nodes:
-            for pi in cycle_free_paths(summary, k, i):
-                big_l = max(big_l, max(path_weightset(summary, pi)))
+    for k in engine.summary.nodes:
+        for i in engine.summary.nodes:
+            for pi in engine.paths(k, i):
+                big_l = max(big_l, max(path_weightset(engine.summary, pi)))
     p_cut = (big_k**2 + 1) * (p + big_l + big_m) + big_k * ((big_k - 1) ** 2 + 1)
     return CutoffQuantities(K=big_k, L=big_l, M=big_m, p_cut=p_cut)
 
-
-def project_arbitrary(
-    marg: FiniteMixedGraph, keep: Iterable[TsVertex]
-) -> FiniteMixedGraph:
-    """ADMG latent projection of an already-finite marginal onto any vertex subset."""
-    return admg_latent_project(marg, keep)

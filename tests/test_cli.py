@@ -93,6 +93,30 @@ def test_msep_subcommand(b1_path, tmp_path, capsys):
     assert run(["msep", "--marginal", marginal, "--x", "bad-token", "--y", "Y:0"]) == 1
 
 
+@pytest.mark.parametrize(
+    "vertices, directed",
+    [
+        ([["X", "1.5"]], []),
+        ([["X", 1.5]], []),
+        ([["X", True]], []),
+        ([["X", -1]], []),
+        ([["X", 0]], [[["X", 0]]]),
+    ],
+)
+def test_msep_rejects_malformed_graph(tmp_path, capsys, vertices, directed):
+    marginal = tmp_path / "m.json"
+    marginal.write_text(json.dumps({"vertices": vertices, "directed": directed}))
+    assert run(["msep", "--marginal", str(marginal), "--x", "X:0", "--y", "X:0"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_removed_options_are_usage_errors(running_path):
+    assert run(["ancestor", "--graph", running_path, "--i", "X", "--tau", "0", "--j", "Z",
+                "--method", "auto"]) == 2
+    assert run(["project-admg", "--graph", running_path, "--observed", "X",
+                "--window", "0", "--jobs", "2"]) == 2
+
+
 def test_verify_subcommand_reports(capsys):
     assert run(["verify", "--seed", "3", "--templates", "2", "--queries", "1"]) == 0
     out = capsys.readouterr().out

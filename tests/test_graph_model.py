@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -62,6 +64,47 @@ def test_parse_template_rejects_garbage():
         parse_template('{"directed": []}')
     with pytest.raises(ValidationError):
         parse_template('{"variables": ["X"], "directed": [["X", "X"]]}')
+
+
+@pytest.mark.parametrize("lag", ["true", "false"])
+def test_parse_template_rejects_boolean_lag(lag):
+    with pytest.raises(ValidationError):
+        parse_template(f'{{"variables": ["X", "Y"], "directed": [["X", "Y", {lag}]]}}')
+
+
+def test_parse_template_rejects_non_list_variables():
+    with pytest.raises(ValidationError):
+        parse_template('{"variables": "XY"}')
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"variables": ["X", 1]}',
+        '{"variables": [["X"]]}',
+        '{"variables": ["X"], "directed": [[["X"], "X", 1]]}',
+    ],
+)
+def test_parse_template_rejects_non_string_variable_names(doc):
+    with pytest.raises(ValidationError):
+        parse_template(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"vertices": [["X", "1.5"]]}',
+        '{"vertices": [["X", 1.5]]}',
+        '{"vertices": [["X", true]]}',
+        '{"vertices": [["X", -1]]}',
+        '{"vertices": [["X", 0]], "directed": [[["X", 0]]]}',
+        '{"vertices": [["X", 0]], "bidirected": [[["X", 0], ["X", 1], ["X", 2]]]}',
+        '{"vertices": 3}',
+    ],
+)
+def test_parse_mixed_graph_rejects_malformed_vertices_and_edges(doc):
+    with pytest.raises(ValidationError):
+        parse_mixed_graph(doc)
 
 
 def test_max_lag(running_tpl):
@@ -156,3 +199,12 @@ def test_to_dot_marks_bidirected_edges(fig3_tpl):
     dot = unroll_window(fig3_tpl, 1).to_dot()
     assert '"X1[t]" -> "X2[t-1]" [dir=both];' in dot
     assert dot.startswith("digraph {")
+
+
+def test_to_dot_escapes_quotes_and_backslashes():
+    tpl = make_template(['a"b', "c\\d"], directed=[('a"b', 1, "c\\d")])
+    dot = unroll_window(tpl, 1).to_dot()
+    assert '  "a\\"b[t-1]" -> "c\\\\d[t]";' in dot.splitlines()
+    quoted_id = r'"(?:[^"\\]|\\.)*"'
+    for line in dot.splitlines()[1:-1]:
+        assert re.fullmatch(rf"  {quoted_id}( -> {quoted_id})?( \[dir=both\])?;", line), line

@@ -1,3 +1,7 @@
+import itertools
+import random
+
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
@@ -170,3 +174,61 @@ def test_monoid_is_union_closed_and_contains_empty(generators):
 def test_monoid_contains_generators(generators):
     monoid = monoid_from_generating_set(generators)
     assert set(generators) <= monoid
+
+
+def random_weakly_acyclic_summaries(count, max_classes):
+    """The criterion-4 generator, keeping graphs with 2..max_classes cycle classes."""
+    seed = 0
+    while count:
+        rng = random.Random(seed)
+        seed += 1
+        nodes = tuple(f"N{k}" for k in range(rng.randint(1, 4)))
+        edges = {}
+        for a in nodes:
+            for b in nodes:
+                if rng.random() < 0.35:
+                    low = 1 if a == b else 0
+                    edges[(a, b)] = tuple(sorted(rng.sample(range(low, 5), rng.randint(1, 2))))
+        try:
+            s = MwSummaryGraph(nodes, edges)
+        except ValidationError:
+            continue
+        if 2 <= len(enumerate_cycle_classes(s)) <= max_classes:
+            count -= 1
+            yield s
+
+
+def test_access_relation_matches_definition():
+    """access_points and closure against the literal definition: v is an
+    S-access point for w outside S iff v neighbours w and some path from S
+    reaches v in GoC - w."""
+    checked = 0
+    for s in random_weakly_acyclic_summaries(100, max_classes=7):
+        classes = sorted(enumerate_cycle_classes(s))
+        goc = build_graph_of_cycles(classes)
+
+        def accessors(src, w):
+            h = nx.restricted_view(goc.nx, [w], [])
+            return {
+                v for v in goc.nx[w] if any(nx.has_path(h, t, v) for t in src if t != w)
+            }
+
+        subsets = [
+            frozenset(c) for r in range(4) for c in itertools.combinations(classes, r)
+        ]
+        paths = sorted(
+            {pi for k in s.nodes for i in s.nodes for pi in cycle_free_paths(s, k, i)}
+        )
+        for src in subsets + [touch_set(pi, classes) for pi in paths]:
+            expected = {v for w in goc.classes if w not in src for v in accessors(src, w)}
+            assert access_points(goc, src) == expected
+            checked += 1
+        for pi in paths:
+            touch = touch_set(pi, classes)
+            for subset in set(get_monoid(pi, classes, goc)) | set(subsets):
+                expected = subset | touch | {
+                    w for w in goc.classes if w not in touch and accessors(touch, w) & subset
+                }
+                assert closure(subset, touch, goc) == expected, (pi, subset)
+                checked += 1
+    assert checked > 1000

@@ -3,12 +3,12 @@ import pytest
 from tsproject import (
     TsVertex,
     ValidationError,
+    admg_latent_project,
     canonical_ts_dag,
     cutoff_bound,
     make_template,
     marginal_ts_admg,
     marginal_ts_dmag,
-    project_arbitrary,
     simple_marginal_ts_admg,
     unroll_window,
 )
@@ -64,11 +64,6 @@ class TestSimpleMarginal:
         for u, v in marg.bidirected:
             if u.offset < p and v.offset < p:
                 assert has_bidirected(marg, u.var, u.offset + 1, v.var, v.offset + 1)
-
-    def test_jobs_parameter_is_equivalent(self, b1_tpl):
-        assert simple_marginal_ts_admg(b1_tpl, 2) == simple_marginal_ts_admg(
-            b1_tpl, 2, jobs=4
-        )
 
 
 class TestMarginalTsAdmg:
@@ -142,5 +137,5 @@ class TestCutoffBound:
 def test_project_arbitrary_subset(b1_tpl):
     marg = marginal_ts_admg(b1_tpl, ["X", "Y"], 2)
     keep = {TsVertex("X", 0), TsVertex("Y", 2)}
-    small = project_arbitrary(marg, keep)
+    small = admg_latent_project(marg, keep)
     assert small.vertices == frozenset(keep)
