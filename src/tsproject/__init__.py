@@ -18,7 +18,6 @@ from .diophantine import (
     bounded_representable,
     case_number,
     cone_contains,
-    frobenius_upper_bound,
     has_nonneg_solution,
 )
 from .finite_projection import (
@@ -95,7 +94,6 @@ __all__ = [
     "cycle_free_paths",
     "dmag_project",
     "enumerate_cycle_classes",
-    "frobenius_upper_bound",
     "generating_set",
     "get_monoid",
     "has_inducing_path",

@@ -9,10 +9,11 @@ solvability checks.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
-from .diophantine import SolvabilityInstance, case_number, has_nonneg_solution
+import networkx as nx
+
+from .diophantine import SolvabilityInstance, has_nonneg_solution
 from .graph_model import TsGraphTemplate, ValidationError
 from .summary_mwdg import (
     ConeTuple,
@@ -32,20 +33,8 @@ from .summary_mwdg import (
 def summary_prefilter(s: MwSummaryGraph, i: str, j: str) -> bool:
     """Necessary condition: i and j have a common ancestor in the unweighted
     summary graph.  False here implies no common ancestor at any lag."""
-    dg = s.digraph().reverse()
-
-    def up(node: str) -> set[str]:
-        seen = {node}
-        frontier = deque([node])
-        while frontier:
-            v = frontier.popleft()
-            for u in dg.successors(v):
-                if u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-        return seen
-
-    return bool(up(i) & up(j))
+    dg = s.digraph()
+    return bool(({i} | nx.ancestors(dg, i)) & ({j} | nx.ancestors(dg, j)))
 
 
 class CommonAncestorEngine:
@@ -63,9 +52,8 @@ class CommonAncestorEngine:
         self._paths: dict[tuple[str, str], tuple[Path, ...]] = {}
         # M_pi depends on pi only through its touch set, so memoize on that.
         self._monoids: dict[frozenset[CycleClass], frozenset[frozenset[CycleClass]]] = {}
-        self._tuples: dict[
-            tuple[int, Path, frozenset[CycleClass]], frozenset[ConeTuple]
-        ] = {}
+        # D_tau(pi, S) is D_0(pi, S) with every a0 shifted by tau, so memoize D_0.
+        self._tuples: dict[tuple[Path, frozenset[CycleClass]], frozenset[ConeTuple]] = {}
         self._answers: dict[tuple[str, int, str], bool] = {}
 
     def paths(self, k: str, i: str) -> tuple[Path, ...]:
@@ -81,12 +69,13 @@ class CommonAncestorEngine:
         return self._monoids[touch]
 
     def tuples(self, tau: int, pi: Path, subset: frozenset[CycleClass]) -> frozenset[ConeTuple]:
-        key = (tau, pi, subset)
+        key = (pi, subset)
         if key not in self._tuples:
             self._tuples[key] = tuple_sets(
-                self.summary, tau, pi, subset, self.classes, self.goc
+                self.summary, 0, pi, subset, self.classes, self.goc
             )
-        return self._tuples[key]
+        base = self._tuples[key]
+        return frozenset(ConeTuple(t.a0 + tau, t.coeffs) for t in base) if tau else base
 
     def _instances(self, i: str, tau: int, j: str):
         for k in self.summary.nodes:
@@ -116,19 +105,14 @@ class CommonAncestorEngine:
     def _decide(self, i: str, tau: int, j: str) -> bool:
         if not summary_prefilter(self.summary, i, j):
             return False
-        # Phase 1 settles all instances decidable by a gcd or equality test;
-        # the potentially search-backed cases 2/4 are deferred to phase 2.
-        deferred = []
         seen = set()
         for inst in self._instances(i, tau, j):
             if inst in seen:
                 continue
             seen.add(inst)
-            if case_number(inst) in (2, 4):
-                deferred.append(inst)
-            elif has_nonneg_solution(inst):
+            if has_nonneg_solution(inst):
                 return True
-        return any(has_nonneg_solution(inst) for inst in deferred)
+        return False
 
 
 def have_common_ancestor(tpl: TsGraphTemplate, i: str, tau: int, j: str) -> bool:

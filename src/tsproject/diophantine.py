@@ -2,18 +2,19 @@
 non-negative integers.
 
 The decision is split into five mutually exclusive cases on (mu, nu, c) with
-c = a0 - a0'.  Only the cases with exactly one non-empty coefficient list can
-require an explicit search; that search asks whether |c| is a non-negative
-integer combination of the coefficients and is answered by a pseudo-polynomial
-reachable-sums table, after a gcd test and a Frobenius-style shortcut that
-often settles the question without any search.
+c = a0 - a0'.  Cases 1 and 3 are an equality test and case 5 is a gcd test.
+Cases 2 and 4 ask whether |c| is a non-negative integer combination of the
+one non-empty coefficient list; that is one lookup in the residue table of
+the coefficients (Böcker & Lipták, "A fast and simple algorithm for the money
+changing problem", Algorithmica 2007), whose size is the smallest coefficient
+and does not depend on c.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .summary_mwdg import ConeTuple
@@ -28,19 +29,6 @@ class SolvabilityInstance:
     def c(self) -> int:
         return self.lhs.a0 - self.rhs.a0
 
-    @cached_property
-    def g_a(self) -> int:
-        # gcd of the lhs coefficients; never read when the list is empty
-        return math.gcd(*self.lhs.coeffs)
-
-    @cached_property
-    def g_a_prime(self) -> int:
-        return math.gcd(*self.rhs.coeffs)
-
-    @cached_property
-    def g_aa_prime(self) -> int:
-        return math.gcd(self.g_a, self.g_a_prime)
-
 
 def case_number(inst: SolvabilityInstance) -> int:
     """Which of the five decision cases applies; 2 and 4 are the search cases."""
@@ -54,42 +42,48 @@ def case_number(inst: SolvabilityInstance) -> int:
     return 5
 
 
-def frobenius_upper_bound(coeffs: Sequence[int]) -> int:
-    """(min - 1) * (max - 1): an upper bound, due to Schur and Brauer, on one
-    plus the largest integer not representable by coprime positive ``coeffs``."""
-    if not coeffs:
-        raise ValueError("frobenius_upper_bound needs at least one coefficient")
-    return (min(coeffs) - 1) * (max(coeffs) - 1)
+@functools.lru_cache
+def _residue_table(coeffs: tuple[int, ...]) -> tuple[float, ...]:
+    """Entry r: the least non-negative combination of the sorted, distinct
+    ``coeffs`` that is congruent to r modulo m = coeffs[0], or infinity.
+
+    Round-robin construction: each further coefficient a walks the cycles of
+    r -> r + a (mod m), starting each cycle at its least entry, so that one
+    pass per cycle suffices.
+    """
+    m = coeffs[0]
+    table = [0] + [math.inf] * (m - 1)
+    for a in coeffs[1:]:
+        d = math.gcd(m, a)
+        for r in range(d):
+            n = min(table[r::d])
+            if n == math.inf:
+                continue
+            for _ in range(m // d - 1):
+                n += a
+                p = n % m
+                if table[p] < n:
+                    n = table[p]
+                else:
+                    table[p] = n
+    return tuple(table)
 
 
 def bounded_representable(c: int, coeffs: Sequence[int]) -> bool:
     """Whether c > 0 is a non-negative integer combination of positive ``coeffs``.
 
-    Reachable sums in [0, c] are tracked as bits of an integer; adding a
-    coefficient repeatedly is a shift-or until fixpoint.
+    With m = min(coeffs), c is representable iff c >= m and the residue table
+    entry for c mod m is at most c, since adding m to a combination stays in its
+    residue class.  The table is built once per coefficient set in O(k * m) time
+    and O(m) space for k coefficients; each lookup is O(1), whatever c is.
     """
     if c <= 0 or not coeffs:
         raise ValueError("bounded_representable requires c > 0 and coefficients")
-    mask = (1 << (c + 1)) - 1
-    reach = 1  # bit k set <=> k is a reachable sum
-    for a in coeffs:
-        while True:
-            grown = reach | ((reach << a) & mask)
-            if grown == reach:
-                break
-            reach = grown
-    return bool(reach >> c & 1)
-
-
-def _representable(c: int, coeffs: Sequence[int]) -> bool:
-    """Search branch shared by cases 2 and 4 (c > 0)."""
-    g = math.gcd(*coeffs)
-    if c % g != 0:
+    m = min(coeffs)
+    # checked first, so the table never has more than c entries
+    if c < m:
         return False
-    reduced = [a // g for a in coeffs]
-    if c // g >= frobenius_upper_bound(reduced):
-        return True
-    return bounded_representable(c, coeffs)
+    return _residue_table(tuple(sorted(set(coeffs))))[c % m] <= c
 
 
 def has_nonneg_solution(inst: SolvabilityInstance) -> bool:
@@ -97,10 +91,10 @@ def has_nonneg_solution(inst: SolvabilityInstance) -> bool:
     if case in (1, 3):
         return inst.c == 0
     if case == 2:
-        return _representable(inst.c, inst.rhs.coeffs)
+        return bounded_representable(inst.c, inst.rhs.coeffs)
     if case == 4:
-        return _representable(-inst.c, inst.lhs.coeffs)
-    return inst.c % inst.g_aa_prime == 0
+        return bounded_representable(-inst.c, inst.lhs.coeffs)
+    return inst.c % math.gcd(*inst.lhs.coeffs, *inst.rhs.coeffs) == 0
 
 
 def cone_contains(t: ConeTuple, value: int) -> bool:

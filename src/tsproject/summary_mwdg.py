@@ -199,11 +199,12 @@ def monoid_from_generating_set(
     """Smallest union-closed family containing the generators and the empty set."""
     monoid: set[frozenset[CycleClass]] = {frozenset()} | set(node_sets)
     generators = list(monoid)
-    while True:
-        fresh = {a | b for a in generators for b in monoid} - monoid
-        if not fresh:
-            return frozenset(monoid)
+    fresh = monoid
+    while fresh:
+        # only the elements added last round can combine into new ones
+        fresh = {a | b for a in generators for b in fresh} - monoid
         monoid |= fresh
+    return frozenset(monoid)
 
 
 def get_monoid(

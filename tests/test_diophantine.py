@@ -9,9 +9,9 @@ from tsproject import (
     bounded_representable,
     case_number,
     cone_contains,
-    frobenius_upper_bound,
     has_nonneg_solution,
 )
+from tsproject.cli import run
 
 coeff_lists = st.lists(st.integers(min_value=1, max_value=15), max_size=4)
 
@@ -67,19 +67,31 @@ def test_case5_is_a_gcd_test():
     assert not has_nonneg_solution(inst(0, (2, 4), 1, (2, 6)))
 
 
-def test_frobenius_upper_bound():
-    # for {2, 3} every integer >= 2 is representable; bound is (2-1)(3-1) = 2
-    assert frobenius_upper_bound((2, 3)) == 2
-    assert frobenius_upper_bound((5,)) == 16
-    with pytest.raises(ValueError):
-        frobenius_upper_bound(())
-
-
 def test_bounded_representable_small_cases():
     assert bounded_representable(7, (2, 3))
     assert not bounded_representable(1, (2, 3))
     assert bounded_representable(12, (4,))
     assert not bounded_representable(13, (4,))
+
+
+@pytest.mark.parametrize("a, b", [(8760, 8761), (100000, 100001)])
+def test_sylvester_frobenius_number(a, b):
+    """For coprime a, b the largest non-representable integer is ab - a - b."""
+    frobenius = a * b - a - b
+    assert not bounded_representable(frobenius, (a, b))
+    assert all(bounded_representable(frobenius + k, (a, b)) for k in range(1, 6))
+
+
+def test_dioph_cli_past_the_reachable_sums_range(capsys):
+    # 10^9 = 10000 * 100000; the cost depends on min(coeffs), not on c
+    assert run(["dioph", "--lhs", "1000000000;", "--rhs", "0;100000,100001"]) == 0
+    assert capsys.readouterr().out == "true\n"
+
+
+def test_dioph_cli_target_below_smallest_coefficient(capsys):
+    # c = 5 is settled before any table of 10^10 entries is built
+    assert run(["dioph", "--lhs", "5;", "--rhs", "0;10000000000"]) == 0
+    assert capsys.readouterr().out == "false\n"
 
 
 @given(
@@ -134,7 +146,7 @@ def test_shortcut_agrees_with_search(c, coeffs):
     if c % g != 0:
         return
     reduced = [a // g for a in coeffs]
-    if c // g >= frobenius_upper_bound(reduced):
+    if c // g >= (min(reduced) - 1) * (max(reduced) - 1):
         assert bounded_representable(c, coeffs)
 
 

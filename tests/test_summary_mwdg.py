@@ -176,6 +176,14 @@ def test_monoid_contains_generators(generators):
     assert set(generators) <= monoid
 
 
+@given(st.lists(small_sets, max_size=4))
+def test_monoid_is_minimal(generators):
+    """Every element is the union of the generators it contains."""
+    monoid = monoid_from_generating_set(generators)
+    for m in monoid:
+        assert frozenset().union(*(g for g in generators if g <= m)) == m
+
+
 def random_weakly_acyclic_summaries(count, max_classes):
     """The criterion-4 generator, keeping graphs with 2..max_classes cycle classes."""
     seed = 0
