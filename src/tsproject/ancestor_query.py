@@ -81,10 +81,13 @@ class CommonAncestorEngine:
         for k in self.summary.nodes:
             for pi in self.paths(k, i):
                 lhs_monoid = self.monoid(pi)
+                lhs_sets = {}  # each D_tau(pi, s_i) is shifted once, when first reached
                 for pj in self.paths(k, j):
                     rhs_monoid = self.monoid(pj)
                     for s_i in lhs_monoid:
-                        for lhs in self.tuples(tau, pi, s_i):
+                        if s_i not in lhs_sets:
+                            lhs_sets[s_i] = self.tuples(tau, pi, s_i)
+                        for lhs in lhs_sets[s_i]:
                             for s_j in rhs_monoid:
                                 for rhs in self.tuples(0, pj, s_j):
                                     yield SolvabilityInstance(lhs, rhs)

@@ -4,9 +4,10 @@ non-negative integers.
 The decision is split into five mutually exclusive cases on (mu, nu, c) with
 c = a0 - a0'.  Cases 1 and 3 are an equality test and case 5 is a gcd test.
 Cases 2 and 4 ask whether |c| is a non-negative integer combination of the
-one non-empty coefficient list; that is one lookup in the residue table of
-the coefficients (Böcker & Lipták, "A fast and simple algorithm for the money
-changing problem", Algorithmica 2007), whose size is the smallest coefficient
+one non-empty coefficient list; after dividing c and the coefficients by
+their gcd, that is one lookup in the residue table of the coefficients
+(Böcker & Lipták, "A fast and simple algorithm for the money changing
+problem", Algorithmica 2007), whose size is the smallest reduced coefficient
 and does not depend on c.
 """
 
@@ -17,7 +18,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .graph_model import ValidationError
 from .summary_mwdg import ConeTuple
+
+_MAX_TABLE_ENTRIES = 10**6  # up to about 40 bytes an entry, kept in the cache
 
 
 @dataclass(frozen=True)
@@ -72,18 +76,30 @@ def _residue_table(coeffs: tuple[int, ...]) -> tuple[float, ...]:
 def bounded_representable(c: int, coeffs: Sequence[int]) -> bool:
     """Whether c > 0 is a non-negative integer combination of positive ``coeffs``.
 
-    With m = min(coeffs), c is representable iff c >= m and the residue table
-    entry for c mod m is at most c, since adding m to a combination stays in its
-    residue class.  The table is built once per coefficient set in O(k * m) time
-    and O(m) space for k coefficients; each lookup is O(1), whatever c is.
+    After dividing c and ``coeffs`` by the gcd of ``coeffs`` (c must be a
+    multiple of it), let m = min(coeffs): c is representable iff c >= m and the
+    residue table entry for c mod m is at most c, since adding m to a
+    combination stays in its residue class.  The table is built once per
+    coefficient set in O(k * m) time and O(m) space for k coefficients; each
+    lookup is O(1), whatever c is.  A reduced m above ``_MAX_TABLE_ENTRIES``
+    raises ``ValidationError`` when c >= m.
     """
     if c <= 0 or not coeffs:
         raise ValueError("bounded_representable requires c > 0 and coefficients")
-    m = min(coeffs)
+    g = math.gcd(*coeffs)
+    if c % g:
+        return False
+    c, coeffs = c // g, sorted({a // g for a in coeffs})
+    m = coeffs[0]
     # checked first, so the table never has more than c entries
     if c < m:
         return False
-    return _residue_table(tuple(sorted(set(coeffs))))[c % m] <= c
+    if m > _MAX_TABLE_ENTRIES:
+        raise ValidationError(
+            f"smallest coefficient {m} (coefficients divided by their gcd {g}) exceeds "
+            f"the residue table limit of {_MAX_TABLE_ENTRIES} entries"
+        )
+    return _residue_table(tuple(coeffs))[c % m] <= c
 
 
 def has_nonneg_solution(inst: SolvabilityInstance) -> bool:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from tsproject import (
     ConeTuple,
     SolvabilityInstance,
+    ValidationError,
     bounded_representable,
     case_number,
     cone_contains,
@@ -92,6 +93,26 @@ def test_dioph_cli_target_below_smallest_coefficient(capsys):
     # c = 5 is settled before any table of 10^10 entries is built
     assert run(["dioph", "--lhs", "5;", "--rhs", "0;10000000000"]) == 0
     assert capsys.readouterr().out == "false\n"
+
+
+def test_common_factor_is_divided_out():
+    assert bounded_representable(7 * 10**10, (2 * 10**10, 3 * 10**10))
+    assert not bounded_representable(10**10 + 1, (10**10,))
+    assert not bounded_representable(10**10, (2 * 10**10, 3 * 10**10))
+
+
+def test_dioph_cli_single_large_coefficient(capsys):
+    # the gcd reduction leaves the coefficient 1, so no table of 10^10 entries
+    assert run(["dioph", "--lhs", "10000000000;", "--rhs", "0;10000000000"]) == 0
+    assert capsys.readouterr().out == "true\n"
+
+
+def test_dioph_cli_coprime_coefficients_past_the_table_limit(capsys):
+    argv = ["dioph", "--lhs", "100000000;", "--rhs", "0;100000000,100000001"]
+    assert run(argv) == 1
+    assert "residue table limit" in capsys.readouterr().err
+    with pytest.raises(ValidationError):
+        bounded_representable(10**8, (10**8, 10**8 + 1))
 
 
 @given(
