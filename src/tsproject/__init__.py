@@ -9,6 +9,7 @@ brute-force window oracles for cross-checking.
 
 from .ancestor_query import (
     CommonAncestorEngine,
+    WalkWeights,
     have_common_ancestor,
     lag1_shortcut,
     summary_prefilter,
@@ -79,6 +80,7 @@ __all__ = [
     "TsGraphTemplate",
     "TsVertex",
     "ValidationError",
+    "WalkWeights",
     "access_points",
     "admg_latent_project",
     "ancestors",

@@ -4,7 +4,12 @@ Two vertices (i, t-tau) and (j, t) have a common ancestor iff there are
 directed-or-trivial walks from a shared root k to i and to j whose weights
 differ by exactly tau.  The realizable walk weights decompose into finitely
 many affine cones, so the query reduces to finitely many linear Diophantine
-solvability checks.
+solvability checks (:class:`CommonAncestorEngine`).
+
+:class:`WalkWeights` answers the same queries up to a finite depth from one
+walk-weight bitset per pair of variables; at the cutoff depth of
+:func:`~tsproject.ts_projection.cutoff_bound` its answers are exact for the
+window.
 """
 
 from __future__ import annotations
@@ -116,6 +121,55 @@ class CommonAncestorEngine:
             if has_nonneg_solution(inst):
                 return True
         return False
+
+
+class WalkWeights:
+    """Common-ancestor queries on a ts-DAG, searched up to a finite depth.
+
+    ``anc[x][u]`` is a bitset whose bit s is set iff (u, t-s) is an ancestor
+    of (x, t) and s <= depth.  ``query(i, tau, j)`` then equals ancestor-set
+    intersection in the unrolled window [t-depth, t]; with depth p_cut + p
+    from ``cutoff_bound`` it is exact for the window [t-p, t] by the cutoff
+    theorem.
+    """
+
+    def __init__(self, tpl: TsGraphTemplate, depth: int):
+        if tpl.bidirected_t:
+            raise ValidationError(
+                "common-ancestor queries require a ts-DAG; canonicalize first"
+            )
+        if depth < 0:
+            raise ValidationError("depth must be non-negative")
+        self.tpl = tpl
+        self.depth = depth
+        mask = (1 << (depth + 1)) - 1
+        in_edges: dict[str, list[tuple[str, int]]] = {v: [] for v in tpl.variables}
+        for src, lag, dst in tpl.directed_t:
+            in_edges[dst].append((src, lag))
+        self.anc: dict[str, dict[str, int]] = {}
+        for x in tpl.variables:
+            bits = {x: 1}
+            work = {x}
+            while work:
+                y = work.pop()
+                for u, lag in in_edges[y]:
+                    old = bits.get(u, 0)
+                    new = old | ((bits[y] << lag) & mask)
+                    if new != old:
+                        bits[u] = new
+                        work.add(u)
+            self.anc[x] = bits
+
+    def query(self, i: str, tau: int, j: str) -> bool:
+        """Whether (i, t-tau) and (j, t) have a common ancestor at most depth
+        steps before t."""
+        if tau < 0:
+            raise ValidationError("tau must be non-negative")
+        if tau > self.depth:
+            raise ValidationError("tau must not exceed the search depth")
+        self.tpl.index(i), self.tpl.index(j)
+        anc_j = self.anc[j]
+        return any((bits << tau) & anc_j.get(u, 0) for u, bits in self.anc[i].items())
 
 
 def have_common_ancestor(tpl: TsGraphTemplate, i: str, tau: int, j: str) -> bool:

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import oracle_testkit
-from .ancestor_query import CommonAncestorEngine, lag1_shortcut
+from .ancestor_query import CommonAncestorEngine, WalkWeights, lag1_shortcut
 from .diophantine import SolvabilityInstance, has_nonneg_solution
 from .finite_projection import canonical_dag, dmag_project, m_separated
 from .graph_model import (
@@ -34,7 +34,6 @@ from .ts_projection import (
     canonical_ts_dag,
     cutoff_bound,
     marginal_ts_admg,
-    marginal_ts_dmag,
 )
 
 
@@ -83,17 +82,13 @@ def _emit_graph(graph, args) -> None:
 def _cmd_project(args, want_dmag: bool) -> int:
     tpl = parse_template(_read(args.graph))
     observed = [v for v in args.observed.split(",") if v]
+    engine = None
     if args.method == "window":
         ctpl = canonical_ts_dag(tpl)
-        w = cutoff_bound(ctpl, args.window).p_cut + args.window
-        marginal = oracle_testkit.window_marginal(tpl, observed, args.window, w)
-        if want_dmag:
-            dag = canonical_dag(marginal)
-            marginal = dmag_project(dag, marginal.vertices)
-    elif want_dmag:
-        marginal = marginal_ts_dmag(tpl, observed, args.window)
-    else:
-        marginal = marginal_ts_admg(tpl, observed, args.window)
+        engine = WalkWeights(ctpl, cutoff_bound(ctpl, args.window).p_cut + args.window)
+    marginal = marginal_ts_admg(tpl, observed, args.window, engine)
+    if want_dmag:
+        marginal = dmag_project(canonical_dag(marginal), marginal.vertices)
     _emit_graph(marginal, args)
     return 0
 
@@ -143,8 +138,8 @@ def _explain_dump(engine: CommonAncestorEngine, i: str, tau: int, j: str) -> dic
 def _cmd_ancestor(args) -> int:
     tpl = canonical_ts_dag(parse_template(_read(args.graph)))
     if args.method == "window":
-        w = cutoff_bound(tpl, args.tau).p_cut + args.tau
-        answer = oracle_testkit.window_common_ancestor(tpl, args.i, args.tau, args.j, w)
+        engine = WalkWeights(tpl, cutoff_bound(tpl, args.tau).p_cut + args.tau)
+        answer = engine.query(args.i, args.tau, args.j)
     else:
         engine = CommonAncestorEngine(tpl)
         answer = engine.query(args.i, args.tau, args.j)

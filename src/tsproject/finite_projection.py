@@ -157,7 +157,7 @@ def _incidence(g: FiniteMixedGraph) -> dict[TsVertex, list[tuple[TsVertex, bool,
 
 
 def _walk_reachable(
-    g: FiniteMixedGraph,
+    inc: dict[TsVertex, list[tuple[TsVertex, bool, bool]]],
     sources: frozenset[TsVertex],
     targets: frozenset[TsVertex],
     collider_open: frozenset[TsVertex],
@@ -168,9 +168,8 @@ def _walk_reachable(
     A walk may continue through a middle vertex v iff v is a collider on the
     walk and v is in ``collider_open``, or v is a non-collider and v is in
     ``noncollider_open``.  Returns whether some target is reachable from some
-    source along such a walk.
+    source along such a walk in the graph whose ``_incidence`` map is ``inc``.
     """
-    inc = _incidence(g)
     queue: deque[tuple[TsVertex, bool]] = deque()
     seen: set[tuple[TsVertex, bool]] = set()
     for x in sources:
@@ -216,7 +215,7 @@ def m_separated(
         raise ValidationError("X, Y, Z must be pairwise disjoint")
     an_z = ancestors(g, z)
     return not _walk_reachable(
-        g,
+        _incidence(g),
         sources=x,
         targets=y,
         collider_open=an_z,
@@ -239,7 +238,7 @@ def has_inducing_path(
         raise ValidationError("latents must be a subset of the vertices minus the endpoints")
     an_ij = ancestors(g, {i, j})
     return _walk_reachable(
-        g,
+        _incidence(g),
         sources=frozenset({i}),
         targets=frozenset({j}),
         collider_open=an_ij,
@@ -262,6 +261,7 @@ def dmag_project(dag: FiniteMixedGraph, observed: Iterable[TsVertex]) -> FiniteM
     if observed != dag.vertices - dag.latent:
         raise ValidationError("observed must equal the non-latent vertices")
     latents = dag.latent
+    inc = _incidence(dag)
     anc: dict[TsVertex, frozenset[TsVertex]] = {
         v: ancestors(dag, {v}) for v in observed
     }
@@ -270,7 +270,11 @@ def dmag_project(dag: FiniteMixedGraph, observed: Iterable[TsVertex]) -> FiniteM
     obs_sorted = sorted(observed)
     for a, i in enumerate(obs_sorted):
         for j in obs_sorted[a + 1 :]:
-            if not has_inducing_path(dag, i, j, latents):
+            # has_inducing_path(dag, i, j, latents) on the shared incidence map
+            inducing = _walk_reachable(
+                inc, frozenset({i}), frozenset({j}), anc[i] | anc[j], latents
+            )
+            if not inducing:
                 continue
             if i in anc[j]:
                 directed.add((i, j))

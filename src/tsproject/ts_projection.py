@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .ancestor_query import CommonAncestorEngine
+from .ancestor_query import CommonAncestorEngine, WalkWeights
 from .finite_projection import admg_latent_project, canonical_dag, dmag_project
 from .graph_model import (
     FiniteMixedGraph,
@@ -49,7 +49,7 @@ def canonical_ts_dag(tpl: TsGraphTemplate) -> TsGraphTemplate:
 def simple_marginal_ts_admg(
     tpl: TsGraphTemplate,
     p: int,
-    engine: Optional[CommonAncestorEngine] = None,
+    engine: Optional[CommonAncestorEngine | WalkWeights] = None,
 ) -> FiniteMixedGraph:
     """Marginal of a ts-DAG over all its variables on the window [t-p, t].
 
@@ -60,12 +60,17 @@ def simple_marginal_ts_admg(
     edge implies all of its backward-shifted copies inside the window, so each
     offset pattern is scanned from the most recent offsets onward and filled
     in bulk on the first hit.
+
+    ``engine`` answers the common-ancestor queries; it defaults to a
+    :class:`CommonAncestorEngine` on ``tpl`` and must be built on ``tpl``.
     """
     if p < 0:
         raise ValidationError("window length must be non-negative")
     if tpl.bidirected_t:
         raise ValidationError("simple marginal requires a ts-DAG")
     engine = engine or CommonAncestorEngine(tpl)
+    if engine.tpl != tpl:
+        raise ValidationError("the engine was built on another template")
     segment = unroll_window(tpl, p)
 
     in_lags: dict[str, list[tuple[str, int]]] = {v: [] for v in tpl.variables}
@@ -124,15 +129,20 @@ def marginal_ts_admg(
     tpl: TsGraphTemplate,
     observed_vars: Iterable[str],
     p: int,
+    engine: Optional[CommonAncestorEngine | WalkWeights] = None,
 ) -> FiniteMixedGraph:
-    """Marginal ts-ADMG of an infinite ts-ADMG onto observed_vars x [0..p]."""
+    """Marginal ts-ADMG of an infinite ts-ADMG onto observed_vars x [0..p].
+
+    ``engine``, if given, answers the common-ancestor queries and must be
+    built on ``canonical_ts_dag(tpl)``.
+    """
     observed_vars = tuple(dict.fromkeys(observed_vars))
     if not observed_vars:
         raise ValidationError("observed variable set must be non-empty")
     for v in observed_vars:
         tpl.index(v)
     ctpl = canonical_ts_dag(tpl)
-    full = simple_marginal_ts_admg(ctpl, p)
+    full = simple_marginal_ts_admg(ctpl, p, engine)
     keep = frozenset(
         TsVertex(var, off) for var in observed_vars for off in range(p + 1)
     )

@@ -3,6 +3,7 @@ import pytest
 from tsproject import (
     CommonAncestorEngine,
     ValidationError,
+    WalkWeights,
     build_mw_summary,
     canonical_ts_dag,
     cutoff_bound,
@@ -115,3 +116,68 @@ def test_canonicalized_admg_queries(fig3_tpl):
     tpl = canonical_ts_dag(fig3_tpl)
     engine = CommonAncestorEngine(tpl)
     assert engine.query("X1", 1, "X2")  # via the auxiliary latent at lag 1
+
+
+class TestWalkWeights:
+    def test_rejects_bidirected_template(self, fig3_tpl):
+        with pytest.raises(ValidationError):
+            WalkWeights(fig3_tpl, 5)
+
+    def test_rejects_negative_depth(self, running_tpl):
+        with pytest.raises(ValidationError):
+            WalkWeights(running_tpl, -1)
+
+    def test_rejects_tau_past_depth(self, running_tpl):
+        """A too-shallow engine must not silently answer False."""
+        engine = WalkWeights(running_tpl, 3)
+        assert engine.query("X", 3, "X")
+        with pytest.raises(ValidationError):
+            engine.query("X", 4, "X")
+
+    def test_rejects_negative_tau(self, running_tpl):
+        with pytest.raises(ValidationError):
+            WalkWeights(running_tpl, 3).query("X", -1, "Z")
+
+    def test_rejects_unknown_variable(self, running_tpl):
+        engine = WalkWeights(running_tpl, 3)
+        with pytest.raises(ValidationError):
+            engine.query("X", 0, "Q")
+        with pytest.raises(ValidationError):
+            engine.query("Q", 0, "X")
+
+    def test_bits_are_ancestor_offsets(self, running_tpl):
+        """X[t-s] is an ancestor of Z[t] for s = 1 (Z <- Y <- X), 4 (Z <- Y
+        <- X <- Y <- X), 6 (Z <- Y[t-5] <- X), and s + 2 for each of these
+        (the lag-2 auto-edge of X)."""
+        anc = WalkWeights(running_tpl, 8).anc
+        offsets = [s for s in range(9) if anc["Z"]["X"] >> s & 1]
+        assert offsets == [1, 3, 4, 5, 6, 7, 8]
+
+    def test_matches_window_oracle(self):
+        """At any depth w the engine is ancestor-set intersection in [t-w, t]."""
+        for seed in range(25):
+            tpl = canonical_ts_dag(
+                random_template(
+                    seed, n_vars=3, max_lag=2, edge_density=0.25, bidirected_density=0.08
+                )
+            )
+            for w in (0, 3, 11):
+                engine = WalkWeights(tpl, w)
+                for i in tpl.variables:
+                    for j in tpl.variables:
+                        for tau in {0, w // 2, w}:
+                            assert engine.query(i, tau, j) == window_common_ancestor(
+                                tpl, i, tau, j, w
+                            ), (seed, w, i, tau, j)
+
+    def test_matches_cone_engine_at_the_cutoff_depth(self):
+        for seed in range(12):
+            tpl = random_template(seed, n_vars=3, max_lag=2, edge_density=0.25)
+            exact = CommonAncestorEngine(tpl)
+            for tau in range(4):
+                engine = WalkWeights(tpl, cutoff_bound(tpl, tau).p_cut + tau)
+                for i in tpl.variables:
+                    for j in tpl.variables:
+                        assert engine.query(i, tau, j) == exact.query(i, tau, j), (
+                            seed, i, tau, j,
+                        )

@@ -65,14 +65,45 @@ def test_project_admg_is_deterministic(b1_path, tmp_path, capsys):
     assert open(out1).read() == open(out2).read()
 
 
-def test_project_methods_agree(b1_path, capsys):
-    assert run(["project-admg", "--graph", b1_path, "--observed", "X,Y",
-                "--window", "1", "--method", "dioph"]) == 0
-    dioph_out = capsys.readouterr().out
-    assert run(["project-admg", "--graph", b1_path, "--observed", "X,Y",
-                "--window", "1", "--method", "window"]) == 0
-    window_out = capsys.readouterr().out
-    assert json.loads(dioph_out) == json.loads(window_out)
+def _outputs_per_method(argv, capsys):
+    outputs = []
+    for method in ("dioph", "window"):
+        assert run(argv + ["--method", method]) == 0
+        outputs.append(capsys.readouterr().out)
+    return outputs
+
+
+@pytest.mark.parametrize("command", ["project-admg", "project-dmag"])
+@pytest.mark.parametrize("name, observed", [("b1", "X,Y"), ("fig3", "X1,X2,X3"), ("fig3", "X1,X3")])
+def test_project_methods_agree(data_dir, name, observed, command, capsys):
+    argv = [command, "--graph", str(data_dir / f"{name}.json"), "--observed", observed,
+            "--window", "1"]
+    dioph_out, window_out = _outputs_per_method(argv, capsys)
+    assert dioph_out == window_out
+
+
+def test_project_methods_agree_at_a_deep_cutoff(tmp_path, capsys):
+    """Lags 1 and 30 on X -> X put the cutoff window at 54,092 steps."""
+    graph = tmp_path / "deep.json"
+    graph.write_text(json.dumps(
+        {"variables": ["X", "Y"], "directed": [["X", "X", 1], ["X", "X", 30], ["X", "Y", 1]]}
+    ))
+    assert run(["cutoff", "--graph", str(graph), "--window", "1"]) == 0
+    assert capsys.readouterr().out.endswith("p_cut=54092\n")
+    argv = ["project-admg", "--graph", str(graph), "--observed", "Y", "--window", "1"]
+    dioph_out, window_out = _outputs_per_method(argv, capsys)
+    assert dioph_out == window_out
+
+
+def test_ancestor_methods_agree(running_path, fig3_path, capsys):
+    for graph, variables in ((running_path, "XYZ"), (fig3_path, ["X1", "X2", "X3"])):
+        for i in variables:
+            for j in variables:
+                for tau in (0, 1, 4):
+                    argv = ["ancestor", "--graph", graph, "--i", i, "--tau", str(tau),
+                            "--j", j]
+                    dioph_out, window_out = _outputs_per_method(argv, capsys)
+                    assert dioph_out == window_out, (graph, i, tau, j)
 
 
 def test_project_dmag_writes_dot(fig3_path, tmp_path, capsys):

@@ -1,8 +1,10 @@
 import pytest
 
 from tsproject import (
+    CommonAncestorEngine,
     TsVertex,
     ValidationError,
+    WalkWeights,
     admg_latent_project,
     canonical_ts_dag,
     cutoff_bound,
@@ -88,6 +90,30 @@ class TestMarginalTsAdmg:
                 assert marginal_ts_admg(tpl, tpl.variables, p) == window_marginal(
                     tpl, tpl.variables, p, w
                 ), (seed, p)
+
+    def test_walk_weight_engine_matches_window_oracle(self):
+        """The walk-weight engine at depth p_cut + p, on templates with
+        bidirected entries; windows past 1500 steps are left to the benchmark."""
+        checked = 0
+        for seed in range(30):
+            tpl = random_template(
+                seed, n_vars=3, max_lag=2, edge_density=0.25, bidirected_density=0.08
+            )
+            ctpl = canonical_ts_dag(tpl)
+            for p in (0, 1, 2):
+                w = cutoff_bound(ctpl, p).p_cut + p
+                if w > 1500:
+                    continue
+                mine = marginal_ts_admg(tpl, tpl.variables, p, WalkWeights(ctpl, w))
+                assert mine == window_marginal(tpl, tpl.variables, p, w), (seed, p)
+                checked += 1
+        assert checked >= 80
+
+    def test_rejects_engine_of_another_template(self, fig3_tpl, b1_tpl):
+        with pytest.raises(ValidationError):
+            marginal_ts_admg(fig3_tpl, ["X1"], 1, CommonAncestorEngine(b1_tpl))
+        with pytest.raises(ValidationError):
+            marginal_ts_admg(fig3_tpl, ["X1"], 1, WalkWeights(b1_tpl, 9))
 
     def test_admg_input_goes_through_canonicalization(self, fig3_tpl):
         marg = marginal_ts_admg(fig3_tpl, ["X1", "X2", "X3"], 1)
