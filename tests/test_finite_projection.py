@@ -15,7 +15,7 @@ from tsproject import (
     m_separated,
     unroll_window,
 )
-from tsproject.oracle_testkit import msep_by_path_enumeration
+from tsproject.oracle_testkit import dmag_by_subset_enumeration, msep_by_path_enumeration
 
 
 def v(name, off=0):
@@ -200,6 +200,20 @@ class TestDmagProjection:
         )
         mag = dmag_project(g, {a, b})
         assert mag.bidirected == {(a, b)}
+
+    def test_collider_ancestral_to_the_later_endpoint_only(self):
+        """A -> B <- L -> C and B -> C: A and C are adjacent only through the
+        inducing path A -> B <- L -> C, whose collider B is an ancestor of C
+        but not of A."""
+        a, b, c, l = v("A"), v("B"), v("C"), v("L")
+        g = FiniteMixedGraph(
+            frozenset({a, b, c, l}),
+            directed=frozenset({(a, b), (l, b), (l, c), (b, c)}),
+            latent=frozenset({l}),
+        )
+        mag = dmag_project(g, {a, b, c})
+        assert (a, c) in mag.directed
+        assert mag == dmag_by_subset_enumeration(g, {a, b, c})
 
     def test_ancestry_orients_edges(self):
         g = chain("A", "L", "B")
