@@ -18,7 +18,7 @@ from typing import Optional
 
 import networkx as nx
 
-from .diophantine import SolvabilityInstance, has_nonneg_solution
+from .diophantine import solvable
 from .graph_model import TsGraphTemplate, ValidationError
 from .summary_mwdg import (
     ConeTuple,
@@ -27,10 +27,11 @@ from .summary_mwdg import (
     Path,
     build_graph_of_cycles,
     build_mw_summary,
+    cone_set,
     cycle_free_paths,
     enumerate_cycle_classes,
     get_monoid,
-    touch_set,
+    path_weightset,
     tuple_sets,
 )
 
@@ -55,10 +56,7 @@ class CommonAncestorEngine:
         self.classes = sorted(enumerate_cycle_classes(self.summary))
         self.goc = build_graph_of_cycles(self.classes)
         self._paths: dict[tuple[str, str], tuple[Path, ...]] = {}
-        # M_pi depends on pi only through its touch set, so memoize on that.
-        self._monoids: dict[frozenset[CycleClass], frozenset[frozenset[CycleClass]]] = {}
-        # D_tau(pi, S) is D_0(pi, S) with every a0 shifted by tau, so memoize D_0.
-        self._tuples: dict[tuple[Path, frozenset[CycleClass]], frozenset[ConeTuple]] = {}
+        self._cones: dict[Path, frozenset[tuple[int, tuple[int, ...]]]] = {}
         self._answers: dict[tuple[str, int, str], bool] = {}
 
     def paths(self, k: str, i: str) -> tuple[Path, ...]:
@@ -68,34 +66,23 @@ class CommonAncestorEngine:
         return self._paths[key]
 
     def monoid(self, pi: Path) -> frozenset[frozenset[CycleClass]]:
-        touch = touch_set(pi, self.classes)
-        if touch not in self._monoids:
-            self._monoids[touch] = get_monoid(pi, self.classes, self.goc)
-        return self._monoids[touch]
+        return get_monoid(pi, self.classes, self.goc)
 
     def tuples(self, tau: int, pi: Path, subset: frozenset[CycleClass]) -> frozenset[ConeTuple]:
-        key = (pi, subset)
-        if key not in self._tuples:
-            self._tuples[key] = tuple_sets(
-                self.summary, 0, pi, subset, self.classes, self.goc
-            )
-        base = self._tuples[key]
-        return frozenset(ConeTuple(t.a0 + tau, t.coeffs) for t in base) if tau else base
+        return tuple_sets(self.summary, tau, pi, subset, self.classes, self.goc)
 
-    def _instances(self, i: str, tau: int, j: str):
-        for k in self.summary.nodes:
-            for pi in self.paths(k, i):
-                lhs_monoid = self.monoid(pi)
-                lhs_sets = {}  # each D_tau(pi, s_i) is shifted once, when first reached
-                for pj in self.paths(k, j):
-                    rhs_monoid = self.monoid(pj)
-                    for s_i in lhs_monoid:
-                        if s_i not in lhs_sets:
-                            lhs_sets[s_i] = self.tuples(tau, pi, s_i)
-                        for lhs in lhs_sets[s_i]:
-                            for s_j in rhs_monoid:
-                                for rhs in self.tuples(0, pj, s_j):
-                                    yield SolvabilityInstance(lhs, rhs)
+    def cones(self, pi: Path) -> frozenset[tuple[int, tuple[int, ...]]]:
+        """The distinct ``(a0, coeffs)`` of D_0(pi, S) over all S in M_pi; the
+        cones of D_tau have every a0 shifted by tau."""
+        if pi not in self._cones:
+            touch = self.goc.touch_mask(pi)
+            self._cones[pi] = cone_set(
+                self.goc,
+                path_weightset(self.summary, pi),
+                touch,
+                self.goc.monoid_masks(touch),
+            )
+        return self._cones[pi]
 
     def query(self, i: str, tau: int, j: str) -> bool:
         """Whether (i, t-tau) and (j, t) have a common ancestor (every vertex
@@ -111,15 +98,26 @@ class CommonAncestorEngine:
         return answer
 
     def _decide(self, i: str, tau: int, j: str) -> bool:
+        """Whether some root k has paths pi: k -> i and pj: k -> j whose cones,
+        the one of pi shifted by tau, meet; each distinct
+        (a0 + tau - b0, coeffs, coeffs') is solved once."""
         if not summary_prefilter(self.summary, i, j):
             return False
         seen = set()
-        for inst in self._instances(i, tau, j):
-            if inst in seen:
-                continue
-            seen.add(inst)
-            if has_nonneg_solution(inst):
-                return True
+        for k in self.summary.nodes:
+            for pi in self.paths(k, i):
+                lhs = self.cones(pi)
+                for pj in self.paths(k, j):
+                    rhs = self.cones(pj)
+                    for a0, lhs_coeffs in lhs:
+                        c = a0 + tau
+                        for b0, rhs_coeffs in rhs:
+                            key = (c - b0, lhs_coeffs, rhs_coeffs)
+                            if key in seen:
+                                continue
+                            seen.add(key)
+                            if solvable(*key):
+                                return True
         return False
 
 
@@ -144,14 +142,26 @@ class WalkWeights:
         self.depth = depth
         mask = (1 << (depth + 1)) - 1
         in_edges: dict[str, list[tuple[str, int]]] = {v: [] for v in tpl.variables}
+        self_lags: dict[str, list[int]] = {v: [] for v in tpl.variables}
         for src, lag, dst in tpl.directed_t:
-            in_edges[dst].append((src, lag))
+            if src == dst:
+                self_lags[dst].append(lag)
+            else:
+                in_edges[dst].append((src, lag))
         self.anc: dict[str, dict[str, int]] = {}
         for x in tpl.variables:
             bits = {x: 1}
             work = {x}
             while work:
                 y = work.pop()
+                # close under each self-loop by doubling: after the shifts
+                # lag, 2 lag, ..., 2^n lag, every multiple of lag up to
+                # (2^(n+1) - 1) lag has been added
+                for lag in self_lags[y]:
+                    shift = lag
+                    while shift <= depth:
+                        bits[y] |= (bits[y] << shift) & mask
+                        shift *= 2
                 for u, lag in in_edges[y]:
                     old = bits.get(u, 0)
                     new = old | ((bits[y] << lag) & mask)

@@ -112,14 +112,7 @@ def _explain_dump(engine: CommonAncestorEngine, i: str, tau: int, j: str) -> dic
             ("paths_to_j", j, 0),
         ):
             for pi in engine.paths(k, target):
-                monoid = engine.monoid(pi)
-                tuples = sorted(
-                    {
-                        (t.a0, t.coeffs)
-                        for subset in monoid
-                        for t in engine.tuples(tau_side, pi, subset)
-                    }
-                )
+                tuples = sorted((a0 + tau_side, coeffs) for a0, coeffs in engine.cones(pi))
                 entry[side].append(
                     {
                         "path": list(pi),
@@ -127,7 +120,7 @@ def _explain_dump(engine: CommonAncestorEngine, i: str, tau: int, j: str) -> dic
                             "-".join(c.representative)
                             for c in touch_set(pi, classes)
                         ),
-                        "monoid_size": len(monoid),
+                        "monoid_size": len(engine.monoid(pi)),
                         "tuples": [[a0, list(coeffs)] for a0, coeffs in tuples],
                     }
                 )
@@ -136,6 +129,9 @@ def _explain_dump(engine: CommonAncestorEngine, i: str, tau: int, j: str) -> dic
 
 
 def _cmd_ancestor(args) -> int:
+    if args.explain and args.method == "window":
+        print("error: --explain is not available with --method window", file=sys.stderr)
+        return 2
     tpl = canonical_ts_dag(parse_template(_read(args.graph)))
     if args.method == "window":
         engine = WalkWeights(tpl, cutoff_bound(tpl, args.tau).p_cut + args.tau)

@@ -5,10 +5,10 @@ The decision is split into five mutually exclusive cases on (mu, nu, c) with
 c = a0 - a0'.  Cases 1 and 3 are an equality test and case 5 is a gcd test.
 Cases 2 and 4 ask whether |c| is a non-negative integer combination of the
 one non-empty coefficient list; after dividing c and the coefficients by
-their gcd, that is one lookup in the residue table of the coefficients
-(Böcker & Lipták, "A fast and simple algorithm for the money changing
-problem", Algorithmica 2007), whose size is the smallest reduced coefficient
-and does not depend on c.
+their gcd, two coprime coefficients have a closed form, and more are one
+lookup in the residue table of the coefficients (Böcker & Lipták, "A fast
+and simple algorithm for the money changing problem", Algorithmica 2007),
+whose size is the smallest reduced coefficient and does not depend on c.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ class SolvabilityInstance:
         return self.lhs.a0 - self.rhs.a0
 
 
-def case_number(inst: SolvabilityInstance) -> int:
-    """Which of the five decision cases applies; 2 and 4 are the search cases."""
-    mu, nu, c = len(inst.lhs.coeffs), len(inst.rhs.coeffs), inst.c
+def _case(mu: int, nu: int, c: int) -> int:
     if mu == 0 and nu == 0:
         return 1
     if mu == 0 and nu != 0:
@@ -44,6 +42,11 @@ def case_number(inst: SolvabilityInstance) -> int:
     if mu != 0 and nu == 0:
         return 3 if c >= 0 else 4
     return 5
+
+
+def case_number(inst: SolvabilityInstance) -> int:
+    """Which of the five decision cases applies; 2 and 4 are the search cases."""
+    return _case(len(inst.lhs.coeffs), len(inst.rhs.coeffs), inst.c)
 
 
 @functools.lru_cache
@@ -82,7 +85,9 @@ def bounded_representable(c: int, coeffs: Sequence[int]) -> bool:
     combination stays in its residue class.  The table is built once per
     coefficient set in O(k * m) time and O(m) space for k coefficients; each
     lookup is O(1), whatever c is.  A reduced m above ``_MAX_TABLE_ENTRIES``
-    raises ``ValidationError`` when c >= m.
+    raises ``ValidationError`` when c >= m.  Two reduced coefficients a < b
+    are coprime and need no table: c = a*x + b*y with x, y >= 0 iff the least
+    x >= 0 with a*x = c (mod b), x = c * a^-1 mod b, has a*x <= c.
     """
     if c <= 0 or not coeffs:
         raise ValueError("bounded_representable requires c > 0 and coefficients")
@@ -94,6 +99,9 @@ def bounded_representable(c: int, coeffs: Sequence[int]) -> bool:
     # checked first, so the table never has more than c entries
     if c < m:
         return False
+    if len(coeffs) == 2:
+        a, b = coeffs
+        return a * (c * pow(a, -1, b) % b) <= c
     if m > _MAX_TABLE_ENTRIES:
         raise ValidationError(
             f"smallest coefficient {m} (coefficients divided by their gcd {g}) exceeds "
@@ -102,15 +110,22 @@ def bounded_representable(c: int, coeffs: Sequence[int]) -> bool:
     return _residue_table(tuple(coeffs))[c % m] <= c
 
 
-def has_nonneg_solution(inst: SolvabilityInstance) -> bool:
-    case = case_number(inst)
+def solvable(c: int, lhs_coeffs: Sequence[int], rhs_coeffs: Sequence[int]) -> bool:
+    """Whether c + sum(n_a * lhs_coeffs[a]) = sum(n_b * rhs_coeffs[b]) has a
+    solution in non-negative integers: the instance a0 + ... = a0' + ... with
+    c = a0 - a0'."""
+    case = _case(len(lhs_coeffs), len(rhs_coeffs), c)
     if case in (1, 3):
-        return inst.c == 0
+        return c == 0
     if case == 2:
-        return bounded_representable(inst.c, inst.rhs.coeffs)
+        return bounded_representable(c, rhs_coeffs)
     if case == 4:
-        return bounded_representable(-inst.c, inst.lhs.coeffs)
-    return inst.c % math.gcd(*inst.lhs.coeffs, *inst.rhs.coeffs) == 0
+        return bounded_representable(-c, lhs_coeffs)
+    return c % math.gcd(*lhs_coeffs, *rhs_coeffs) == 0
+
+
+def has_nonneg_solution(inst: SolvabilityInstance) -> bool:
+    return solvable(inst.c, inst.lhs.coeffs, inst.rhs.coeffs)
 
 
 def cone_contains(t: ConeTuple, value: int) -> bool:

@@ -11,7 +11,6 @@ over the non-negative integers.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -73,38 +72,164 @@ class CycleClass:
 
 
 class GraphOfCycles:
-    """Undirected graph on cycle classes; edge iff two classes share a node."""
+    """Undirected graph on cycle classes; edge iff two classes share a node.
+
+    Sets of classes are also carried as int masks, bit k standing for
+    ``classes[k]``; touch sets, access points, closures, monoids and cone
+    coefficients are computed on masks, and each is memoized on its mask.
+    """
 
     def __init__(self, classes: Iterable[CycleClass]):
         self.classes: tuple[CycleClass, ...] = tuple(sorted(classes))
-        self.nx = nx.Graph()
-        self.nx.add_nodes_from(self.classes)
-        for c1, c2 in itertools.combinations(self.classes, 2):
-            if c1.node_set & c2.node_set:
-                self.nx.add_edge(c1, c2)
-        self._adj = {c: frozenset(self.nx[c]) for c in self.classes}
-        self._accessors: dict[frozenset[CycleClass], dict] = {}
+        self._index = {c: k for k, c in enumerate(self.classes)}
+        self.node_masks = _node_masks(self.classes)
+        self._adj = tuple(
+            _touch_mask(c.representative, self.node_masks) & ~(1 << k)
+            for k, c in enumerate(self.classes)
+        )
+        self._accessors: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._monoids: dict[int, frozenset[int]] = {}
+        self._sums: dict[int, tuple[int, ...]] = {0: (0,)}
+        self._coeffs: dict[int, tuple[int, ...]] = {}
 
     @property
     def edges(self) -> frozenset[frozenset[CycleClass]]:
-        return frozenset(frozenset(e) for e in self.nx.edges)
+        return frozenset(
+            frozenset((c, d))
+            for k, c in enumerate(self.classes)
+            for d in self.decode(self._adj[k])
+        )
 
-    def accessors(
-        self, touch: frozenset[CycleClass]
-    ) -> dict[CycleClass, frozenset[CycleClass]]:
-        """For each class w outside ``touch``, its touch-access points: the
-        neighbours of w that some path from ``touch`` reaches in GoC - w."""
+    def encode(self, subset: Iterable[CycleClass]) -> int:
+        return _encode(subset, self._index)
+
+    def decode(self, mask: int) -> frozenset[CycleClass]:
+        return _decode(mask, self.classes)
+
+    def touch_mask(self, pi: Sequence[str]) -> int:
+        return _touch_mask(pi, self.node_masks)
+
+    def accessors(self, touch: int) -> tuple[tuple[int, int], ...]:
+        """``(w_bit, access_mask)`` for each class w outside ``touch`` that has
+        touch-access points: the neighbours of w that some path from ``touch``
+        reaches in GoC - w."""
         if touch not in self._accessors:
-            table = {}
-            for w in (c for c in self.classes if c not in touch):
-                reached, frontier = set(touch), list(touch)
+            pairs = []
+            for k, adj_w in enumerate(self._adj):
+                w = 1 << k
+                if touch & w:
+                    continue
+                reached = frontier = touch
                 while frontier:
-                    fresh = self._adj[frontier.pop()] - reached - {w}
-                    reached |= fresh
-                    frontier.extend(fresh)
-                table[w] = self._adj[w] & reached
-            self._accessors[touch] = table
+                    fresh = 0
+                    for m in _bits(frontier):
+                        fresh |= self._adj[m]
+                    frontier = fresh & ~reached & ~w
+                    reached |= frontier
+                if adj_w & reached:
+                    pairs.append((w, adj_w & reached))
+            self._accessors[touch] = tuple(pairs)
         return self._accessors[touch]
+
+    def access_mask(self, touch: int) -> int:
+        """All touch-access points."""
+        mask = 0
+        for _, access in self.accessors(touch):
+            mask |= access
+        return mask
+
+    def closure_mask(self, subset: int, touch: int) -> int:
+        """cl(S) = S | touch | every w outside touch with a touch-access point in S."""
+        mask = subset | touch
+        for w, access in self.accessors(touch):
+            if access & subset:
+                mask |= w
+        return mask
+
+    def generating_paths(self, touch: int, points: int):
+        """``(node_mask, path)`` for each generating path: the empty path, and
+        every simple path of ``points`` that starts in ``touch`` and never
+        returns to it; ``path`` holds class indices."""
+        yield 0, ()
+        stack = [(1 << v, (v,)) for v in _bits(touch & points)]
+        while stack:
+            mask, path = stack.pop()
+            yield mask, path
+            for k in _bits(self._adj[path[-1]] & points & ~touch & ~mask):
+                stack.append((mask | 1 << k, path + (k,)))
+
+    def monoid_masks(self, touch: int) -> frozenset[int]:
+        """The set monoid for a touch set: union closure of the node sets of
+        its generating paths."""
+        if touch not in self._monoids:
+            paths = self.generating_paths(touch, self.access_mask(touch))
+            self._monoids[touch] = _union_closure(mask for mask, _ in paths)
+        return self._monoids[touch]
+
+    def weight_sum(self, subset: int) -> tuple[int, ...]:
+        """Minkowski sum of the weight sets of the classes in ``subset``."""
+        chain, mask = [], subset
+        while mask not in self._sums:
+            chain.append(mask)
+            mask &= mask - 1
+        for mask in reversed(chain):
+            low = mask & -mask
+            self._sums[mask] = _minkowski(
+                self._sums[mask ^ low], self.classes[low.bit_length() - 1].weights
+            )
+        return self._sums[subset]
+
+    def coeffs(self, subset: int) -> tuple[int, ...]:
+        """The weights of the classes in ``subset``, concatenated in class order."""
+        if subset not in self._coeffs:
+            self._coeffs[subset] = tuple(
+                w for k in _bits(subset) for w in self.classes[k].weights
+            )
+        return self._coeffs[subset]
+
+
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _encode(items: Iterable, index: dict) -> int:
+    mask = 0
+    for x in items:
+        mask |= 1 << index[x]
+    return mask
+
+
+def _decode(mask: int, universe: Sequence) -> frozenset:
+    return frozenset(universe[k] for k in _bits(mask))
+
+
+def _node_masks(classes: Sequence[CycleClass]) -> dict[str, int]:
+    """Per node, the mask of the classes that contain it."""
+    masks: dict[str, int] = {}
+    for k, c in enumerate(classes):
+        for v in c.representative:
+            masks[v] = masks.get(v, 0) | 1 << k
+    return masks
+
+
+def _touch_mask(pi: Iterable[str], node_masks: dict[str, int]) -> int:
+    mask = 0
+    for v in pi:
+        mask |= node_masks.get(v, 0)
+    return mask
+
+
+def _union_closure(generators: Iterable[int]) -> frozenset[int]:
+    """Smallest union-closed family of masks containing the generators and 0."""
+    monoid = {0}
+    for g in generators:
+        if g not in monoid:  # else the union-closed monoid already absorbs g
+            monoid |= {m | g for m in monoid}
+    return frozenset(monoid)
 
 
 def _minkowski(a: Iterable[int], b: Iterable[int]) -> tuple[int, ...]:
@@ -164,14 +289,14 @@ def path_weightset(s: MwSummaryGraph, pi: Sequence[str]) -> tuple[int, ...]:
 
 def touch_set(pi: Sequence[str], classes: Iterable[CycleClass]) -> frozenset[CycleClass]:
     """Cycle classes that share at least one node with the walk ``pi``."""
-    nodes = set(pi)
-    return frozenset(c for c in classes if c.node_set & nodes)
+    classes = tuple(classes)
+    return _decode(_touch_mask(pi, _node_masks(classes)), classes)
 
 
 def access_points(goc: GraphOfCycles, s: Iterable[CycleClass]) -> frozenset[CycleClass]:
     """All S-access points: v such that some path from S has v as the
     second-to-last node and ends at a node outside S."""
-    return frozenset().union(*goc.accessors(frozenset(s)).values())
+    return goc.decode(goc.access_mask(goc.encode(s)))
 
 
 def generating_set(
@@ -181,30 +306,19 @@ def generating_set(
 ) -> frozenset[tuple[CycleClass, ...]]:
     """Generating paths: the empty path plus every path of access points that
     starts in the touch set and never returns to it."""
-    paths: set[tuple[CycleClass, ...]] = {()}
-    h = goc.nx.subgraph(points)
-    for v in sorted(touch & points):
-        paths.add((v,))
-        h_v = h.subgraph(n for n in h.nodes if n == v or n not in touch)
-        for target in sorted(points - touch):
-            if target in h_v:
-                for path in nx.all_simple_paths(h_v, v, target):
-                    paths.add(tuple(path))
-    return frozenset(paths)
+    paths = goc.generating_paths(goc.encode(touch), goc.encode(points))
+    return frozenset(tuple(goc.classes[k] for k in path) for _, path in paths)
 
 
 def monoid_from_generating_set(
     node_sets: Iterable[frozenset[CycleClass]],
 ) -> frozenset[frozenset[CycleClass]]:
     """Smallest union-closed family containing the generators and the empty set."""
-    monoid: set[frozenset[CycleClass]] = {frozenset()} | set(node_sets)
-    generators = list(monoid)
-    fresh = monoid
-    while fresh:
-        # only the elements added last round can combine into new ones
-        fresh = {a | b for a in generators for b in fresh} - monoid
-        monoid |= fresh
-    return frozenset(monoid)
+    node_sets = list(node_sets)
+    universe = tuple(dict.fromkeys(x for n in node_sets for x in n))
+    index = {x: k for k, x in enumerate(universe)}
+    monoid = _union_closure(_encode(n, index) for n in node_sets)
+    return frozenset(_decode(m, universe) for m in monoid)
 
 
 def get_monoid(
@@ -213,10 +327,8 @@ def get_monoid(
     goc: GraphOfCycles,
 ) -> frozenset[frozenset[CycleClass]]:
     """The set monoid M_pi: union closure of the node sets of the generating paths."""
-    touch = touch_set(pi, classes)
-    points = access_points(goc, touch)
-    paths = generating_set(goc, touch, points)
-    return monoid_from_generating_set(frozenset(p) for p in paths)
+    touch = goc.encode(touch_set(pi, classes))
+    return frozenset(goc.decode(m) for m in goc.monoid_masks(touch))
 
 
 def closure(
@@ -226,10 +338,7 @@ def closure(
 ) -> frozenset[CycleClass]:
     """cl(S) = S, plus the touch set, plus every class outside the touch set for
     which S contains a touch-access point.  cl(empty) is the touch set."""
-    s = frozenset(s)
-    accessors = goc.accessors(touch)
-    extra = {w for w in goc.classes if w not in touch and accessors[w] & s}
-    return s | touch | extra
+    return goc.decode(goc.closure_mask(goc.encode(s), goc.encode(touch)))
 
 
 @dataclass(frozen=True, order=True)
@@ -243,6 +352,22 @@ class ConeTuple:
     def __post_init__(self) -> None:
         if self.a0 < 0 or any(c < 1 for c in self.coeffs):
             raise ValidationError(f"malformed cone tuple ({self.a0}; {self.coeffs})")
+
+
+def cone_set(
+    goc: GraphOfCycles,
+    weights: Sequence[int],
+    touch: int,
+    subsets: Iterable[int],
+) -> frozenset[tuple[int, tuple[int, ...]]]:
+    """The distinct ``(a0, coeffs)`` of D_0(pi, S) over the masks S in
+    ``subsets``, for a path pi with weight set ``weights`` and touch mask
+    ``touch``: a0 ranges over w(pi) + w(S), and coeffs are the weights of the
+    classes in cl(S)."""
+    terms = {(goc.weight_sum(subset), goc.closure_mask(subset, touch)) for subset in subsets}
+    return frozenset(
+        (a0, goc.coeffs(cl)) for sums, cl in terms for a0 in _minkowski(weights, sums)
+    )
 
 
 def tuple_sets(
@@ -263,12 +388,6 @@ def tuple_sets(
     Minkowski sum of its weight set, i.e. independent non-negative multiples of
     every individual weight.
     """
-    subset = frozenset(subset)
-    touch = touch_set(pi, classes)
-    cl = sorted(closure(subset, touch, goc))
-    head: tuple[int, ...] = (tau,)
-    head = _minkowski(head, path_weightset(s, pi))
-    for c in sorted(subset):
-        head = _minkowski(head, c.weights)
-    coeffs = tuple(w for c in cl for w in c.weights)
-    return frozenset(ConeTuple(a0=a0, coeffs=coeffs) for a0 in head)
+    touch = goc.encode(touch_set(pi, classes))
+    cones = cone_set(goc, path_weightset(s, pi), touch, [goc.encode(subset)])
+    return frozenset(ConeTuple(a0 + tau, coeffs) for a0, coeffs in cones)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -48,6 +49,28 @@ def test_ancestor_explain_dumps_machinery(running_path, capsys):
     assert {tuple(c["representative"]) for c in doc["classes"]} == {("X",), ("X", "Y")}
 
 
+@pytest.mark.parametrize(
+    "name, i, tau, j", [("running", "X", "0", "Z"), ("fig3", "X1", "1", "X2")]
+)
+def test_ancestor_explain_output_is_pinned(data_dir, name, i, tau, j, capsys):
+    """The full --explain dump, byte for byte, as recorded in tests/data/explain."""
+    argv = ["ancestor", "--graph", str(data_dir / f"{name}.json"), "--i", i, "--tau", tau,
+            "--j", j, "--explain"]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "true\n"
+    assert captured.err == (data_dir / "explain" / f"{name}_{i}_{tau}_{j}.json").read_text()
+
+
+def test_ancestor_explain_with_window_method_is_a_usage_error(running_path, capsys):
+    argv = ["ancestor", "--graph", running_path, "--i", "X", "--tau", "0", "--j", "Z",
+            "--method", "window", "--explain"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--explain" in captured.err and "--method window" in captured.err
+
+
 def test_dioph_subcommand(capsys):
     assert run(["dioph", "--lhs", "0;2,3", "--rhs", "1;2,3"]) == 0
     assert capsys.readouterr().out == "true\n"
@@ -93,6 +116,23 @@ def test_project_methods_agree_at_a_deep_cutoff(tmp_path, capsys):
     argv = ["project-admg", "--graph", str(graph), "--observed", "Y", "--window", "1"]
     dioph_out, window_out = _outputs_per_method(argv, capsys)
     assert dioph_out == window_out
+
+
+def test_project_methods_agree_on_a_long_self_loop(tmp_path, capsys):
+    """Lags 1 and 100 on X -> X put the cutoff window at 2,000,303 steps; the
+    walk-weight bitsets close each self-loop by doubling, so the window
+    method takes about as long as the cone engine."""
+    graph = tmp_path / "loops.json"
+    graph.write_text(json.dumps(
+        {"variables": ["X", "Y"], "directed": [["X", "X", 1], ["X", "X", 100], ["X", "Y", 1]]}
+    ))
+    assert run(["cutoff", "--graph", str(graph), "--window", "1"]) == 0
+    assert capsys.readouterr().out.endswith("p_cut=2000302\n")
+    argv = ["project-admg", "--graph", str(graph), "--observed", "Y", "--window", "1"]
+    start = time.monotonic()
+    dioph_out, window_out = _outputs_per_method(argv, capsys)
+    assert dioph_out == window_out
+    assert time.monotonic() - start < 5.0
 
 
 def test_ancestor_methods_agree(running_path, fig3_path, capsys):

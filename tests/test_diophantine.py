@@ -108,11 +108,34 @@ def test_dioph_cli_single_large_coefficient(capsys):
 
 
 def test_dioph_cli_coprime_coefficients_past_the_table_limit(capsys):
-    argv = ["dioph", "--lhs", "100000000;", "--rhs", "0;100000000,100000001"]
+    argv = ["dioph", "--lhs", "100000000;", "--rhs", "0;100000000,100000001,100000002"]
     assert run(argv) == 1
     assert "residue table limit" in capsys.readouterr().err
     with pytest.raises(ValidationError):
-        bounded_representable(10**8, (10**8, 10**8 + 1))
+        bounded_representable(10**8, (10**8, 10**8 + 1, 10**8 + 2))
+
+
+def test_dioph_cli_two_coefficients_need_no_table(capsys):
+    # two coprime coefficients are settled by the closed form, at any size
+    assert run(["dioph", "--lhs", "100000000;", "--rhs", "0;100000000,100000001"]) == 0
+    assert capsys.readouterr().out == "true\n"
+    frobenius = 10**8 * (10**8 + 1) - 10**8 - (10**8 + 1)
+    assert not bounded_representable(frobenius, (10**8, 10**8 + 1))
+    assert bounded_representable(frobenius + 1, (10**8, 10**8 + 1))
+
+
+@given(
+    st.integers(min_value=1, max_value=10**4),
+    st.integers(min_value=1, max_value=10**4),
+    st.data(),
+)
+def test_two_coefficient_closed_form_matches_definition(a, b, data):
+    """Targets up to a*b + max(a, b) cover the Frobenius number of a, b
+    divided by their gcd; the definition tries every multiple of the larger."""
+    c = data.draw(st.integers(min_value=1, max_value=a * b + max(a, b)))
+    small, big = sorted((a, b))
+    expected = any((c - big * y) % small == 0 for y in range(c // big + 1))
+    assert bounded_representable(c, (a, b)) == expected
 
 
 @given(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tsproject import (
+    CommonAncestorEngine,
     ConeTuple,
     MwSummaryGraph,
     ValidationError,
@@ -15,7 +16,9 @@ from tsproject import (
     closure,
     cycle_free_paths,
     enumerate_cycle_classes,
+    generating_set,
     get_monoid,
+    make_template,
     monoid_from_generating_set,
     path_weightset,
     touch_set,
@@ -206,6 +209,23 @@ def random_weakly_acyclic_summaries(count, max_classes):
             yield s
 
 
+def literal_goc(classes):
+    """The graph of cycles by definition: two classes are linked iff they share a node."""
+    g = nx.Graph()
+    g.add_nodes_from(classes)
+    g.add_edges_from(
+        (c, d) for c, d in itertools.combinations(classes, 2) if c.node_set & d.node_set
+    )
+    return g
+
+
+def literal_accessors(g, src, w):
+    """The S-access points for w by definition: neighbours v of w that some
+    path from S reaches in GoC - w."""
+    h = nx.restricted_view(g, [w], [])
+    return {v for v in g[w] if any(nx.has_path(h, t, v) for t in src if t != w)}
+
+
 def test_access_relation_matches_definition():
     """access_points and closure against the literal definition: v is an
     S-access point for w outside S iff v neighbours w and some path from S
@@ -214,12 +234,11 @@ def test_access_relation_matches_definition():
     for s in random_weakly_acyclic_summaries(100, max_classes=7):
         classes = sorted(enumerate_cycle_classes(s))
         goc = build_graph_of_cycles(classes)
+        g = literal_goc(classes)
+        assert goc.edges == {frozenset(e) for e in g.edges}
 
         def accessors(src, w):
-            h = nx.restricted_view(goc.nx, [w], [])
-            return {
-                v for v in goc.nx[w] if any(nx.has_path(h, t, v) for t in src if t != w)
-            }
+            return literal_accessors(g, src, w)
 
         subsets = [
             frozenset(c) for r in range(4) for c in itertools.combinations(classes, r)
@@ -240,3 +259,66 @@ def test_access_relation_matches_definition():
                 assert closure(subset, touch, goc) == expected, (pi, subset)
                 checked += 1
     assert checked > 1000
+
+
+def test_generating_set_matches_simple_path_enumeration():
+    """generating_set against networkx: the empty path, and every simple path
+    in the subgraph of ``points`` that starts in the touch set and then stays
+    outside it."""
+    checked = 0
+    for s in random_weakly_acyclic_summaries(100, max_classes=7):
+        classes = sorted(enumerate_cycle_classes(s))
+        goc = build_graph_of_cycles(classes)
+        g = literal_goc(classes)
+        subsets = [
+            frozenset(c) for r in range(4) for c in itertools.combinations(classes, r)
+        ]
+        for touch in subsets:
+            for points in (access_points(goc, touch), frozenset(classes)):
+                expected = {()}
+                for v in touch & points:
+                    expected.add((v,))
+                    h = g.subgraph((points - touch) | {v})
+                    for target in points - touch:
+                        expected |= {tuple(p) for p in nx.all_simple_paths(h, v, target)}
+                assert generating_set(goc, touch, points) == expected, (touch, points)
+                checked += 1
+    assert checked > 1000
+
+
+def test_engine_cones_match_tuple_sets():
+    """Seeded differential test on the criterion-4 generator: the engine's
+    cone set of each path is the union of its tuple sets over the monoid, and
+    each tuple set follows its definition, with the closure taken from the
+    literal access relation."""
+    checked = 0
+    for s in random_weakly_acyclic_summaries(100, max_classes=7):
+        tpl = make_template(
+            s.nodes, directed=[(a, lag, b) for (a, b), lags in s.edges.items() for lag in lags]
+        )
+        engine = CommonAncestorEngine(tpl)
+        classes = sorted(enumerate_cycle_classes(s))
+        goc = build_graph_of_cycles(classes)
+        g = literal_goc(classes)
+        for k in s.nodes:
+            for i in s.nodes:
+                for pi in engine.paths(k, i):
+                    touch = frozenset(c for c in classes if c.node_set & set(pi))
+                    expected = set()
+                    for subset in get_monoid(pi, classes, goc):
+                        cl = subset | touch | {
+                            w for w in classes
+                            if w not in touch and literal_accessors(g, touch, w) & subset
+                        }
+                        coeffs = tuple(x for c in sorted(cl) for x in c.weights)
+                        heads = set(path_weightset(s, pi))
+                        for c in subset:
+                            heads = {h + x for h in heads for x in c.weights}
+                        tuples = {
+                            (t.a0, t.coeffs) for t in tuple_sets(s, 0, pi, subset, classes, goc)
+                        }
+                        assert tuples == {(a0, coeffs) for a0 in heads}, (pi, subset)
+                        expected |= tuples
+                    assert engine.cones(pi) == expected, pi
+                    checked += 1
+    assert checked > 500
