@@ -36,6 +36,9 @@ from .summary_mwdg import (
 )
 
 
+_MAX_WALK_DEPTH = 10**7  # deepest WalkWeights search; a bitset that deep is 1.25 MB
+
+
 def summary_prefilter(s: MwSummaryGraph, i: str, j: str) -> bool:
     """Necessary condition: i and j have a common ancestor in the unweighted
     summary graph.  False here implies no common ancestor at any lag."""
@@ -128,7 +131,7 @@ class WalkWeights:
     of (x, t) and s <= depth.  ``query(i, tau, j)`` then equals ancestor-set
     intersection in the unrolled window [t-depth, t]; with depth p_cut + p
     from ``cutoff_bound`` it is exact for the window [t-p, t] by the cutoff
-    theorem.
+    theorem.  A ``depth`` above ``_MAX_WALK_DEPTH`` raises ``ValidationError``.
     """
 
     def __init__(self, tpl: TsGraphTemplate, depth: int):
@@ -138,6 +141,10 @@ class WalkWeights:
             )
         if depth < 0:
             raise ValidationError("depth must be non-negative")
+        if depth > _MAX_WALK_DEPTH:
+            raise ValidationError(
+                f"search depth {depth} exceeds the walk-weight limit of {_MAX_WALK_DEPTH}"
+            )
         self.tpl = tpl
         self.depth = depth
         mask = (1 << (depth + 1)) - 1
@@ -191,6 +198,7 @@ def lag1_shortcut(tpl: TsGraphTemplate, i: str, tau: int, j: str) -> Optional[bo
     """Exact fast path when every variable has a lag-1 auto-edge: common
     ancestorship then coincides with the summary-graph check.  Returns None
     when not applicable."""
+    tpl.index(i), tpl.index(j)
     if tpl.bidirected_t:
         return None
     if not all((v, 1, v) in tpl.directed_t for v in tpl.variables):

@@ -232,6 +232,17 @@ def _cmd_verify(args) -> int:
     return 0 if not failures else 1
 
 
+def _count(text: str) -> int:
+    """argparse type of a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tsproject",
@@ -275,11 +286,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rhs", required=True)
 
     p = sub.add_parser("verify", help="run the oracle-equivalence suites")
-    p.add_argument(
-        "--seed", type=int, default=int(os.environ.get("TSPROJECT_SEED", "0"))
-    )
-    p.add_argument("--templates", type=int, default=25)
-    p.add_argument("--queries", type=int, default=10)
+    # a string default goes through type=int only when verify runs without --seed
+    p.add_argument("--seed", type=int, default=os.environ.get("TSPROJECT_SEED", "0"))
+    p.add_argument("--templates", type=_count, default=25)
+    p.add_argument("--queries", type=_count, default=10)
 
     return parser
 

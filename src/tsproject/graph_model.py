@@ -11,13 +11,35 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
-
-import networkx as nx
+from typing import Hashable, Iterable
 
 
 class ValidationError(ValueError):
     """Raised when an input violates a structural invariant."""
+
+
+def is_acyclic(nodes: Iterable[Hashable], edges: Iterable[tuple[Hashable, Hashable]]) -> bool:
+    """Whether the directed graph on ``nodes`` has no directed cycle; every
+    edge must join two of the nodes.
+
+    Kahn's topological-order algorithm: remove nodes without incoming edges
+    until none is left; the graph is acyclic iff every node gets removed.
+    """
+    succ: dict[Hashable, list[Hashable]] = {v: [] for v in nodes}
+    indegree = dict.fromkeys(succ, 0)
+    for u, v in edges:
+        succ[u].append(v)
+        indegree[v] += 1
+    ready = [v for v, d in indegree.items() if not d]
+    removed = 0
+    while ready:
+        u = ready.pop()
+        removed += 1
+        for v in succ[u]:
+            indegree[v] -= 1
+            if not indegree[v]:
+                ready.append(v)
+    return removed == len(succ)
 
 
 # A directed template entry (i, lag, j) encodes the edge (i, t-lag) -> (j, t).
@@ -68,12 +90,9 @@ class TsGraphTemplate:
                 raise ValidationError(
                     f"bidirected entry ({a}, 0, {b}) is not canonical (need index({a}) < index({b}))"
                 )
-        contemporaneous = nx.DiGraph()
-        contemporaneous.add_nodes_from(self.variables)
-        contemporaneous.add_edges_from(
-            (src, dst) for src, lag, dst in self.directed_t if lag == 0
-        )
-        if not nx.is_directed_acyclic_graph(contemporaneous):
+        if not is_acyclic(
+            self.variables, ((src, dst) for src, lag, dst in self.directed_t if lag == 0)
+        ):
             raise ValidationError("contemporaneous directed cycle")
 
     @property
@@ -193,10 +212,7 @@ class FiniteMixedGraph:
                 raise ValidationError(f"edge endpoint {u} or {v} not a vertex")
         if not self.latent <= self.vertices:
             raise ValidationError("latent marks must be a subset of the vertices")
-        dg = nx.DiGraph()
-        dg.add_nodes_from(self.vertices)
-        dg.add_edges_from(self.directed)
-        if not nx.is_directed_acyclic_graph(dg):
+        if not is_acyclic(self.vertices, self.directed):
             raise ValidationError("directed part is cyclic")
 
     @property

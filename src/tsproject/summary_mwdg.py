@@ -7,16 +7,22 @@ graph.  The machinery here (cycle classes, graph of cycles, access points,
 generating sets, set monoids, closures, tuple sets) decomposes the set of
 realizable walk weights between two nodes into finitely many affine cones
 over the non-negative integers.
+
+Summary graphs have one node per variable, so cycle-free paths and simple
+cycles are found by plain depth-first searches over a successor map built
+once per graph (Johnson, SIAM J. Comput. 1975, gives an output-sensitive
+cycle search for larger graphs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import networkx as nx
 
-from .graph_model import TsGraphTemplate, ValidationError
+from .graph_model import TsGraphTemplate, ValidationError, is_acyclic
 
 Path = tuple[str, ...]  # node sequence of a directed path; length 1 = trivial walk
 
@@ -41,11 +47,16 @@ class MwSummaryGraph:
                 raise ValidationError(f"empty weight set on edge ({src}, {dst})")
             if src == dst and 0 in weights:
                 raise ValidationError(f"self edge with weight 0 at {src}")
-        zero_sub = nx.DiGraph()
-        zero_sub.add_nodes_from(self.nodes)
-        zero_sub.add_edges_from(e for e, w in self.edges.items() if 0 in w)
-        if not nx.is_directed_acyclic_graph(zero_sub):
+        if not is_acyclic(self.nodes, (e for e, w in self.edges.items() if 0 in w)):
             raise ValidationError("zero-weight subgraph is cyclic (not weakly acyclic)")
+
+    @cached_property
+    def successors(self) -> dict[str, tuple[str, ...]]:
+        """Per node, the heads of its outgoing edges."""
+        succ: dict[str, list[str]] = {v: [] for v in self.nodes}
+        for src, dst in self.edges:
+            succ[src].append(dst)
+        return {v: tuple(heads) for v, heads in succ.items()}
 
     def digraph(self) -> nx.DiGraph:
         dg = nx.DiGraph()
@@ -252,15 +263,25 @@ def build_mw_summary(tpl: TsGraphTemplate) -> MwSummaryGraph:
 
 
 def enumerate_cycle_classes(s: MwSummaryGraph) -> frozenset[CycleClass]:
-    """One :class:`CycleClass` per rotation-equivalence class of irreducible cycles."""
+    """One :class:`CycleClass` per rotation-equivalence class of irreducible cycles.
+
+    Each simple cycle is found once, by a depth-first search from its earliest
+    node in ``s.nodes`` order that visits only later nodes; a self-loop is a
+    cycle of one node.
+    """
+    order = {v: n for n, v in enumerate(s.nodes)}
     classes = set()
-    for cycle in nx.simple_cycles(s.digraph()):
-        pivot = cycle.index(min(cycle))
-        rep = tuple(cycle[pivot:] + cycle[:pivot])
-        weights: tuple[int, ...] = (0,)
-        for a, b in zip(rep, rep[1:] + rep[:1]):
-            weights = _minkowski(weights, s.edges[(a, b)])
-        classes.add(CycleClass(representative=rep, weights=weights))
+    for start in s.nodes:
+        stack = [(start,)]
+        while stack:
+            path = stack.pop()
+            for v in s.successors[path[-1]]:
+                if v == start:
+                    pivot = path.index(min(path))
+                    rep = path[pivot:] + path[:pivot]
+                    classes.add(CycleClass(rep, path_weightset(s, rep + rep[:1])))
+                elif order[v] > order[start] and v not in path:
+                    stack.append(path + (v,))
     return frozenset(classes)
 
 
@@ -274,7 +295,16 @@ def cycle_free_paths(s: MwSummaryGraph, k: str, i: str) -> frozenset[Path]:
         raise ValidationError(f"unknown node in path query ({k}, {i})")
     if k == i:
         return frozenset({(k,)})
-    return frozenset(tuple(p) for p in nx.all_simple_paths(s.digraph(), k, i))
+    paths = set()
+    stack = [(k,)]
+    while stack:
+        path = stack.pop()
+        for v in s.successors[path[-1]]:
+            if v == i:
+                paths.add(path + (v,))
+            elif v not in path:
+                stack.append(path + (v,))
+    return frozenset(paths)
 
 
 def path_weightset(s: MwSummaryGraph, pi: Sequence[str]) -> tuple[int, ...]:

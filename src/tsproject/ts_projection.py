@@ -179,6 +179,8 @@ class CutoffQuantities:
 def cutoff_bound(tpl: TsGraphTemplate, p: int) -> CutoffQuantities:
     """Window length such that searching [t - p_cut - p, t] finds every
     common-ancestor witness relevant to the window [t-p, t]."""
+    if p < 0:
+        raise ValidationError("window length must be non-negative")
     if tpl.bidirected_t:
         raise ValidationError("cutoff bound is defined for ts-DAGs")
     engine = CommonAncestorEngine(tpl)

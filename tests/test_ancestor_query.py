@@ -12,6 +12,7 @@ from tsproject import (
     make_template,
     summary_prefilter,
 )
+from tsproject.ancestor_query import _MAX_WALK_DEPTH
 from tsproject.oracle_testkit import random_template, window_common_ancestor
 
 
@@ -95,6 +96,13 @@ class TestLag1Shortcut:
     def test_not_applicable_with_bidirected(self, fig3_tpl):
         assert lag1_shortcut(fig3_tpl, "X1", 0, "X2") is None
 
+    def test_rejects_unknown_variable(self):
+        tpl = make_template(["X"], [("X", 1, "X")])
+        with pytest.raises(ValidationError):
+            lag1_shortcut(tpl, "X", 0, "Q")
+        with pytest.raises(ValidationError):
+            lag1_shortcut(tpl, "Q", 0, "X")
+
     def test_matches_full_engine_when_applicable(self):
         for seed in range(15):
             base = random_template(seed, n_vars=3, max_lag=2, edge_density=0.2)
@@ -126,6 +134,12 @@ class TestWalkWeights:
     def test_rejects_negative_depth(self, running_tpl):
         with pytest.raises(ValidationError):
             WalkWeights(running_tpl, -1)
+
+    def test_rejects_depth_past_the_limit(self, running_tpl):
+        assert _MAX_WALK_DEPTH >= 2_000_303  # the long self-loop test in test_cli.py
+        WalkWeights(make_template(["X"]), _MAX_WALK_DEPTH)
+        with pytest.raises(ValidationError, match="limit"):
+            WalkWeights(running_tpl, _MAX_WALK_DEPTH + 1)
 
     def test_rejects_tau_past_depth(self, running_tpl):
         """A too-shallow engine must not silently answer False."""

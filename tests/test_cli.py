@@ -37,6 +37,13 @@ def test_cutoff_output_format(running_path, capsys):
     assert capsys.readouterr().out == "K=3 L=6 M=5 p_cut=135\n"
 
 
+def test_cutoff_rejects_negative_window(running_path, capsys):
+    assert run(["cutoff", "--graph", running_path, "--window", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: window length must be non-negative" in captured.err
+
+
 def test_ancestor_true(running_path, capsys):
     assert run(["ancestor", "--graph", running_path, "--i", "X", "--tau", "0", "--j", "Z"]) == 0
     assert capsys.readouterr().out == "true\n"
@@ -135,6 +142,23 @@ def test_project_methods_agree_on_a_long_self_loop(tmp_path, capsys):
     assert time.monotonic() - start < 5.0
 
 
+def test_window_method_rejects_a_search_past_the_depth_limit(tmp_path, capsys):
+    """Lags 1000 and 1001 on X -> X put the cutoff window at 2,006,009,007
+    steps: the walk-weight search refuses that depth, the cone engine does not
+    need it."""
+    graph = tmp_path / "loops.json"
+    graph.write_text(json.dumps(
+        {"variables": ["X", "Y"],
+         "directed": [["X", "X", 1000], ["X", "X", 1001], ["X", "Y", 1]]}
+    ))
+    argv = ["project-admg", "--graph", str(graph), "--observed", "Y", "--window", "1"]
+    assert run(argv + ["--method", "window"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "limit" in captured.err
+    assert run(argv) == 0
+
+
 def test_ancestor_methods_agree(running_path, fig3_path, capsys):
     for graph, variables in ((running_path, "XYZ"), (fig3_path, ["X1", "X2", "X3"])):
         for i in variables:
@@ -193,3 +217,26 @@ def test_verify_subcommand_reports(capsys):
     out = capsys.readouterr().out
     assert "marginal-vs-window-oracle: PASS" in out
     assert "ancestor-vs-window-oracle: PASS" in out
+
+
+@pytest.mark.parametrize("flag, value", [("--templates", "-3"), ("--queries", "-1"),
+                                         ("--templates", "x"), ("--seed", "x")])
+def test_verify_rejects_bad_counts_and_seeds(flag, value, capsys):
+    assert run(["verify", "--templates", "0", "--queries", "0", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+def test_bad_seed_variable_only_affects_verify(running_path, monkeypatch, capsys):
+    monkeypatch.setenv("TSPROJECT_SEED", "seven")
+    assert run(["dioph", "--lhs", "0;2,3", "--rhs", "1;2,3"]) == 0
+    assert run(["cutoff", "--graph", running_path, "--window", "1"]) == 0
+    assert capsys.readouterr().out == "true\nK=3 L=6 M=5 p_cut=135\n"
+    assert run(["verify", "--templates", "0", "--queries", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed" in captured.err and "'seven'" in captured.err
+    assert run(["verify", "--seed", "3", "--templates", "0", "--queries", "0"]) == 0
+    monkeypatch.setenv("TSPROJECT_SEED", "3")
+    assert run(["verify", "--templates", "0", "--queries", "0"]) == 0

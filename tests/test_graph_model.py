@@ -1,5 +1,7 @@
+import random
 import re
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +16,7 @@ from tsproject import (
     serialize_template,
     unroll_window,
 )
+from tsproject.graph_model import is_acyclic
 
 
 def test_vertex_labels():
@@ -208,3 +211,24 @@ def test_to_dot_escapes_quotes_and_backslashes():
     quoted_id = r'"(?:[^"\\]|\\.)*"'
     for line in dot.splitlines()[1:-1]:
         assert re.fullmatch(rf"  {quoted_id}( -> {quoted_id})?( \[dir=both\])?;", line), line
+
+
+def test_is_acyclic_matches_networkx():
+    """The Kahn check against networkx on seeded random digraphs with
+    self-loops, about half of them cyclic."""
+    verdicts = []
+    for seed in range(600):
+        rng = random.Random(seed)
+        nodes = list(range(rng.randint(1, 9)))
+        density = rng.choice((0.05, 0.1, 0.2, 0.4))
+        edges = [
+            (u, v) for u in nodes for v in nodes
+            if rng.random() < (density / 5 if u == v else density)
+        ]
+        g = nx.DiGraph()
+        g.add_nodes_from(nodes)
+        g.add_edges_from(edges)
+        expected = nx.is_directed_acyclic_graph(g)
+        assert is_acyclic(nodes, edges) == expected, seed
+        verdicts.append(expected)
+    assert 200 < sum(verdicts) < 400

@@ -24,6 +24,7 @@ from tsproject import (
     touch_set,
     tuple_sets,
 )
+from tsproject.oracle_testkit import random_template
 
 
 @pytest.fixture
@@ -187,8 +188,9 @@ def test_monoid_is_minimal(generators):
         assert frozenset().union(*(g for g in generators if g <= m)) == m
 
 
-def random_weakly_acyclic_summaries(count, max_classes):
-    """The criterion-4 generator, keeping graphs with 2..max_classes cycle classes."""
+def random_weakly_acyclic_summaries(count, max_classes, min_classes=2):
+    """The criterion-4 generator, keeping graphs with min_classes..max_classes
+    cycle classes."""
     seed = 0
     while count:
         rng = random.Random(seed)
@@ -204,7 +206,7 @@ def random_weakly_acyclic_summaries(count, max_classes):
             s = MwSummaryGraph(nodes, edges)
         except ValidationError:
             continue
-        if 2 <= len(enumerate_cycle_classes(s)) <= max_classes:
+        if min_classes <= len(enumerate_cycle_classes(s)) <= max_classes:
             count -= 1
             yield s
 
@@ -322,3 +324,42 @@ def test_engine_cones_match_tuple_sets():
                     assert engine.cones(pi) == expected, pi
                     checked += 1
     assert checked > 500
+
+
+def kernel_test_summaries():
+    """The criterion-4 generator, and the dense random_template grid that the
+    benchmark's dense cases come from."""
+    yield from random_weakly_acyclic_summaries(150, max_classes=100, min_classes=0)
+    for seed in range(30):
+        for n_vars, density in ((5, 0.25), (5, 0.3), (6, 0.25), (6, 0.3)):
+            yield build_mw_summary(random_template(seed, n_vars, 2, density))
+
+
+def test_cycle_classes_match_networkx_simple_cycles():
+    """enumerate_cycle_classes against nx.simple_cycles: one class per simple
+    cycle up to rotation, self-loops included, with the Minkowski sum of the
+    edge weights along the cycle."""
+    counts = []
+    for s in kernel_test_summaries():
+        expected = set()
+        for cycle in nx.simple_cycles(s.digraph()):
+            pivot = cycle.index(min(cycle))
+            rep = tuple(cycle[pivot:] + cycle[:pivot])
+            expected.add((rep, path_weightset(s, rep + rep[:1])))
+        got = {(c.representative, c.weights) for c in enumerate_cycle_classes(s)}
+        assert got == expected, s
+        counts.append(len(expected))
+    assert len(counts) == 270 and counts.count(0) > 10 and max(counts) > 20
+
+
+def test_cycle_free_paths_match_networkx_simple_paths():
+    """cycle_free_paths against nx.all_simple_paths for every (k, i)."""
+    checked = 0
+    for s in kernel_test_summaries():
+        g = s.digraph()
+        for k in s.nodes:
+            for i in s.nodes:
+                expected = {(k,)} if k == i else set(map(tuple, nx.all_simple_paths(g, k, i)))
+                assert cycle_free_paths(s, k, i) == expected, (s, k, i)
+                checked += len(expected)
+    assert checked > 10_000
