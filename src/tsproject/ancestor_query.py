@@ -132,6 +132,15 @@ class WalkWeights:
     intersection in the unrolled window [t-depth, t]; with depth p_cut + p
     from ``cutoff_bound`` it is exact for the window [t-p, t] by the cutoff
     theorem.  A ``depth`` above ``_MAX_WALK_DEPTH`` raises ``ValidationError``.
+
+    The bitsets are the fixpoint of a worklist over the edges between
+    distinct nodes.  Each time a node's bitset is taken from the worklist, it
+    is first closed, by doubling, under the weights of every cycle class
+    through that node (self-loops included).  Such a weight is the weight of
+    a closed walk at that node, so the closure adds only true ancestors, and
+    a cycle that spans several nodes is crossed in a few rounds instead of
+    one round per trip around it.  A weight that is a multiple of a smaller
+    kept weight adds nothing and is dropped.
     """
 
     def __init__(self, tpl: TsGraphTemplate, depth: int):
@@ -149,26 +158,40 @@ class WalkWeights:
         self.depth = depth
         mask = (1 << (depth + 1)) - 1
         in_edges: dict[str, list[tuple[str, int]]] = {v: [] for v in tpl.variables}
-        self_lags: dict[str, list[int]] = {v: [] for v in tpl.variables}
         for src, lag, dst in tpl.directed_t:
-            if src == dst:
-                self_lags[dst].append(lag)
-            else:
+            if src != dst:
                 in_edges[dst].append((src, lag))
+        cycle_weights: dict[str, set[int]] = {v: set() for v in tpl.variables}
+        for c in enumerate_cycle_classes(build_mw_summary(tpl)):
+            for v in c.node_set:
+                cycle_weights[v].update(c.weights)
+        closing: dict[str, list[int]] = {}
+        for v, weights in cycle_weights.items():
+            kept: list[int] = []
+            for w in sorted(weights):
+                if all(w % k for k in kept):
+                    kept.append(w)
+            closing[v] = kept
         self.anc: dict[str, dict[str, int]] = {}
         for x in tpl.variables:
             bits = {x: 1}
             work = {x}
             while work:
                 y = work.pop()
-                # close under each self-loop by doubling: after the shifts
-                # lag, 2 lag, ..., 2^n lag, every multiple of lag up to
-                # (2^(n+1) - 1) lag has been added
-                for lag in self_lags[y]:
-                    shift = lag
+                # close under each cycle weight by doubling: after the shifts
+                # w, 2 w, ..., 2^n w, every multiple of w up to (2^(n+1) - 1) w
+                # has been added; a shift that adds nothing means the bitset
+                # is closed under every multiple of w already
+                for w in closing[y]:
+                    closed = bits[y]
+                    shift = w
                     while shift <= depth:
-                        bits[y] |= (bits[y] << shift) & mask
+                        grown = closed | ((closed << shift) & mask)
+                        if grown == closed:
+                            break
+                        closed = grown
                         shift *= 2
+                    bits[y] = closed
                 for u, lag in in_edges[y]:
                     old = bits.get(u, 0)
                     new = old | ((bits[y] << lag) & mask)

@@ -1,32 +1,25 @@
 """Projections and separation queries on finite mixed graphs.
 
 Implements the ADMG latent projection, the canonical-DAG construction,
-m-separation, inducing paths, and the DMAG latent projection.  m-separation
+m-separation, inducing paths, and the DMAG latent projection.
+
+The projections and separation queries number the vertices once per call, in
+sorted order, and carry vertex sets as int masks (bit n stands for the n-th
+vertex), with one parent, child and sibling mask per vertex.  m-separation
 and inducing paths are decided by reachability over (vertex, entered-with-
-arrowhead) states, which is equivalent to the path-based definitions and
-polynomial, instead of path enumeration.
+arrowhead) states, run on one frontier mask per arrowhead mark; this is
+equivalent to the path-based definitions and polynomial, instead of path
+enumeration.  :func:`ancestors` stays on vertex sets: it runs on unrolled
+windows of thousands of steps, where one n-bit mask per vertex would take
+quadratic memory.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .graph_model import FiniteMixedGraph, TsVertex, ValidationError, _canonical_pair
-
-
-def _parent_map(g: FiniteMixedGraph) -> dict[TsVertex, set[TsVertex]]:
-    parents: dict[TsVertex, set[TsVertex]] = {v: set() for v in g.vertices}
-    for u, v in g.directed:
-        parents[v].add(u)
-    return parents
-
-
-def _child_map(g: FiniteMixedGraph) -> dict[TsVertex, set[TsVertex]]:
-    children: dict[TsVertex, set[TsVertex]] = {v: set() for v in g.vertices}
-    for u, v in g.directed:
-        children[u].add(v)
-    return children
+from .graph_model import FiniteMixedGraph, TsVertex, ValidationError
 
 
 def ancestors(g: FiniteMixedGraph, seeds: Iterable[TsVertex]) -> frozenset[TsVertex]:
@@ -34,36 +27,83 @@ def ancestors(g: FiniteMixedGraph, seeds: Iterable[TsVertex]) -> frozenset[TsVer
     seeds = set(seeds)
     if not seeds <= g.vertices:
         raise ValidationError(f"unknown vertices in seed set: {seeds - g.vertices}")
-    parents = _parent_map(g)
+    parents: dict[TsVertex, list[TsVertex]] = {}
+    for u, v in g.directed:
+        parents.setdefault(v, []).append(u)
     result = set(seeds)
     frontier = deque(seeds)
     while frontier:
         v = frontier.popleft()
-        for u in parents[v]:
+        for u in parents.get(v, ()):
             if u not in result:
                 result.add(u)
                 frontier.append(u)
     return frozenset(result)
 
 
-def _reach_through(
-    adjacency: dict[TsVertex, set[TsVertex]],
-    start: TsVertex,
-    passthrough: frozenset[TsVertex],
-) -> set[TsVertex]:
-    """Vertices reachable from ``start`` along ``adjacency`` edges whose
-    intermediate vertices all lie in ``passthrough``."""
-    reached: set[TsVertex] = set()
-    frontier = deque([start])
-    expanded = {start}
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _Index:
+    """The vertices of a finite graph numbered in sorted order, with one
+    parent, child and sibling (bidirected neighbour) mask per vertex."""
+
+    def __init__(self, g: FiniteMixedGraph):
+        self.vertices = sorted(g.vertices, key=lambda v: (v.var, v.offset))
+        self.pos = {v: n for n, v in enumerate(self.vertices)}
+        n = len(self.vertices)
+        self.parents = [0] * n
+        self.children = [0] * n
+        self.siblings = [0] * n
+        pos = self.pos
+        for u, v in g.directed:
+            self.parents[pos[v]] |= 1 << pos[u]
+            self.children[pos[u]] |= 1 << pos[v]
+        for u, v in g.bidirected:
+            self.siblings[pos[u]] |= 1 << pos[v]
+            self.siblings[pos[v]] |= 1 << pos[u]
+
+    def mask(self, vertices: Iterable[TsVertex]) -> int:
+        pos = self.pos
+        m = 0
+        for v in vertices:
+            m |= 1 << pos[v]
+        return m
+
+    def ancestor_masks(self) -> list[int]:
+        """Per vertex, the mask of its ancestors (itself included), filled in
+        one Kahn topological order."""
+        n = len(self.vertices)
+        indegree = [self.parents[k].bit_count() for k in range(n)]
+        ready = [k for k in range(n) if not indegree[k]]
+        anc = [1 << k for k in range(n)]
+        while ready:
+            k = ready.pop()
+            for c in _bits(self.children[k]):
+                anc[c] |= anc[k]
+                indegree[c] -= 1
+                if not indegree[c]:
+                    ready.append(c)
+        return anc
+
+
+def _reach_through(adjacency: list[int], start: int, passthrough: int) -> int:
+    """Mask of the vertices reachable from vertex ``start`` along
+    ``adjacency`` edges whose intermediate vertices all lie in ``passthrough``."""
+    reached = adjacency[start]
+    frontier = reached & passthrough
     while frontier:
-        v = frontier.popleft()
-        for w in adjacency[v]:
-            if w not in reached:
-                reached.add(w)
-                if w in passthrough and w not in expanded:
-                    expanded.add(w)
-                    frontier.append(w)
+        step = 0
+        for k in _bits(frontier):
+            step |= adjacency[k]
+        frontier = step & ~reached
+        reached |= frontier
+        frontier &= passthrough
     return reached
 
 
@@ -82,35 +122,33 @@ def admg_latent_project(
     observed = frozenset(observed)
     if not observed <= g.vertices:
         raise ValidationError("observed set is not a subset of the vertices")
-    latents = g.vertices - observed
-    children = _child_map(g)
-    parents = _parent_map(g)
+    index = _Index(g)
+    verts = index.vertices
+    obs_mask = index.mask(observed)
+    latents = ((1 << len(verts)) - 1) & ~obs_mask
 
     directed = set()
-    # anc_l[i]: i itself plus all latent x with a directed path x -> ... -> i
-    # through latent intermediates; these are the admissible "source" vertices
-    # of a confounding path ending at i.
-    anc_l: dict[TsVertex, frozenset[TsVertex]] = {}
-    for i in observed:
-        down = _reach_through(children, i, latents)
-        directed.update((i, j) for j in down & observed if j != i)
-        up = _reach_through(parents, i, latents)
-        anc_l[i] = frozenset({i} | (up & latents))
-
-    bid_edges = sorted(g.bidirected)
-    # For each observed vertex, the bidirected edges whose first/second
-    # endpoint is an admissible source for it.
-    first_hits = {i: {n for n, (x, _) in enumerate(bid_edges) if x in anc_l[i]} for i in observed}
-    second_hits = {i: {n for n, (_, y) in enumerate(bid_edges) if y in anc_l[i]} for i in observed}
+    # src[i]: i itself plus every latent x with a directed path x -> ... -> i
+    # through latent intermediates, the admissible sources of a confounding
+    # path ending at i; sib[i]: every vertex with a bidirected edge to one of
+    # them.
+    src: dict[int, int] = {}
+    sib: dict[int, int] = {}
+    obs = list(_bits(obs_mask))
+    for i in obs:
+        down = _reach_through(index.children, i, latents) & obs_mask
+        directed.update((verts[i], verts[j]) for j in _bits(down))
+        src[i] = (1 << i) | (_reach_through(index.parents, i, latents) & latents)
+        s = 0
+        for x in _bits(src[i]):
+            s |= index.siblings[x]
+        sib[i] = s
 
     bidirected = set()
-    obs_sorted = sorted(observed)
-    for a, i in enumerate(obs_sorted):
-        for j in obs_sorted[a + 1 :]:
-            if (anc_l[i] & anc_l[j]) - {i, j}:
-                bidirected.add(_canonical_pair(i, j))
-            elif (first_hits[i] & second_hits[j]) or (first_hits[j] & second_hits[i]):
-                bidirected.add(_canonical_pair(i, j))
+    for a, i in enumerate(obs):
+        for j in obs[a + 1 :]:
+            if src[i] & src[j] & ~((1 << i) | (1 << j)) or sib[i] & src[j]:
+                bidirected.add((verts[i], verts[j]))
 
     return FiniteMixedGraph(
         vertices=observed,
@@ -144,55 +182,45 @@ def canonical_dag(g: FiniteMixedGraph) -> FiniteMixedGraph:
     )
 
 
-def _incidence(g: FiniteMixedGraph) -> dict[TsVertex, list[tuple[TsVertex, bool, bool]]]:
-    """Traversable half-edges: (neighbor, arrowhead at this vertex, arrowhead at neighbor)."""
-    inc: dict[TsVertex, list[tuple[TsVertex, bool, bool]]] = {v: [] for v in g.vertices}
-    for u, v in g.directed:
-        inc[u].append((v, False, True))
-        inc[v].append((u, True, False))
-    for u, v in g.bidirected:
-        inc[u].append((v, True, True))
-        inc[v].append((u, True, True))
-    return inc
-
-
 def _walk_reachable(
-    inc: dict[TsVertex, list[tuple[TsVertex, bool, bool]]],
-    sources: frozenset[TsVertex],
-    targets: frozenset[TsVertex],
-    collider_open: frozenset[TsVertex],
-    noncollider_open: frozenset[TsVertex],
+    index: _Index, sources: int, targets: int, collider_open: int, noncollider_open: int
 ) -> bool:
-    """Shared reachability core for m-connection and inducing paths.
+    """Shared reachability core for m-connection and inducing paths; every
+    vertex set is a mask over ``index``.
 
     A walk may continue through a middle vertex v iff v is a collider on the
     walk and v is in ``collider_open``, or v is a non-collider and v is in
     ``noncollider_open``.  Returns whether some target is reachable from some
-    source along such a walk in the graph whose ``_incidence`` map is ``inc``.
+    source along such a walk.
+
+    The walk states are (vertex, entered with an arrowhead); ``heads`` and
+    ``tails`` hold the vertices reached with and without one.  A step from v
+    to a child is never a collider step, a step to a parent or a sibling is
+    one iff v was entered with an arrowhead; steps to children and siblings
+    arrive with an arrowhead, steps to parents without.
     """
-    queue: deque[tuple[TsVertex, bool]] = deque()
-    seen: set[tuple[TsVertex, bool]] = set()
-    for x in sources:
-        for w, _, head_at_w in inc[x]:
-            state = (w, head_at_w)
-            if state not in seen:
-                seen.add(state)
-                queue.append(state)
-    while queue:
-        v, head_in = queue.popleft()
-        if v in targets:
+    parents, children, siblings = index.parents, index.children, index.siblings
+    new_heads = new_tails = 0
+    for x in _bits(sources):
+        new_heads |= children[x] | siblings[x]
+        new_tails |= parents[x]
+    heads = tails = 0
+    while new_heads or new_tails:
+        if (new_heads | new_tails) & targets:
             return True
-        for w, head_out, head_at_w in inc[v]:
-            collider = head_in and head_out
-            if collider:
-                if v not in collider_open:
-                    continue
-            elif v not in noncollider_open:
-                continue
-            state = (w, head_at_w)
-            if state not in seen:
-                seen.add(state)
-                queue.append(state)
+        heads |= new_heads
+        tails |= new_tails
+        step_heads = step_tails = 0
+        for v in _bits(new_tails & noncollider_open):
+            step_heads |= children[v] | siblings[v]
+            step_tails |= parents[v]
+        for v in _bits(new_heads & noncollider_open):
+            step_heads |= children[v]
+        for v in _bits(new_heads & collider_open):
+            step_heads |= siblings[v]
+            step_tails |= parents[v]
+        new_heads = step_heads & ~heads
+        new_tails = step_tails & ~tails
     return False
 
 
@@ -213,13 +241,13 @@ def m_separated(
             raise ValidationError(f"{name} is not a subset of the vertices")
     if x & y or x & z or y & z:
         raise ValidationError("X, Y, Z must be pairwise disjoint")
-    an_z = ancestors(g, z)
+    index = _Index(g)
     return not _walk_reachable(
-        _incidence(g),
-        sources=x,
-        targets=y,
-        collider_open=an_z,
-        noncollider_open=g.vertices - z,
+        index,
+        sources=index.mask(x),
+        targets=index.mask(y),
+        collider_open=index.mask(ancestors(g, z)),
+        noncollider_open=index.mask(g.vertices - z),
     )
 
 
@@ -236,13 +264,13 @@ def has_inducing_path(
         raise ValidationError("inducing-path query requires distinct endpoints")
     if not latents <= g.vertices - {i, j}:
         raise ValidationError("latents must be a subset of the vertices minus the endpoints")
-    an_ij = ancestors(g, {i, j})
+    index = _Index(g)
     return _walk_reachable(
-        _incidence(g),
-        sources=frozenset({i}),
-        targets=frozenset({j}),
-        collider_open=an_ij,
-        noncollider_open=latents,
+        index,
+        sources=index.mask({i}),
+        targets=index.mask({j}),
+        collider_open=index.mask(ancestors(g, {i, j})),
+        noncollider_open=index.mask(latents),
     )
 
 
@@ -260,28 +288,24 @@ def dmag_project(dag: FiniteMixedGraph, observed: Iterable[TsVertex]) -> FiniteM
         raise ValidationError("dmag_project expects a DAG (no bidirected edges)")
     if observed != dag.vertices - dag.latent:
         raise ValidationError("observed must equal the non-latent vertices")
-    latents = dag.latent
-    inc = _incidence(dag)
-    anc: dict[TsVertex, frozenset[TsVertex]] = {
-        v: ancestors(dag, {v}) for v in observed
-    }
+    index = _Index(dag)
+    verts = index.vertices
+    anc = index.ancestor_masks()
+    latents = index.mask(dag.latent)
+    obs = list(_bits(index.mask(observed)))
     directed = set()
     bidirected = set()
-    obs_sorted = sorted(observed)
-    for a, i in enumerate(obs_sorted):
-        for j in obs_sorted[a + 1 :]:
-            # has_inducing_path(dag, i, j, latents) on the shared incidence map
-            inducing = _walk_reachable(
-                inc, frozenset({i}), frozenset({j}), anc[i] | anc[j], latents
-            )
-            if not inducing:
+    for a, i in enumerate(obs):
+        for j in obs[a + 1 :]:
+            # has_inducing_path(dag, verts[i], verts[j], dag.latent) on the shared index
+            if not _walk_reachable(index, 1 << i, 1 << j, anc[i] | anc[j], latents):
                 continue
-            if i in anc[j]:
-                directed.add((i, j))
-            elif j in anc[i]:
-                directed.add((j, i))
+            if anc[j] >> i & 1:
+                directed.add((verts[i], verts[j]))
+            elif anc[i] >> j & 1:
+                directed.add((verts[j], verts[i]))
             else:
-                bidirected.add(_canonical_pair(i, j))
+                bidirected.add((verts[i], verts[j]))
     return FiniteMixedGraph(
         vertices=observed,
         directed=frozenset(directed),

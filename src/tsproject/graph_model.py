@@ -286,9 +286,11 @@ def parse_mixed_graph(text: str) -> FiniteMixedGraph:
     def vert(item: object) -> TsVertex:
         if not (isinstance(item, list) and len(item) == 2):
             raise ValidationError(f"malformed vertex {item!r}")
+        if not isinstance(item[0], str):
+            raise ValidationError(f"variable name of vertex {item!r} must be a string")
         if type(item[1]) is not int or item[1] < 0:  # bool is an int subclass
             raise ValidationError(f"offset of vertex {item!r} must be a non-negative integer")
-        return TsVertex(str(item[0]), item[1])
+        return TsVertex(item[0], item[1])
 
     def edge(item: object) -> tuple[TsVertex, TsVertex]:
         if not (isinstance(item, list) and len(item) == 2):

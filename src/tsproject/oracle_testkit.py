@@ -1,20 +1,21 @@
 """Deliberately naive brute-force oracles and random instance generators.
 
 Everything here exists to check the main-path algorithms against independent
-implementations: ancestor-set intersection inside explicit windows, path
-enumeration for m-connection, literal subset enumeration for the DMAG
-adjacency criterion, and breadth-first walk-weight enumeration.  None of it
-shares code with the algorithms under test, and none of it is meant to be
-fast.
+implementations: ancestor-set intersection inside explicit windows, an ADMG
+latent projection on vertex sets (the reference for the mask kernel of
+``finite_projection``), path enumeration for m-connection, literal subset
+enumeration for the DMAG adjacency criterion, and breadth-first walk-weight
+enumeration.  None of it shares code with the algorithms under test, and none
+of it is meant to be fast.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from typing import Iterable
 
-from .finite_projection import admg_latent_project
 from .graph_model import (
     FiniteMixedGraph,
     TsGraphTemplate,
@@ -59,7 +60,87 @@ def window_marginal(
     keep = frozenset(
         TsVertex(var, off) for var in observed_vars for off in range(p + 1)
     )
-    return admg_latent_project(g, keep)
+    return _reference_latent_project(g, keep)
+
+
+def _parent_map(g: FiniteMixedGraph) -> dict[TsVertex, set[TsVertex]]:
+    parents: dict[TsVertex, set[TsVertex]] = {v: set() for v in g.vertices}
+    for u, v in g.directed:
+        parents[v].add(u)
+    return parents
+
+
+def _child_map(g: FiniteMixedGraph) -> dict[TsVertex, set[TsVertex]]:
+    children: dict[TsVertex, set[TsVertex]] = {v: set() for v in g.vertices}
+    for u, v in g.directed:
+        children[u].add(v)
+    return children
+
+
+def _reach_through(
+    adjacency: dict[TsVertex, set[TsVertex]],
+    start: TsVertex,
+    passthrough: frozenset[TsVertex],
+) -> set[TsVertex]:
+    """Vertices reachable from ``start`` along ``adjacency`` edges whose
+    intermediate vertices all lie in ``passthrough``."""
+    reached: set[TsVertex] = set()
+    frontier = deque([start])
+    expanded = {start}
+    while frontier:
+        v = frontier.popleft()
+        for w in adjacency[v]:
+            if w not in reached:
+                reached.add(w)
+                if w in passthrough and w not in expanded:
+                    expanded.add(w)
+                    frontier.append(w)
+    return reached
+
+
+def _reference_latent_project(
+    g: FiniteMixedGraph, observed: frozenset[TsVertex]
+) -> FiniteMixedGraph:
+    """ADMG latent projection onto ``observed`` on vertex sets: i -> j iff a
+    directed path from i to j has only latent middle vertices; i <-> j iff
+    i and j share a latent ancestor through latents, or a bidirected edge
+    joins two such ancestors (each endpoint counting as its own)."""
+    latents = g.vertices - observed
+    children = _child_map(g)
+    parents = _parent_map(g)
+
+    directed = set()
+    # anc_l[i]: i itself plus all latent x with a directed path x -> ... -> i
+    # through latent intermediates; these are the admissible "source" vertices
+    # of a confounding path ending at i.
+    anc_l: dict[TsVertex, frozenset[TsVertex]] = {}
+    for i in observed:
+        down = _reach_through(children, i, latents)
+        directed.update((i, j) for j in down & observed if j != i)
+        up = _reach_through(parents, i, latents)
+        anc_l[i] = frozenset({i} | (up & latents))
+
+    bid_edges = sorted(g.bidirected)
+    # For each observed vertex, the bidirected edges whose first/second
+    # endpoint is an admissible source for it.
+    first_hits = {i: {n for n, (x, _) in enumerate(bid_edges) if x in anc_l[i]} for i in observed}
+    second_hits = {i: {n for n, (_, y) in enumerate(bid_edges) if y in anc_l[i]} for i in observed}
+
+    bidirected = set()
+    obs_sorted = sorted(observed)
+    for a, i in enumerate(obs_sorted):
+        for j in obs_sorted[a + 1 :]:
+            if (anc_l[i] & anc_l[j]) - {i, j}:
+                bidirected.add((i, j))
+            elif (first_hits[i] & second_hits[j]) or (first_hits[j] & second_hits[i]):
+                bidirected.add((i, j))
+
+    return FiniteMixedGraph(
+        vertices=observed,
+        directed=frozenset(directed),
+        bidirected=frozenset(bidirected),
+        var_order=g.var_order,
+    )
 
 
 def walk_weight_enumeration(s: MwSummaryGraph, k: str, i: str, bound: int) -> frozenset[int]:

@@ -13,7 +13,11 @@ from tsproject import (
     summary_prefilter,
 )
 from tsproject.ancestor_query import _MAX_WALK_DEPTH
-from tsproject.oracle_testkit import random_template, window_common_ancestor
+from tsproject.oracle_testkit import (
+    random_template,
+    walk_weight_enumeration,
+    window_common_ancestor,
+)
 
 
 def test_running_example_query(running_tpl):
@@ -183,6 +187,32 @@ class TestWalkWeights:
                             assert engine.query(i, tau, j) == window_common_ancestor(
                                 tpl, i, tau, j, w
                             ), (seed, w, i, tau, j)
+
+    @pytest.mark.parametrize(
+        "directed",
+        [
+            [("X", 1, "Y"), ("Y", 2, "X"), ("X", 7, "Z")],
+            [("X", 2, "Y"), ("Y", 3, "Z"), ("Z", 4, "X"), ("Y", 5, "X"), ("Z", 0, "W")],
+        ],
+    )
+    def test_multi_node_cycles_match_the_oracles_at_depth(self, directed):
+        """Templates whose only cycles span several nodes, at depth 300: every
+        bitset equals breadth-first walk-weight enumeration, and queries up
+        to the window edge equal ancestor-set intersection in the window."""
+        variables = sorted({v for src, _, dst in directed for v in (src, dst)})
+        tpl = make_template(variables, directed=directed)
+        depth = 300
+        engine = WalkWeights(tpl, depth)
+        summary = build_mw_summary(tpl)
+        for x in variables:
+            for u in variables:
+                weights = walk_weight_enumeration(summary, u, x, depth)
+                assert engine.anc[x].get(u, 0) == sum(1 << s for s in weights), (x, u)
+        for i, j in (("X", "Z"), ("Z", "Y")):
+            for tau in (0, 1, 299, 300):
+                assert engine.query(i, tau, j) == window_common_ancestor(
+                    tpl, i, tau, j, depth
+                ), (i, tau, j)
 
     def test_matches_cone_engine_at_the_cutoff_depth(self):
         for seed in range(12):

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from tsproject import cli
 from tsproject.cli import run
 
 
@@ -142,6 +143,24 @@ def test_project_methods_agree_on_a_long_self_loop(tmp_path, capsys):
     assert time.monotonic() - start < 5.0
 
 
+def test_project_methods_agree_on_a_two_node_cycle_and_a_long_lag(tmp_path, capsys):
+    """X -> Y lag 1, Y -> X lag 2 and X -> Z lag 100000 put the cutoff window
+    at 1,000,075 steps; the walk-weight bitsets close the X-Y cycle (weight
+    3) by doubling instead of going round it once per round."""
+    graph = tmp_path / "cycle.json"
+    graph.write_text(json.dumps(
+        {"variables": ["X", "Y", "Z"],
+         "directed": [["X", "Y", 1], ["Y", "X", 2], ["X", "Z", 100000]]}
+    ))
+    assert run(["cutoff", "--graph", str(graph), "--window", "1"]) == 0
+    assert capsys.readouterr().out.endswith("p_cut=1000075\n")
+    argv = ["project-admg", "--graph", str(graph), "--observed", "X,Z", "--window", "1"]
+    start = time.monotonic()
+    dioph_out, window_out = _outputs_per_method(argv, capsys)
+    assert dioph_out == window_out
+    assert time.monotonic() - start < 5.0
+
+
 def test_window_method_rejects_a_search_past_the_depth_limit(tmp_path, capsys):
     """Lags 1000 and 1001 on X -> X put the cutoff window at 2,006,009,007
     steps: the walk-weight search refuses that depth, the cone engine does not
@@ -205,6 +224,16 @@ def test_msep_rejects_malformed_graph(tmp_path, capsys, vertices, directed):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, token", [(1, "1:0"), (None, "None:0"), (["X"], "['X']:0")])
+def test_msep_rejects_variable_names_that_are_not_strings(tmp_path, capsys, name, token):
+    marginal = tmp_path / "m.json"
+    marginal.write_text(json.dumps({"vertices": [[name, 0], ["Y", 0]]}))
+    assert run(["msep", "--marginal", str(marginal), "--x", token, "--y", "Y:0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "string" in captured.err
+
+
 def test_removed_options_are_usage_errors(running_path):
     assert run(["ancestor", "--graph", running_path, "--i", "X", "--tau", "0", "--j", "Z",
                 "--method", "auto"]) == 2
@@ -217,6 +246,24 @@ def test_verify_subcommand_reports(capsys):
     out = capsys.readouterr().out
     assert "marginal-vs-window-oracle: PASS" in out
     assert "ancestor-vs-window-oracle: PASS" in out
+
+
+def test_verify_counts_the_templates_it_skips(monkeypatch, capsys):
+    """At seed 4 the first query template has a 452-step window: verify skips
+    its window-oracle loop, says so, and still runs the lag-1 shortcut check
+    on all 9 variable pairs of that index."""
+    shortcut = cli.lag1_shortcut
+    calls = []
+
+    def counting_shortcut(*args):
+        calls.append(args)
+        return shortcut(*args)
+
+    monkeypatch.setattr(cli, "lag1_shortcut", counting_shortcut)
+    assert run(["verify", "--seed", "4", "--templates", "0", "--queries", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "ancestor-vs-window-oracle: PASS (0 of 1 templates; 1 skipped, window over 400 steps)\n" in out
+    assert len(calls) == 9
 
 
 @pytest.mark.parametrize("flag, value", [("--templates", "-3"), ("--queries", "-1"),

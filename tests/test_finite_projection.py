@@ -15,7 +15,12 @@ from tsproject import (
     m_separated,
     unroll_window,
 )
-from tsproject.oracle_testkit import dmag_by_subset_enumeration, msep_by_path_enumeration
+from tsproject.oracle_testkit import (
+    _reference_latent_project,
+    dmag_by_subset_enumeration,
+    msep_by_path_enumeration,
+    random_template,
+)
 
 
 def v(name, off=0):
@@ -105,6 +110,22 @@ class TestAdmgLatentProjection:
             two_step = admg_latent_project(admg_latent_project(g, mid), keep)
             assert one_step == two_step, seed
 
+    def test_matches_the_set_based_reference(self):
+        """The mask kernel against the testkit's set-based projection, on
+        unrolled windows of random ts-ADMGs with random latent sets."""
+        with_bidirected = 0
+        for seed in range(80):
+            rng = random.Random(seed)
+            tpl = random_template(
+                seed, rng.randint(1, 4), 2, 0.3, bidirected_density=0.15
+            )
+            g = unroll_window(tpl, rng.randint(0, 5))
+            observed = frozenset(u for u in sorted(g.vertices) if rng.random() < 0.5)
+            mine = admg_latent_project(g, observed)
+            assert mine.to_json() == _reference_latent_project(g, observed).to_json(), seed
+            with_bidirected += bool(g.bidirected and mine.bidirected)
+        assert with_bidirected >= 20
+
 
 def test_canonical_dag_replaces_bidirected_edges():
     a, b = v("A"), v("B")
@@ -164,6 +185,22 @@ class TestMSeparation:
                             g, {x}, {y}, set(z)
                         ), (seed, x, y, z)
 
+    def test_agrees_with_path_enumeration_on_vertex_sets(self):
+        """Set-valued X and Y on unrolled windows of random ts-ADMGs."""
+        answers = []
+        for seed in range(40):
+            rng = random.Random(seed)
+            tpl = random_template(seed, 3, 2, 0.15, bidirected_density=0.1)
+            g = unroll_window(tpl, 2)
+            verts = sorted(g.vertices)
+            for _ in range(6):
+                rng.shuffle(verts)
+                x, y = set(verts[:2]), set(verts[2:4])
+                z = {u for u in verts[4:] if rng.random() < 0.5}
+                answers.append(m_separated(g, x, y, z))
+                assert answers[-1] == msep_by_path_enumeration(g, x, y, z), (seed, x, y, z)
+        assert answers.count(True) >= 20 and answers.count(False) >= 20
+
 
 class TestInducingPaths:
     def test_adjacent_vertices_always_have_one(self):
@@ -220,3 +257,21 @@ class TestDmagProjection:
         g = FiniteMixedGraph(g.vertices, g.directed, latent=frozenset({v("L")}))
         mag = dmag_project(g, {v("A"), v("B")})
         assert mag.directed == {(v("A"), v("B"))}
+
+    def test_agrees_with_subset_enumeration(self):
+        """Random DAGs with up to 7 observed vertices: canonical DAGs of random
+        mixed graphs, and random DAGs with some vertices marked latent."""
+        for seed in range(40):
+            g = random_mixed_graph(seed, n_max=7)
+            dag = canonical_dag(g)
+            assert dmag_project(dag, g.vertices) == dmag_by_subset_enumeration(
+                dag, g.vertices
+            ), seed
+            rng = random.Random(seed)
+            h = random_mixed_graph(seed + 1000, n_max=9, bidirected_p=0.0)
+            verts = sorted(h.vertices)
+            latent = frozenset(rng.sample(verts, max(0, len(verts) - 7) + rng.randint(0, 2)))
+            h = FiniteMixedGraph(h.vertices, h.directed, latent=latent)
+            assert dmag_project(h, h.observed) == dmag_by_subset_enumeration(
+                h, h.observed
+            ), seed

@@ -15,6 +15,7 @@ from tsproject.oracle_testkit import (
     window_common_ancestor,
     window_marginal,
 )
+from tsproject import finite_projection, oracle_testkit
 from tsproject.graph_model import FiniteMixedGraph
 
 
@@ -93,3 +94,14 @@ def test_dmag_enumeration_simple_confounder():
     mag = dmag_by_subset_enumeration(g, {a, b})
     assert mag.bidirected == {(a, b)}
     assert not mag.directed
+
+
+def test_shares_no_function_with_finite_projection():
+    """The window oracle projects with its own set-based reference, so the
+    criterion-3 check does not test the main-path kernel against itself."""
+    shared = [
+        name
+        for name, obj in vars(oracle_testkit).items()
+        if getattr(obj, "__module__", None) == finite_projection.__name__
+    ]
+    assert not shared
