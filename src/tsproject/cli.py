@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from . import oracle_testkit
 from .ancestor_query import CommonAncestorEngine, WalkWeights, lag1_shortcut
-from .diophantine import SolvabilityInstance, has_nonneg_solution
+from .diophantine import solvable
 from .finite_projection import canonical_dag, dmag_project, m_separated
 from .graph_model import (
     TsVertex,
@@ -29,7 +29,7 @@ from .graph_model import (
     parse_mixed_graph,
     parse_template,
 )
-from .summary_mwdg import ConeTuple, touch_set
+from .summary_mwdg import ConeTuple
 from .ts_projection import (
     canonical_ts_dag,
     cutoff_bound,
@@ -40,8 +40,15 @@ from .ts_projection import (
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_vertices(spec: str) -> list[TsVertex]:
@@ -72,11 +79,11 @@ def _parse_cone_tuple(spec: str) -> ConeTuple:
 def _emit_graph(graph, args) -> None:
     text = graph.to_json()
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     if args.dot:
-        Path(args.dot).write_text(graph.to_dot())
+        _write(args.dot, graph.to_dot())
 
 
 def _cmd_project(args, want_dmag: bool) -> int:
@@ -94,11 +101,10 @@ def _cmd_project(args, want_dmag: bool) -> int:
 
 
 def _explain_dump(engine: CommonAncestorEngine, i: str, tau: int, j: str) -> dict:
-    classes = engine.classes
     doc = {
         "classes": [
             {"representative": list(c.representative), "weights": list(c.weights)}
-            for c in classes
+            for c in engine.classes
         ],
         "graph_of_cycles": sorted(
             sorted([list(c.representative) for c in edge]) for edge in engine.goc.edges
@@ -113,14 +119,14 @@ def _explain_dump(engine: CommonAncestorEngine, i: str, tau: int, j: str) -> dic
         ):
             for pi in engine.paths(k, target):
                 tuples = sorted((a0 + tau_side, coeffs) for a0, coeffs in engine.cones(pi))
+                touch = engine.goc.touch_mask(pi)
                 entry[side].append(
                     {
                         "path": list(pi),
                         "touch": sorted(
-                            "-".join(c.representative)
-                            for c in touch_set(pi, classes)
+                            "-".join(c.representative) for c in engine.goc.decode(touch)
                         ),
-                        "monoid_size": len(engine.monoid(pi)),
+                        "monoid_size": len(engine.goc.monoid_masks(touch)),
                         "tuples": [[a0, list(coeffs)] for a0, coeffs in tuples],
                     }
                 )
@@ -168,10 +174,8 @@ def _cmd_cutoff(args) -> int:
 
 
 def _cmd_dioph(args) -> int:
-    inst = SolvabilityInstance(
-        lhs=_parse_cone_tuple(args.lhs), rhs=_parse_cone_tuple(args.rhs)
-    )
-    print("true" if has_nonneg_solution(inst) else "false")
+    lhs, rhs = _parse_cone_tuple(args.lhs), _parse_cone_tuple(args.rhs)
+    print("true" if solvable(lhs.a0 - rhs.a0, lhs.coeffs, rhs.coeffs) else "false")
     return 0
 
 

@@ -23,7 +23,7 @@ from .graph_model import (
     make_template,
     unroll_window,
 )
-from .summary_mwdg import path_weightset
+from .summary_mwdg import build_mw_summary, cycle_free_paths, enumerate_cycle_classes
 
 
 def canonical_ts_dag(tpl: TsGraphTemplate) -> TsGraphTemplate:
@@ -54,12 +54,16 @@ def simple_marginal_ts_admg(
     """Marginal of a ts-DAG over all its variables on the window [t-p, t].
 
     Directed edges are read off the window segment.  A bidirected edge between
-    two window vertices exists iff each has a parent strictly before the
-    window and those parents share a common ancestor; the check is normalized
-    by shifting the temporally later parent to the reference time.  A found
-    edge implies all of its backward-shifted copies inside the window, so each
-    offset pattern is scanned from the most recent offsets onward and filled
-    in bulk on the first hit.
+    window vertices (i, off + dt) and (j, off) exists iff a parent (k, lag_i)
+    of i and a parent (l, lag_j) of j both lie before the window and share a
+    common ancestor.  Both lie before the window from offset
+    ``start = max(0, p + 1 - dt - lag_i, p + 1 - lag_j)`` on, and their time
+    difference d = dt + lag_i - lag_j does not depend on the offset, so a
+    pair that hits at ``start`` hits at every later offset.  The edges of the
+    pattern (i, j, dt) therefore run from the smallest ``start`` of a hitting
+    pair to the window's edge.  A pair hits when k = l and d = 0, or when
+    ``engine`` finds a common ancestor; the pairs are asked in order of
+    ``start`` and the first hit ends the pattern.
 
     ``engine`` answers the common-ancestor queries; it defaults to a
     :class:`CommonAncestorEngine` on ``tpl`` and must be built on ``tpl``.
@@ -77,50 +81,38 @@ def simple_marginal_ts_admg(
     for src, lag, dst in sorted(tpl.directed_t):
         in_lags[dst].append((src, lag))
 
-    def past_parents(var: str, offset: int) -> list[tuple[str, int]]:
-        return [
-            (src, offset + lag) for src, lag in in_lags[var] if offset + lag > p
-        ]
-
-    def confounded(i: str, ti: int, j: str, tj: int) -> bool:
-        for k, tk in past_parents(i, ti):
-            for l, tl in past_parents(j, tj):
-                if (k, tk) == (l, tl):
-                    return True
-                if tk >= tl:
-                    hit = engine.query(k, tk - tl, l)
-                else:
-                    hit = engine.query(l, tl - tk, k)
-                if hit:
-                    return True
-        return False
-
     idx = {v: n for n, v in enumerate(tpl.variables)}
-    patterns = [
-        (i, j, dt)
-        for dt in range(p + 1)
-        for i in tpl.variables
-        for j in tpl.variables
-        if dt > 0 or idx[i] < idx[j]
-    ]
-
-    def scan(pattern: tuple[str, str, int]) -> list[tuple[TsVertex, TsVertex]]:
-        i, j, dt = pattern
-        edges = []
-        for tj in range(p - dt + 1):
-            if confounded(i, tj + dt, j, tj):
-                edges.extend(
-                    (TsVertex(i, off + dt), TsVertex(j, off))
-                    for off in range(tj, p - dt + 1)
+    bidirected = set()
+    for dt in range(p + 1):
+        last = p - dt
+        for i in tpl.variables:
+            for j in tpl.variables:
+                if dt == 0 and idx[i] >= idx[j]:
+                    continue
+                # a stable sort: pairs of equal start stay in in_lags order
+                pairs = sorted(
+                    (
+                        (max(0, p + 1 - dt - lag_i, p + 1 - lag_j), k, dt + lag_i - lag_j, l)
+                        for k, lag_i in in_lags[i]
+                        for l, lag_j in in_lags[j]
+                    ),
+                    key=lambda pair: pair[0],
                 )
-                break
-        return edges
-
-    bidirected = frozenset(edge for pattern in patterns for edge in scan(pattern))
+                for start, k, d, l in pairs:
+                    if start > last:
+                        break
+                    if (k == l and d == 0) or (
+                        engine.query(k, d, l) if d >= 0 else engine.query(l, -d, k)
+                    ):
+                        bidirected.update(
+                            (TsVertex(i, off + dt), TsVertex(j, off))
+                            for off in range(start, last + 1)
+                        )
+                        break
     return FiniteMixedGraph(
         vertices=segment.vertices,
         directed=segment.directed,
-        bidirected=bidirected,
+        bidirected=frozenset(bidirected),
         var_order=tpl.variables,
     )
 
@@ -178,20 +170,27 @@ class CutoffQuantities:
 
 def cutoff_bound(tpl: TsGraphTemplate, p: int) -> CutoffQuantities:
     """Window length such that searching [t - p_cut - p, t] finds every
-    common-ancestor witness relevant to the window [t-p, t]."""
+    common-ancestor witness relevant to the window [t-p, t].
+
+    K, L and M are read off the summary graph: the largest weight of a cycle
+    class is its largest entry, and the largest weight of a cycle-free path
+    is the sum of the largest lags of its edges."""
     if p < 0:
         raise ValidationError("window length must be non-negative")
     if tpl.bidirected_t:
         raise ValidationError("cutoff bound is defined for ts-DAGs")
-    engine = CommonAncestorEngine(tpl)
-    maxima = [max(c.weights) for c in engine.classes]
+    summary = build_mw_summary(tpl)
+    maxima = [max(c.weights) for c in enumerate_cycle_classes(summary)]
     big_k = max(maxima, default=0)
     big_m = sum(maxima)
-    big_l = 0
-    for k in engine.summary.nodes:
-        for i in engine.summary.nodes:
-            for pi in engine.paths(k, i):
-                big_l = max(big_l, max(path_weightset(engine.summary, pi)))
+    big_l = max(
+        (
+            sum(max(summary.edges[e]) for e in zip(pi, pi[1:]))
+            for k in summary.nodes
+            for i in summary.nodes
+            for pi in cycle_free_paths(summary, k, i)
+        ),
+        default=0,
+    )
     p_cut = (big_k**2 + 1) * (p + big_l + big_m) + big_k * ((big_k - 1) ** 2 + 1)
     return CutoffQuantities(K=big_k, L=big_l, M=big_m, p_cut=p_cut)
-

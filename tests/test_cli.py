@@ -3,8 +3,17 @@ import time
 
 import pytest
 
-from tsproject import cli
+from tsproject import (
+    build_graph_of_cycles,
+    build_mw_summary,
+    cli,
+    enumerate_cycle_classes,
+    get_monoid,
+    serialize_template,
+    touch_set,
+)
 from tsproject.cli import run
+from tsproject.oracle_testkit import random_template
 
 
 @pytest.fixture
@@ -31,6 +40,24 @@ def test_validation_error_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert run(["ancestor", "--graph", missing, "--i", "X", "--tau", "0", "--j", "Z"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_graph_that_is_not_utf8_is_a_validation_error(tmp_path, capsys):
+    graph = tmp_path / "latin1.json"
+    graph.write_bytes('{"variables": ["\u00c4"], "directed": []}'.encode("latin-1"))
+    assert run(["cutoff", "--graph", str(graph), "--window", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {graph}: ")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dot"])
+def test_output_in_a_missing_directory_is_a_validation_error(b1_path, tmp_path, flag, capsys):
+    target = tmp_path / "missing" / "g.txt"
+    argv = ["project-admg", "--graph", b1_path, "--observed", "X", "--window", "1", flag,
+            str(target)]
+    assert run(argv) == 1
+    assert f"error: cannot write {target}: " in capsys.readouterr().err
 
 
 def test_cutoff_output_format(running_path, capsys):
@@ -68,6 +95,31 @@ def test_ancestor_explain_output_is_pinned(data_dir, name, i, tau, j, capsys):
     captured = capsys.readouterr()
     assert captured.out == "true\n"
     assert captured.err == (data_dir / "explain" / f"{name}_{i}_{tau}_{j}.json").read_text()
+
+
+def test_ancestor_explain_touch_and_monoid_size_match_the_definitions(tmp_path, capsys):
+    """touch and monoid_size of every path in the --explain dump, on seeded
+    random templates, against touch_set and get_monoid."""
+    checked = 0
+    for seed in range(12):
+        tpl = random_template(seed, n_vars=4, max_lag=2, edge_density=0.3)
+        graph = tmp_path / f"t{seed}.json"
+        graph.write_text(serialize_template(tpl))
+        i, j = tpl.variables[0], tpl.variables[-1]
+        argv = ["ancestor", "--graph", str(graph), "--i", i, "--tau", "1", "--j", j, "--explain"]
+        assert run(argv) == 0
+        doc = json.loads(capsys.readouterr().err)
+        classes = sorted(enumerate_cycle_classes(build_mw_summary(tpl)))
+        goc = build_graph_of_cycles(classes)
+        for root in doc["roots"]:
+            for entry in root["paths_to_i"] + root["paths_to_j"]:
+                pi = tuple(entry["path"])
+                assert entry["touch"] == sorted(
+                    "-".join(c.representative) for c in touch_set(pi, classes)
+                ), (seed, pi)
+                assert entry["monoid_size"] == len(get_monoid(pi, classes, goc)), (seed, pi)
+                checked += entry["monoid_size"] > 1
+    assert checked >= 20
 
 
 def test_ancestor_explain_with_window_method_is_a_usage_error(running_path, capsys):
@@ -218,9 +270,12 @@ def test_msep_subcommand(b1_path, tmp_path, capsys):
     ],
 )
 def test_msep_rejects_malformed_graph(tmp_path, capsys, vertices, directed):
+    """Y:0 and Z:0 are well-formed and distinct, so only the malformed entry
+    can make the query fail."""
     marginal = tmp_path / "m.json"
+    vertices = vertices + [["Y", 0], ["Z", 0]]
     marginal.write_text(json.dumps({"vertices": vertices, "directed": directed}))
-    assert run(["msep", "--marginal", str(marginal), "--x", "X:0", "--y", "X:0"]) == 1
+    assert run(["msep", "--marginal", str(marginal), "--x", "Y:0", "--y", "Z:0"]) == 1
     assert "error:" in capsys.readouterr().err
 
 

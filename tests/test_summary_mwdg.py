@@ -14,6 +14,7 @@ from tsproject import (
     build_graph_of_cycles,
     build_mw_summary,
     closure,
+    cutoff_bound,
     cycle_free_paths,
     enumerate_cycle_classes,
     generating_set,
@@ -363,3 +364,28 @@ def test_cycle_free_paths_match_networkx_simple_paths():
                 assert cycle_free_paths(s, k, i) == expected, (s, k, i)
                 checked += len(expected)
     assert checked > 10_000
+
+
+def test_cutoff_bound_matches_literal_cycle_and_path_maxima():
+    """cutoff_bound against K, L and M from nx.simple_cycles and
+    nx.all_simple_paths: K and M are the largest and the sum of the cycle
+    maxima, L the largest weight of a directed or trivial cycle-free path."""
+    for s in kernel_test_summaries():
+        tpl = make_template(
+            s.nodes, directed=[(a, w, b) for (a, b), ws in s.edges.items() for w in ws]
+        )
+        g = s.digraph()
+        maxima = [max(path_weightset(s, c + c[:1])) for c in nx.simple_cycles(g)]
+        big_k, big_m = max(maxima, default=0), sum(maxima)
+        big_l = max(
+            max(path_weightset(s, pi))
+            for k in s.nodes
+            for i in s.nodes
+            for pi in ([[k]] if k == i else nx.all_simple_paths(g, k, i))
+        )
+        for p in (0, 3):
+            q = cutoff_bound(tpl, p)
+            assert (q.K, q.L, q.M) == (big_k, big_l, big_m), s
+            assert q.p_cut == (big_k**2 + 1) * (p + big_l + big_m) + big_k * (
+                (big_k - 1) ** 2 + 1
+            )

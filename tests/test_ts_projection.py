@@ -91,6 +91,25 @@ class TestMarginalTsAdmg:
                     tpl, tpl.variables, p, w
                 ), (seed, p)
 
+    def test_matches_window_oracle_at_wider_windows(self):
+        """At p = 3 and 5 an offset pattern spans up to six offsets, so a wrong
+        first offset of its edges shows; windows past 150 steps are skipped."""
+        checked = 0
+        for seed in range(100):
+            tpl = random_template(
+                seed, n_vars=3, max_lag=2, edge_density=0.25, bidirected_density=0.08
+            )
+            for p in (3, 5):
+                w = cutoff_bound(canonical_ts_dag(tpl), p).p_cut + p
+                if w > 150:
+                    continue
+                for observed in (tpl.variables, tpl.variables[:2]):
+                    assert marginal_ts_admg(tpl, observed, p) == window_marginal(
+                        tpl, observed, p, w
+                    ), (seed, p, observed)
+                    checked += 1
+        assert checked >= 250
+
     def test_walk_weight_engine_matches_window_oracle(self):
         """The walk-weight engine at depth p_cut + p, on templates with
         bidirected entries; windows past 1500 steps are left to the benchmark."""
