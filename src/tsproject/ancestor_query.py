@@ -75,15 +75,22 @@ class CommonAncestorEngine:
         return tuple_sets(self.summary, tau, pi, subset, self.classes, self.goc)
 
     def cones(self, pi: Path) -> frozenset[tuple[int, tuple[int, ...]]]:
-        """The distinct ``(a0, coeffs)`` of D_0(pi, S) over all S in M_pi; the
-        cones of D_tau have every a0 shifted by tau."""
+        """The distinct ``(a0, coeffs)`` of D_0(pi, S) over the
+        inclusion-minimal S in M_pi of each closure; the cones of D_tau have
+        every a0 shifted by tau.
+
+        Their union is the union over all of M_pi: for S' <= S in M_pi with
+        cl(S') = cl(S), the cone of S lies in the cone of S' (dominance).  The
+        minimal sets come from a level-by-level search that decides
+        membership in M_pi by one traversal and never lists M_pi (prefix
+        lemma); see :mod:`tsproject.summary_mwdg`."""
         if pi not in self._cones:
             touch = self.goc.touch_mask(pi)
             self._cones[pi] = cone_set(
                 self.goc,
                 path_weightset(self.summary, pi),
                 touch,
-                self.goc.monoid_masks(touch),
+                self.goc.minimal_masks(touch),
             )
         return self._cones[pi]
 

@@ -12,6 +12,7 @@ contains p + 1 time steps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -256,7 +257,9 @@ def _count(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The parser, built once per process, and its verify subparser."""
     parser = argparse.ArgumentParser(
         prog="tsproject",
         description="Finite-window projections and queries on stationary time-series graphs",
@@ -298,17 +301,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lhs", required=True, help="tuple as 'a0;c1,c2'")
     p.add_argument("--rhs", required=True)
 
-    p = sub.add_parser("verify", help="run the oracle-equivalence suites")
-    # a string default goes through type=int only when verify runs without --seed
-    p.add_argument("--seed", type=int, default=os.environ.get("TSPROJECT_SEED", "0"))
-    p.add_argument("--templates", type=_count, default=25)
-    p.add_argument("--queries", type=_count, default=10)
+    verify = sub.add_parser("verify", help="run the oracle-equivalence suites")
+    verify.add_argument("--seed", type=int)
+    verify.add_argument("--templates", type=_count, default=25)
+    verify.add_argument("--queries", type=_count, default=10)
 
-    return parser
+    return parser, verify
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    parser, verify = _build_parser()
+    # read on every call; a string default goes through type=int only when
+    # verify runs without --seed
+    verify.set_defaults(seed=os.environ.get("TSPROJECT_SEED", "0"))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -8,6 +8,24 @@ generating sets, set monoids, closures, tuple sets) decomposes the set of
 realizable walk weights between two nodes into finitely many affine cones
 over the non-negative integers.
 
+A path pi contributes one cone per set S in its set monoid M_pi: heads
+w(pi) + w(S), coefficients the weights of the classes in the closure cl(S).
+M_pi can be nearly the whole power set of the cycle classes, so the cone
+layer never lists it.  Three facts make that exact (T is the touch set of
+pi, and cl(A | B) = cl(A) | cl(B)):
+
+- Dominance: for S' <= S, both in M_pi, with cl(S') = cl(S), cone(S) lies
+  in cone(S'), because each class in S - S' lies in cl(S') and its weights
+  are already coefficients.  The inclusion-minimal members of each closure
+  therefore give the same union of cones.
+- Membership: S is in M_pi iff S holds only access points and each class of
+  S outside T is joined to S & T through classes of S; one traversal
+  decides it, without the generating paths or their union closure.
+- Prefix lemma: every minimal S other than the empty set is one class
+  larger than a minimal set.  Remove a class of S outside T that lies
+  deepest in a breadth-first search from S & T through S (any class if S
+  lies inside T).
+
 Summary graphs have one node per variable, so cycle-free paths and simple
 cycles are found by plain depth-first searches over a successor map built
 once per graph (Johnson, SIAM J. Comput. 1975, gives an output-sensitive
@@ -99,7 +117,9 @@ class GraphOfCycles:
             for k, c in enumerate(self.classes)
         )
         self._accessors: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._points: dict[int, int] = {}
         self._monoids: dict[int, frozenset[int]] = {}
+        self._minimal: dict[int, frozenset[int]] = {}
         self._sums: dict[int, tuple[int, ...]] = {0: (0,)}
         self._coeffs: dict[int, tuple[int, ...]] = {}
 
@@ -144,10 +164,12 @@ class GraphOfCycles:
 
     def access_mask(self, touch: int) -> int:
         """All touch-access points."""
-        mask = 0
-        for _, access in self.accessors(touch):
-            mask |= access
-        return mask
+        if touch not in self._points:
+            mask = 0
+            for _, access in self.accessors(touch):
+                mask |= access
+            self._points[touch] = mask
+        return self._points[touch]
 
     def closure_mask(self, subset: int, touch: int) -> int:
         """cl(S) = S | touch | every w outside touch with a touch-access point in S."""
@@ -176,6 +198,77 @@ class GraphOfCycles:
             paths = self.generating_paths(touch, self.access_mask(touch))
             self._monoids[touch] = _union_closure(mask for mask, _ in paths)
         return self._monoids[touch]
+
+    def _in_monoid(self, subset: int, touch: int) -> bool:
+        """Whether ``subset`` is in the set monoid of ``touch``: it holds only
+        access points, and each of its classes outside ``touch`` is joined to
+        ``subset & touch`` through classes of ``subset``."""
+        if subset & ~self.access_mask(touch):
+            return False
+        outside = subset & ~touch
+        reached = frontier = subset & touch
+        while frontier:
+            fresh = 0
+            for m in _bits(frontier):
+                fresh |= self._adj[m]
+            frontier = fresh & outside & ~reached
+            reached |= frontier
+        return reached == subset
+
+    def minimal_masks(self, touch: int) -> frozenset[int]:
+        """The inclusion-minimal members of the set monoid of ``touch`` for
+        each closure: the S in M with no S' < S in M and cl(S') = cl(S).
+
+        The search grows the sets one class at a time, level by level from
+        the empty set, and keeps a grown set only if it is minimal; by the
+        prefix lemma (module docstring) every minimal set is one class larger
+        than a minimal set, so no minimal set is missed.  A set t is not
+        minimal iff some class y of t leaves t - y in M with f(y) inside
+        ``touch`` | f(t - y), where f(x) = cl({x}) and cl distributes over
+        unions."""
+        if touch not in self._minimal:
+            points = self.access_mask(touch)
+            single = {k: self.closure_mask(1 << k, touch) & ~touch for k in _bits(points)}
+
+            def minimal(t: int) -> bool:
+                # twice: the classes that two or more members of t put in cl(t)
+                once = twice = 0
+                for k in _bits(t):
+                    twice |= once & single[k]
+                    once |= single[k]
+                return not any(
+                    not single[y] & ~twice and self._in_monoid(t ^ 1 << y, touch)
+                    for y in _bits(t)
+                )
+
+            # adds[cl]: the points x with f(x) outside cl; t = s | x with x
+            # not among them has cl(t) = cl(s) for s = t - x in M, so t is not
+            # minimal
+            adds: dict[int, int] = {}
+            # level: each kept set of the current size, with its closure
+            # outside touch
+            kept, level = {0}, {0: 0}
+            while level:
+                tried: set[int] = set()
+                grown = {}
+                for s, cl in level.items():
+                    if cl not in adds:
+                        adds[cl] = sum(1 << k for k, f in single.items() if f & ~cl)
+                    near = touch
+                    for k in _bits(s):
+                        near |= self._adj[k]
+                    # an extension by a touched point or an adjacent point
+                    # stays in M
+                    for x in _bits(adds[cl] & near & ~s):
+                        t = s | 1 << x
+                        if t not in tried:
+                            tried.add(t)
+                            if minimal(t):
+                                grown[t] = cl | single[x]
+                kept.update(grown)
+                level = grown
+            self._minimal[touch] = frozenset(kept)
+        return self._minimal[touch]
 
     def weight_sum(self, subset: int) -> tuple[int, ...]:
         """Minkowski sum of the weight sets of the classes in ``subset``."""

@@ -25,6 +25,7 @@ from tsproject import (
     touch_set,
     tuple_sets,
 )
+from tsproject.diophantine import bounded_representable
 from tsproject.oracle_testkit import random_template
 
 
@@ -291,10 +292,12 @@ def test_generating_set_matches_simple_path_enumeration():
 
 def test_engine_cones_match_tuple_sets():
     """Seeded differential test on the criterion-4 generator: the engine's
-    cone set of each path is the union of its tuple sets over the monoid, and
-    each tuple set follows its definition, with the closure taken from the
-    literal access relation."""
-    checked = 0
+    cone set of each path is the union of the tuple sets of the
+    inclusion-minimal monoid members of each closure, every tuple set over the
+    monoid lies in one of those cones with the same coefficients, and each
+    tuple set follows its definition, with the closure taken from the literal
+    access relation."""
+    checked = pruned = 0
     for s in random_weakly_acyclic_summaries(100, max_classes=7):
         tpl = make_template(
             s.nodes, directed=[(a, lag, b) for (a, b), lags in s.edges.items() for lag in lags]
@@ -307,7 +310,7 @@ def test_engine_cones_match_tuple_sets():
             for i in s.nodes:
                 for pi in engine.paths(k, i):
                     touch = frozenset(c for c in classes if c.node_set & set(pi))
-                    expected = set()
+                    by_closure, full = {}, set()
                     for subset in get_monoid(pi, classes, goc):
                         cl = subset | touch | {
                             w for w in classes
@@ -321,10 +324,45 @@ def test_engine_cones_match_tuple_sets():
                             (t.a0, t.coeffs) for t in tuple_sets(s, 0, pi, subset, classes, goc)
                         }
                         assert tuples == {(a0, coeffs) for a0 in heads}, (pi, subset)
-                        expected |= tuples
+                        by_closure.setdefault(cl, {})[subset] = tuples
+                        full |= tuples
+                    expected = set()
+                    for members in by_closure.values():
+                        for subset, tuples in members.items():
+                            if not any(other < subset for other in members):
+                                expected |= tuples
                     assert engine.cones(pi) == expected, pi
+                    for a0, coeffs in full:
+                        assert any(
+                            kept == coeffs
+                            and (a0 == b0 or coeffs and a0 > b0
+                                 and bounded_representable(a0 - b0, coeffs))
+                            for b0, kept in expected
+                        ), (pi, a0, coeffs)
+                    pruned += len(full) > len(expected)
                     checked += 1
-    assert checked > 500
+    assert checked > 500 and pruned > 50
+
+
+def test_in_monoid_matches_monoid_masks():
+    """GraphOfCycles._in_monoid against the union closure of the generating
+    paths, for every subset of the classes and the touch set of every path
+    on the criterion-4 generator."""
+    checked = 0
+    for s in random_weakly_acyclic_summaries(100, max_classes=7):
+        goc = build_graph_of_cycles(enumerate_cycle_classes(s))
+        touches = {
+            goc.touch_mask(pi)
+            for k in s.nodes
+            for i in s.nodes
+            for pi in cycle_free_paths(s, k, i)
+        }
+        for touch in touches:
+            monoid = goc.monoid_masks(touch)
+            for subset in range(1 << len(goc.classes)):
+                assert goc._in_monoid(subset, touch) == (subset in monoid), (touch, subset)
+                checked += subset in monoid
+    assert checked > 1000
 
 
 def kernel_test_summaries():

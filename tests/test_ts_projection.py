@@ -128,6 +128,32 @@ class TestMarginalTsAdmg:
                 checked += 1
         assert checked >= 80
 
+    def test_cone_engine_matches_walk_weights_on_dense_grid(self):
+        """The cone engine against the walk-weight engine at depth p_cut + 1 on
+        the dense random_template grid the benchmark's dense cases come from
+        (5 variables, seeds 0-29; 6 variables, seeds 0-23), whose monoids are
+        nearly the whole power set of up to 111 cycle classes: the marginal at
+        p=1, and every query up to tau = 5 (a search that also grows sets by
+        points not adjacent to them changes some queries but no marginal)."""
+        grid = [(seed, 5) for seed in range(30)] + [(seed, 6) for seed in range(24)]
+        negatives = 0
+        for seed, n_vars in grid:
+            for density in (0.25, 0.3):
+                tpl = random_template(seed, n_vars=n_vars, max_lag=2, edge_density=density)
+                case = (seed, n_vars, density)
+                walks = WalkWeights(tpl, cutoff_bound(tpl, 1).p_cut + 1)
+                mine = marginal_ts_admg(tpl, tpl.variables, 1)
+                assert mine == marginal_ts_admg(tpl, tpl.variables, 1, walks), case
+                engine = CommonAncestorEngine(tpl)
+                walks = WalkWeights(tpl, cutoff_bound(tpl, 5).p_cut + 5)
+                for i in tpl.variables:
+                    for j in tpl.variables:
+                        for tau in range(6):
+                            answer = engine.query(i, tau, j)
+                            assert answer == walks.query(i, tau, j), (case, i, tau, j)
+                            negatives += not answer
+        assert negatives > 500
+
     def test_rejects_engine_of_another_template(self, fig3_tpl, b1_tpl):
         with pytest.raises(ValidationError):
             marginal_ts_admg(fig3_tpl, ["X1"], 1, CommonAncestorEngine(b1_tpl))
