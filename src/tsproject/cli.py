@@ -266,20 +266,21 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_projection(name: str, help_text: str):
+    def add_projection(name: str, help_text: str, want_dmag: bool):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=functools.partial(_cmd_project, want_dmag=want_dmag))
         p.add_argument("--graph", required=True, help="template JSON file")
         p.add_argument("--observed", required=True, help="comma-separated variable names")
         p.add_argument("--window", required=True, type=int, help="observed window length p")
         p.add_argument("--method", choices=["dioph", "window"], default="dioph")
         p.add_argument("--out", help="write JSON here instead of stdout")
         p.add_argument("--dot", help="also write a DOT rendering to this file")
-        return p
 
-    add_projection("project-admg", "marginal ts-ADMG on a finite window")
-    add_projection("project-dmag", "marginal ts-DMAG on a finite window")
+    add_projection("project-admg", "marginal ts-ADMG on a finite window", want_dmag=False)
+    add_projection("project-dmag", "marginal ts-DMAG on a finite window", want_dmag=True)
 
     p = sub.add_parser("ancestor", help="common-ancestor query on an infinite ts-DAG")
+    p.set_defaults(handler=_cmd_ancestor)
     p.add_argument("--graph", required=True)
     p.add_argument("--i", required=True)
     p.add_argument("--tau", required=True, type=int)
@@ -288,20 +289,24 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p.add_argument("--explain", action="store_true", help="dump the cone machinery to stderr")
 
     p = sub.add_parser("msep", help="m-separation query on a serialized finite graph")
+    p.set_defaults(handler=_cmd_msep)
     p.add_argument("--marginal", required=True)
     p.add_argument("--x", required=True, help="vertices as VAR:OFFSET, comma-separated")
     p.add_argument("--y", required=True)
     p.add_argument("--z", default="")
 
     p = sub.add_parser("cutoff", help="print the cutoff-window quantities K, L, M, p_cut")
+    p.set_defaults(handler=_cmd_cutoff)
     p.add_argument("--graph", required=True)
     p.add_argument("--window", required=True, type=int)
 
     p = sub.add_parser("dioph", help="ad-hoc solvability check for two cone tuples")
+    p.set_defaults(handler=_cmd_dioph)
     p.add_argument("--lhs", required=True, help="tuple as 'a0;c1,c2'")
     p.add_argument("--rhs", required=True)
 
     verify = sub.add_parser("verify", help="run the oracle-equivalence suites")
+    verify.set_defaults(handler=_cmd_verify)
     verify.add_argument("--seed", type=int)
     verify.add_argument("--templates", type=_count, default=25)
     verify.add_argument("--queries", type=_count, default=10)
@@ -319,25 +324,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.command == "project-admg":
-            return _cmd_project(args, want_dmag=False)
-        if args.command == "project-dmag":
-            return _cmd_project(args, want_dmag=True)
-        if args.command == "ancestor":
-            return _cmd_ancestor(args)
-        if args.command == "msep":
-            return _cmd_msep(args)
-        if args.command == "cutoff":
-            return _cmd_cutoff(args)
-        if args.command == "dioph":
-            return _cmd_dioph(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        parser.error(f"unknown command {args.command}")
+        return args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 def main() -> None:

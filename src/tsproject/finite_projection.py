@@ -9,17 +9,18 @@ vertex), with one parent, child and sibling mask per vertex.  m-separation
 and inducing paths are decided by reachability over (vertex, entered-with-
 arrowhead) states, run on one frontier mask per arrowhead mark; this is
 equivalent to the path-based definitions and polynomial, instead of path
-enumeration.  :func:`ancestors` stays on vertex sets: it runs on unrolled
-windows of thousands of steps, where one n-bit mask per vertex would take
-quadratic memory.
+enumeration.  Plain reachability, such as the ancestors of Z, is
+:func:`graph_model.reach` on the parent or child masks.  :func:`ancestors`
+stays on vertex sets: it runs on unrolled windows of thousands of steps,
+where one n-bit mask per vertex would take quadratic memory.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .graph_model import FiniteMixedGraph, TsVertex, ValidationError
+from .graph_model import FiniteMixedGraph, TsVertex, ValidationError, bits, encode, reach
 
 
 def ancestors(g: FiniteMixedGraph, seeds: Iterable[TsVertex]) -> frozenset[TsVertex]:
@@ -39,14 +40,6 @@ def ancestors(g: FiniteMixedGraph, seeds: Iterable[TsVertex]) -> frozenset[TsVer
                 result.add(u)
                 frontier.append(u)
     return frozenset(result)
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class _Index:
@@ -69,11 +62,7 @@ class _Index:
             self.siblings[pos[v]] |= 1 << pos[u]
 
     def mask(self, vertices: Iterable[TsVertex]) -> int:
-        pos = self.pos
-        m = 0
-        for v in vertices:
-            m |= 1 << pos[v]
-        return m
+        return encode(vertices, self.pos)
 
     def ancestor_masks(self) -> list[int]:
         """Per vertex, the mask of its ancestors (itself included), filled in
@@ -84,27 +73,12 @@ class _Index:
         anc = [1 << k for k in range(n)]
         while ready:
             k = ready.pop()
-            for c in _bits(self.children[k]):
+            for c in bits(self.children[k]):
                 anc[c] |= anc[k]
                 indegree[c] -= 1
                 if not indegree[c]:
                     ready.append(c)
         return anc
-
-
-def _reach_through(adjacency: list[int], start: int, passthrough: int) -> int:
-    """Mask of the vertices reachable from vertex ``start`` along
-    ``adjacency`` edges whose intermediate vertices all lie in ``passthrough``."""
-    reached = adjacency[start]
-    frontier = reached & passthrough
-    while frontier:
-        step = 0
-        for k in _bits(frontier):
-            step |= adjacency[k]
-        frontier = step & ~reached
-        reached |= frontier
-        frontier &= passthrough
-    return reached
 
 
 def admg_latent_project(
@@ -128,19 +102,23 @@ def admg_latent_project(
     latents = ((1 << len(verts)) - 1) & ~obs_mask
 
     directed = set()
-    # src[i]: i itself plus every latent x with a directed path x -> ... -> i
-    # through latent intermediates, the admissible sources of a confounding
-    # path ending at i; sib[i]: every vertex with a bidirected edge to one of
-    # them.
+    # down: the children of i and of the latents that i reaches through
+    # latents, the ends of the directed paths from i with latent middle
+    # vertices.  src[i]: i itself plus every latent x with a directed path
+    # x -> ... -> i through latent intermediates, the admissible sources of a
+    # confounding path ending at i; sib[i]: every vertex with a bidirected
+    # edge to one of them.
     src: dict[int, int] = {}
     sib: dict[int, int] = {}
-    obs = list(_bits(obs_mask))
+    obs = list(bits(obs_mask))
     for i in obs:
-        down = _reach_through(index.children, i, latents) & obs_mask
-        directed.update((verts[i], verts[j]) for j in _bits(down))
-        src[i] = (1 << i) | (_reach_through(index.parents, i, latents) & latents)
+        down = 0
+        for x in bits(reach(index.children, 1 << i, latents)):
+            down |= index.children[x]
+        directed.update((verts[i], verts[j]) for j in bits(down & obs_mask))
+        src[i] = reach(index.parents, 1 << i, latents)
         s = 0
-        for x in _bits(src[i]):
+        for x in bits(src[i]):
             s |= index.siblings[x]
         sib[i] = s
 
@@ -201,7 +179,7 @@ def _walk_reachable(
     """
     parents, children, siblings = index.parents, index.children, index.siblings
     new_heads = new_tails = 0
-    for x in _bits(sources):
+    for x in bits(sources):
         new_heads |= children[x] | siblings[x]
         new_tails |= parents[x]
     heads = tails = 0
@@ -211,12 +189,12 @@ def _walk_reachable(
         heads |= new_heads
         tails |= new_tails
         step_heads = step_tails = 0
-        for v in _bits(new_tails & noncollider_open):
+        for v in bits(new_tails & noncollider_open):
             step_heads |= children[v] | siblings[v]
             step_tails |= parents[v]
-        for v in _bits(new_heads & noncollider_open):
+        for v in bits(new_heads & noncollider_open):
             step_heads |= children[v]
-        for v in _bits(new_heads & collider_open):
+        for v in bits(new_heads & collider_open):
             step_heads |= siblings[v]
             step_tails |= parents[v]
         new_heads = step_heads & ~heads
@@ -246,7 +224,7 @@ def m_separated(
         index,
         sources=index.mask(x),
         targets=index.mask(y),
-        collider_open=index.mask(ancestors(g, z)),
+        collider_open=reach(index.parents, index.mask(z), -1),
         noncollider_open=index.mask(g.vertices - z),
     )
 
@@ -269,7 +247,7 @@ def has_inducing_path(
         index,
         sources=index.mask({i}),
         targets=index.mask({j}),
-        collider_open=index.mask(ancestors(g, {i, j})),
+        collider_open=reach(index.parents, index.mask({i, j}), -1),
         noncollider_open=index.mask(latents),
     )
 
@@ -292,7 +270,7 @@ def dmag_project(dag: FiniteMixedGraph, observed: Iterable[TsVertex]) -> FiniteM
     verts = index.vertices
     anc = index.ancestor_masks()
     latents = index.mask(dag.latent)
-    obs = list(_bits(index.mask(observed)))
+    obs = list(bits(index.mask(observed)))
     directed = set()
     bidirected = set()
     for a, i in enumerate(obs):

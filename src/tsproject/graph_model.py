@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 
 class ValidationError(ValueError):
@@ -40,6 +40,40 @@ def is_acyclic(nodes: Iterable[Hashable], edges: Iterable[tuple[Hashable, Hashab
             if not indegree[v]:
                 ready.append(v)
     return removed == len(succ)
+
+
+# Int-mask kernels: bit n of a mask stands for vertex n, and a graph is the
+# sequence of the successor masks of its vertices.
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def encode(items: Iterable[Hashable], index: Mapping[Hashable, int]) -> int:
+    """The mask with bit ``index[x]`` set for each of the ``items``."""
+    mask = 0
+    for x in items:
+        mask |= 1 << index[x]
+    return mask
+
+
+def reach(adjacency: Sequence[int], seeds: int, allowed: int) -> int:
+    """``seeds``, plus every vertex of ``allowed`` that a path from the seeds
+    reaches through vertices of ``allowed``; ``allowed`` = -1 lets every path
+    through."""
+    reached = frontier = seeds
+    while frontier:
+        step = 0
+        for k in bits(frontier):
+            step |= adjacency[k]
+        frontier = step & allowed & ~reached
+        reached |= frontier
+    return reached
 
 
 # A directed template entry (i, lag, j) encodes the edge (i, t-lag) -> (j, t).
@@ -228,37 +262,31 @@ class FiniteMixedGraph:
     def sorted_vertices(self) -> list[TsVertex]:
         return sorted(self.vertices, key=self.vertex_key)
 
-    def to_json(self) -> str:
+    def _sorted_edges(self) -> tuple[list, list]:
+        """The directed and the bidirected edges in canonical serialization order."""
         key = self.vertex_key
+        return (
+            sorted(self.directed, key=lambda e: (key(e[0]), key(e[1]))),
+            sorted(self.bidirected, key=lambda e: tuple(sorted((key(e[0]), key(e[1]))))),
+        )
+
+    def to_json(self) -> str:
+        directed, bidirected = self._sorted_edges()
         doc = {
             "vertices": [[v.var, v.offset] for v in self.sorted_vertices()],
-            "directed": [
-                [[u.var, u.offset], [v.var, v.offset]]
-                for u, v in sorted(self.directed, key=lambda e: (key(e[0]), key(e[1])))
-            ],
-            "bidirected": [
-                [[u.var, u.offset], [v.var, v.offset]]
-                for u, v in sorted(
-                    self.bidirected,
-                    key=lambda e: tuple(sorted((key(e[0]), key(e[1])))),
-                )
-            ],
-            "latent": [[v.var, v.offset] for v in sorted(self.latent, key=key)],
+            "directed": [[[u.var, u.offset], [v.var, v.offset]] for u, v in directed],
+            "bidirected": [[[u.var, u.offset], [v.var, v.offset]] for u, v in bidirected],
+            "latent": [[v.var, v.offset] for v in sorted(self.latent, key=self.vertex_key)],
         }
         return json.dumps(doc, indent=2) + "\n"
 
     def to_dot(self) -> str:
         """DOT export: bidirected edges are rendered with ``dir=both``."""
-        key = self.vertex_key
+        directed, bidirected = self._sorted_edges()
         lines = ["digraph {"]
-        for v in self.sorted_vertices():
-            lines.append(f"  {_dot_id(v)};")
-        for u, v in sorted(self.directed, key=lambda e: (key(e[0]), key(e[1]))):
-            lines.append(f"  {_dot_id(u)} -> {_dot_id(v)};")
-        for u, v in sorted(
-            self.bidirected, key=lambda e: tuple(sorted((key(e[0]), key(e[1]))))
-        ):
-            lines.append(f"  {_dot_id(u)} -> {_dot_id(v)} [dir=both];")
+        lines += [f"  {_dot_id(v)};" for v in self.sorted_vertices()]
+        lines += [f"  {_dot_id(u)} -> {_dot_id(v)};" for u, v in directed]
+        lines += [f"  {_dot_id(u)} -> {_dot_id(v)} [dir=both];" for u, v in bidirected]
         lines.append("}")
         return "\n".join(lines) + "\n"
 

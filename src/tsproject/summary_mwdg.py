@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 import networkx as nx
 
-from .graph_model import TsGraphTemplate, ValidationError, is_acyclic
+from .graph_model import TsGraphTemplate, ValidationError, bits, encode, is_acyclic, reach
 
 Path = tuple[str, ...]  # node sequence of a directed path; length 1 = trivial walk
 
@@ -116,8 +116,8 @@ class GraphOfCycles:
             _touch_mask(c.representative, self.node_masks) & ~(1 << k)
             for k, c in enumerate(self.classes)
         )
-        self._accessors: dict[int, tuple[tuple[int, int], ...]] = {}
-        self._points: dict[int, int] = {}
+        # per touch mask: its accessor pairs and the mask of its access points
+        self._accessors: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
         self._monoids: dict[int, frozenset[int]] = {}
         self._minimal: dict[int, frozenset[int]] = {}
         self._sums: dict[int, tuple[int, ...]] = {0: (0,)}
@@ -132,7 +132,7 @@ class GraphOfCycles:
         )
 
     def encode(self, subset: Iterable[CycleClass]) -> int:
-        return _encode(subset, self._index)
+        return encode(subset, self._index)
 
     def decode(self, mask: int) -> frozenset[CycleClass]:
         return _decode(mask, self.classes)
@@ -145,31 +145,22 @@ class GraphOfCycles:
         touch-access points: the neighbours of w that some path from ``touch``
         reaches in GoC - w."""
         if touch not in self._accessors:
-            pairs = []
+            pairs, points = [], 0
             for k, adj_w in enumerate(self._adj):
                 w = 1 << k
                 if touch & w:
                     continue
-                reached = frontier = touch
-                while frontier:
-                    fresh = 0
-                    for m in _bits(frontier):
-                        fresh |= self._adj[m]
-                    frontier = fresh & ~reached & ~w
-                    reached |= frontier
-                if adj_w & reached:
-                    pairs.append((w, adj_w & reached))
-            self._accessors[touch] = tuple(pairs)
-        return self._accessors[touch]
+                access = adj_w & reach(self._adj, touch, ~w)
+                if access:
+                    pairs.append((w, access))
+                    points |= access
+            self._accessors[touch] = tuple(pairs), points
+        return self._accessors[touch][0]
 
     def access_mask(self, touch: int) -> int:
         """All touch-access points."""
-        if touch not in self._points:
-            mask = 0
-            for _, access in self.accessors(touch):
-                mask |= access
-            self._points[touch] = mask
-        return self._points[touch]
+        self.accessors(touch)
+        return self._accessors[touch][1]
 
     def closure_mask(self, subset: int, touch: int) -> int:
         """cl(S) = S | touch | every w outside touch with a touch-access point in S."""
@@ -184,11 +175,11 @@ class GraphOfCycles:
         every simple path of ``points`` that starts in ``touch`` and never
         returns to it; ``path`` holds class indices."""
         yield 0, ()
-        stack = [(1 << v, (v,)) for v in _bits(touch & points)]
+        stack = [(1 << v, (v,)) for v in bits(touch & points)]
         while stack:
             mask, path = stack.pop()
             yield mask, path
-            for k in _bits(self._adj[path[-1]] & points & ~touch & ~mask):
+            for k in bits(self._adj[path[-1]] & points & ~touch & ~mask):
                 stack.append((mask | 1 << k, path + (k,)))
 
     def monoid_masks(self, touch: int) -> frozenset[int]:
@@ -205,15 +196,7 @@ class GraphOfCycles:
         ``subset & touch`` through classes of ``subset``."""
         if subset & ~self.access_mask(touch):
             return False
-        outside = subset & ~touch
-        reached = frontier = subset & touch
-        while frontier:
-            fresh = 0
-            for m in _bits(frontier):
-                fresh |= self._adj[m]
-            frontier = fresh & outside & ~reached
-            reached |= frontier
-        return reached == subset
+        return reach(self._adj, subset & touch, subset & ~touch) == subset
 
     def minimal_masks(self, touch: int) -> frozenset[int]:
         """The inclusion-minimal members of the set monoid of ``touch`` for
@@ -228,17 +211,17 @@ class GraphOfCycles:
         unions."""
         if touch not in self._minimal:
             points = self.access_mask(touch)
-            single = {k: self.closure_mask(1 << k, touch) & ~touch for k in _bits(points)}
+            single = {k: self.closure_mask(1 << k, touch) & ~touch for k in bits(points)}
 
             def minimal(t: int) -> bool:
                 # twice: the classes that two or more members of t put in cl(t)
                 once = twice = 0
-                for k in _bits(t):
+                for k in bits(t):
                     twice |= once & single[k]
                     once |= single[k]
                 return not any(
                     not single[y] & ~twice and self._in_monoid(t ^ 1 << y, touch)
-                    for y in _bits(t)
+                    for y in bits(t)
                 )
 
             # adds[cl]: the points x with f(x) outside cl; t = s | x with x
@@ -255,11 +238,11 @@ class GraphOfCycles:
                     if cl not in adds:
                         adds[cl] = sum(1 << k for k, f in single.items() if f & ~cl)
                     near = touch
-                    for k in _bits(s):
+                    for k in bits(s):
                         near |= self._adj[k]
                     # an extension by a touched point or an adjacent point
                     # stays in M
-                    for x in _bits(adds[cl] & near & ~s):
+                    for x in bits(adds[cl] & near & ~s):
                         t = s | 1 << x
                         if t not in tried:
                             tried.add(t)
@@ -287,28 +270,13 @@ class GraphOfCycles:
         """The weights of the classes in ``subset``, concatenated in class order."""
         if subset not in self._coeffs:
             self._coeffs[subset] = tuple(
-                w for k in _bits(subset) for w in self.classes[k].weights
+                w for k in bits(subset) for w in self.classes[k].weights
             )
         return self._coeffs[subset]
 
 
-def _bits(mask: int):
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _encode(items: Iterable, index: dict) -> int:
-    mask = 0
-    for x in items:
-        mask |= 1 << index[x]
-    return mask
-
-
 def _decode(mask: int, universe: Sequence) -> frozenset:
-    return frozenset(universe[k] for k in _bits(mask))
+    return frozenset(universe[k] for k in bits(mask))
 
 
 def _node_masks(classes: Sequence[CycleClass]) -> dict[str, int]:
@@ -440,7 +408,7 @@ def monoid_from_generating_set(
     node_sets = list(node_sets)
     universe = tuple(dict.fromkeys(x for n in node_sets for x in n))
     index = {x: k for k, x in enumerate(universe)}
-    monoid = _union_closure(_encode(n, index) for n in node_sets)
+    monoid = _union_closure(encode(n, index) for n in node_sets)
     return frozenset(_decode(m, universe) for m in monoid)
 
 

@@ -88,6 +88,23 @@ def test_query_agrees_with_window_oracle():
                     ), (seed, i, tau, j)
 
 
+def test_query_needs_a_cycle_class_outside_the_touch_set():
+    """K has no parents, so K[t-tau] and I[t] share an ancestor iff tau is a
+    walk weight from K to I.  The only witness for tau = 14 is
+    K[t-14] -> I[t-13] -> A[t-8] -> A[t-5] -> I[t]: it detours through A's
+    self-loop class, which lies outside the touch set of the path K -> I, so
+    the answer needs a cone of a non-empty minimal monoid member."""
+    tpl = make_template(
+        ["K", "I", "A"],
+        directed=[("K", 1, "I"), ("I", 5, "A"), ("A", 5, "I"), ("A", 3, "A")],
+    )
+    engine = CommonAncestorEngine(tpl)
+    weights = walk_weight_enumeration(build_mw_summary(tpl), "K", "I", 60)
+    assert 14 in weights
+    for tau in range(61):
+        assert engine.query("K", tau, "I") == (tau in weights), tau
+
+
 def test_query_memoization_returns_same_object_answer(running_tpl):
     engine = CommonAncestorEngine(running_tpl)
     assert engine.query("X", 0, "Z") == engine.query("X", 0, "Z")

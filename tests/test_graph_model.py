@@ -16,7 +16,7 @@ from tsproject import (
     serialize_template,
     unroll_window,
 )
-from tsproject.graph_model import is_acyclic
+from tsproject.graph_model import bits, encode, is_acyclic, reach
 
 
 def test_vertex_labels():
@@ -232,3 +232,37 @@ def test_is_acyclic_matches_networkx():
         assert is_acyclic(nodes, edges) == expected, seed
         verdicts.append(expected)
     assert 200 < sum(verdicts) < 400
+
+
+def _reach_by_sets(succ, seeds, allowed):
+    """Breadth-first search on vertex sets: the seeds, plus every vertex of
+    ``allowed`` reached through vertices of ``allowed``."""
+    reached, frontier = set(seeds), list(seeds)
+    while frontier:
+        frontier = [v for u in frontier for v in succ[u] if v in allowed and v not in reached]
+        reached.update(frontier)
+    return reached
+
+
+def test_mask_kernels_match_set_definitions():
+    """bits, encode and reach against sets on seeded random digraphs with
+    self-loops; ``allowed`` takes the values the callers pass (every vertex,
+    every vertex but one, and a vertex subset)."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        density = rng.choice((0.1, 0.2, 0.4))
+        succ = {u: [v for v in range(n) if rng.random() < density] for u in range(n)}
+        ident = {u: u for u in range(n)}
+        adjacency = [encode(succ[u], ident) for u in range(n)]
+        # vertex names in a shuffled numbering, so that encode reads the index
+        names = [f"v{k}" for k in range(n)]
+        rng.shuffle(names)
+        index = {name: k for k, name in enumerate(names)}
+        seeds = {u for u in range(n) if rng.random() < 0.3}
+        mask = encode((names[u] for u in seeds), index)
+        assert list(bits(mask)) == sorted(seeds), seed
+        subset = {u for u in range(n) if rng.random() < 0.5}
+        for allowed in [-1, encode(subset, ident)] + [~(1 << k) for k in range(n)]:
+            expected = _reach_by_sets(succ, seeds, {u for u in range(n) if allowed >> u & 1})
+            assert set(bits(reach(adjacency, mask, allowed))) == expected, (seed, allowed)
