@@ -103,10 +103,7 @@ def _cmd_project(args, want_dmag: bool) -> int:
 
 def _explain_dump(engine: CommonAncestorEngine, i: str, tau: int, j: str) -> dict:
     doc = {
-        "classes": [
-            {"representative": list(c.representative), "weights": list(c.weights)}
-            for c in engine.classes
-        ],
+        "classes": [c._asdict() for c in engine.classes],
         "graph_of_cycles": sorted(
             sorted([list(c.representative) for c in edge]) for edge in engine.goc.edges
         ),

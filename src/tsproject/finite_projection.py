@@ -47,7 +47,7 @@ class _Index:
     parent, child and sibling (bidirected neighbour) mask per vertex."""
 
     def __init__(self, g: FiniteMixedGraph):
-        self.vertices = sorted(g.vertices, key=lambda v: (v.var, v.offset))
+        self.vertices = sorted(g.vertices)
         self.pos = {v: n for n, v in enumerate(self.vertices)}
         n = len(self.vertices)
         self.parents = [0] * n

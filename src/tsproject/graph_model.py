@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class ValidationError(ValueError):
@@ -82,8 +82,7 @@ DirectedEntry = tuple[str, int, str]
 BidirectedEntry = tuple[str, int, str]
 
 
-@dataclass(frozen=True, order=True)
-class TsVertex:
+class TsVertex(NamedTuple):
     """Vertex ``(var, t - offset)``; offset 0 is the reference time ``t``."""
 
     var: str
@@ -212,10 +211,6 @@ def max_lag(tpl: TsGraphTemplate) -> int:
     return max(lags, default=0)
 
 
-def _canonical_pair(u: TsVertex, v: TsVertex) -> tuple[TsVertex, TsVertex]:
-    return (u, v) if (u.var, u.offset) <= (v.var, v.offset) else (v, u)
-
-
 @dataclass(frozen=True)
 class FiniteMixedGraph:
     """Finite ADMG over :class:`TsVertex` vertices.
@@ -232,8 +227,13 @@ class FiniteMixedGraph:
     var_order: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
+        # a plain (var, offset) tuple equals its TsVertex and would pass the checks below
+        for group in (self.vertices, self.latent, *self.directed, *self.bidirected):
+            for v in group:
+                if not isinstance(v, TsVertex):
+                    raise ValidationError(f"{v!r} is not a TsVertex")
         object.__setattr__(
-            self, "bidirected", frozenset(_canonical_pair(u, v) for u, v in self.bidirected)
+            self, "bidirected", frozenset((u, v) if u <= v else (v, u) for u, v in self.bidirected)
         )
         if not self.var_order:
             object.__setattr__(
@@ -273,10 +273,10 @@ class FiniteMixedGraph:
     def to_json(self) -> str:
         directed, bidirected = self._sorted_edges()
         doc = {
-            "vertices": [[v.var, v.offset] for v in self.sorted_vertices()],
-            "directed": [[[u.var, u.offset], [v.var, v.offset]] for u, v in directed],
-            "bidirected": [[[u.var, u.offset], [v.var, v.offset]] for u, v in bidirected],
-            "latent": [[v.var, v.offset] for v in sorted(self.latent, key=self.vertex_key)],
+            "vertices": self.sorted_vertices(),
+            "directed": directed,
+            "bidirected": bidirected,
+            "latent": sorted(self.latent, key=self.vertex_key),
         }
         return json.dumps(doc, indent=2) + "\n"
 

@@ -36,13 +36,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, NamedTuple, Sequence
 
 import networkx as nx
 
 from .graph_model import TsGraphTemplate, ValidationError, bits, encode, is_acyclic, reach
 
 Path = tuple[str, ...]  # node sequence of a directed path; length 1 = trivial walk
+
+_MAX_GENERATING_PATHS = 10**6  # only --explain lists M_pi; its paths grow exponentially
 
 
 @dataclass
@@ -83,8 +86,7 @@ class MwSummaryGraph:
         return dg
 
 
-@dataclass(frozen=True, order=True)
-class CycleClass:
+class CycleClass(NamedTuple):
     """Rotation-equivalence class of an irreducible directed cycle.
 
     ``representative`` is the node sequence rotated so that the smallest node
@@ -184,10 +186,16 @@ class GraphOfCycles:
 
     def monoid_masks(self, touch: int) -> frozenset[int]:
         """The set monoid for a touch set: union closure of the node sets of
-        its generating paths."""
+        its generating paths.  Over ``_MAX_GENERATING_PATHS`` paths raise ValidationError."""
         if touch not in self._monoids:
             paths = self.generating_paths(touch, self.access_mask(touch))
-            self._monoids[touch] = _union_closure(mask for mask, _ in paths)
+            monoid = _union_closure(mask for mask, _ in islice(paths, _MAX_GENERATING_PATHS))
+            if next(paths, None) is not None:
+                raise ValidationError(
+                    f"the set monoid has more than {_MAX_GENERATING_PATHS} generating paths; "
+                    "it is too large to list"
+                )
+            self._monoids[touch] = monoid
         return self._monoids[touch]
 
     def _in_monoid(self, subset: int, touch: int) -> bool:

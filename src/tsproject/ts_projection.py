@@ -10,7 +10,7 @@ of that marginal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .ancestor_query import CommonAncestorEngine, WalkWeights
@@ -109,12 +109,7 @@ def simple_marginal_ts_admg(
                             for off in range(start, last + 1)
                         )
                         break
-    return FiniteMixedGraph(
-        vertices=segment.vertices,
-        directed=segment.directed,
-        bidirected=frozenset(bidirected),
-        var_order=tpl.variables,
-    )
+    return replace(segment, bidirected=frozenset(bidirected))
 
 
 def marginal_ts_admg(

@@ -122,6 +122,22 @@ def test_ancestor_explain_touch_and_monoid_size_match_the_definitions(tmp_path, 
     assert checked >= 20
 
 
+def test_ancestor_explain_stops_on_a_monoid_too_large_to_list(tmp_path, capsys):
+    """One touch set of this template has 88 access points, too many to list
+    its generating paths; the query itself answers in well under a second."""
+    tpl = random_template(19, n_vars=6, max_lag=2, edge_density=0.3)
+    graph = tmp_path / "t.json"
+    graph.write_text(serialize_template(tpl))
+    argv = ["ancestor", "--graph", str(graph), "--i", tpl.variables[0], "--tau", "1",
+            "--j", tpl.variables[-1]]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "true\n"
+    assert run(argv + ["--explain"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "more than 1000000 generating paths" in captured.err
+
+
 def test_ancestor_explain_with_window_method_is_a_usage_error(running_path, capsys):
     argv = ["ancestor", "--graph", running_path, "--i", "X", "--tau", "0", "--j", "Z",
             "--method", "window", "--explain"]
@@ -146,6 +162,29 @@ def test_project_admg_is_deterministic(b1_path, tmp_path, capsys):
     assert run(["project-admg", "--graph", b1_path, "--observed", "X,Y",
                 "--window", "1", "--out", out2]) == 0
     assert open(out1).read() == open(out2).read()
+
+
+_OBSERVED = {"running": "X,Y,Z", "b1": "X,Y", "fig3": "X1,X2,X3"}
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("command", ["admg", "dmag"])
+@pytest.mark.parametrize("name", sorted(_OBSERVED))
+def test_projection_output_is_pinned(data_dir, name, command, p, capsys):
+    """The projection JSON, byte for byte, as recorded in tests/data/project."""
+    argv = [f"project-{command}", "--graph", str(data_dir / f"{name}.json"),
+            "--observed", _OBSERVED[name], "--window", str(p)]
+    assert run(argv) == 0
+    pinned = data_dir / "project" / f"{name}_{command}_p{p}.json"
+    assert capsys.readouterr().out == pinned.read_text()
+
+
+def test_projection_dot_output_is_pinned(data_dir, fig3_path, tmp_path, capsys):
+    dot = tmp_path / "g.dot"
+    argv = ["project-admg", "--graph", fig3_path, "--observed", "X1,X2,X3", "--window", "2",
+            "--dot", str(dot)]
+    assert run(argv) == 0
+    assert dot.read_text() == (data_dir / "project" / "fig3_admg_p2.dot").read_text()
 
 
 def _outputs_per_method(argv, capsys):

@@ -24,6 +24,15 @@ def test_vertex_labels():
     assert TsVertex("X", 3).label() == "X[t-3]"
 
 
+def test_vertex_hashes_and_sorts_as_its_plain_pair():
+    """Set iteration order, and with it the engine's search order and every
+    benchmark digest, rests on these hashes."""
+    pairs = [(var, off) for var in ("Y", "X", "X1", "") for off in (3, 0, 12)]
+    for var, off in pairs:
+        assert hash(TsVertex(var, off)) == hash((var, off))
+    assert sorted(TsVertex(*p) for p in pairs) == [TsVertex(*p) for p in sorted(pairs)]
+
+
 def test_template_rejects_contemporaneous_self_edge():
     with pytest.raises(ValidationError):
         make_template(["X"], directed=[("X", 0, "X")])
@@ -179,6 +188,21 @@ def test_finite_graph_rejects_directed_cycle():
     a, b = TsVertex("A", 0), TsVertex("B", 0)
     with pytest.raises(ValidationError):
         FiniteMixedGraph(frozenset({a, b}), directed=frozenset({(a, b), (b, a)}))
+
+
+@pytest.mark.parametrize("where", ["vertices", "directed", "bidirected", "latent"])
+def test_finite_graph_rejects_plain_tuple_vertices(where):
+    """A plain (var, offset) tuple equals its TsVertex, so only a type check
+    keeps it out of a graph."""
+    a, b, plain = TsVertex("A", 0), TsVertex("B", 0), ("A", 0)
+    fields = {
+        "vertices": {"vertices": frozenset({plain, b})},
+        "directed": {"directed": frozenset({(plain, b)})},
+        "bidirected": {"bidirected": frozenset({(b, plain)})},
+        "latent": {"latent": frozenset({plain})},
+    }[where]
+    with pytest.raises(ValidationError, match="is not a TsVertex"):
+        FiniteMixedGraph(**{"vertices": frozenset({a, b}), **fields})
 
 
 def test_finite_graph_equality_ignores_var_order():

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from tsproject import (
     CommonAncestorEngine,
     ConeTuple,
+    CycleClass,
     MwSummaryGraph,
     ValidationError,
     access_points,
@@ -83,6 +84,20 @@ def test_rotation_equivalent_cycles_collapse():
     )
     classes = enumerate_cycle_classes(s)
     assert len(classes) == 1
+
+
+def test_cycle_class_hashes_and_sorts_as_its_plain_pair():
+    """GraphOfCycles numbers the classes in sorted order, and sets of classes
+    iterate in hash order."""
+    classes = set()
+    for seed in range(6):
+        tpl = random_template(seed, n_vars=4, max_lag=2, edge_density=0.3)
+        classes |= enumerate_cycle_classes(build_mw_summary(tpl))
+    assert len(classes) >= 10
+    for c in classes:
+        assert hash(c) == hash((c.representative, c.weights))
+    pairs = sorted((c.representative, c.weights) for c in classes)
+    assert sorted(classes) == [CycleClass(*p) for p in pairs]
 
 
 def test_graph_of_cycles_links_sharing_classes(running_summary):
