@@ -5,14 +5,28 @@ m-separation, inducing paths, and the DMAG latent projection.
 
 The projections and separation queries number the vertices once per call, in
 sorted order, and carry vertex sets as int masks (bit n stands for the n-th
-vertex), with one parent, child and sibling mask per vertex.  m-separation
-and inducing paths are decided by reachability over (vertex, entered-with-
-arrowhead) states, run on one frontier mask per arrowhead mark; this is
-equivalent to the path-based definitions and polynomial, instead of path
-enumeration.  Plain reachability, such as the ancestors of Z, is
-:func:`graph_model.reach` on the parent or child masks.  :func:`ancestors`
-stays on vertex sets: it runs on unrolled windows of thousands of steps,
-where one n-bit mask per vertex would take quadratic memory.
+vertex), with one parent, child and sibling mask per vertex.  Plain
+reachability, such as the ancestors of Z, is :func:`graph_model.reach` on
+the parent or child masks.
+
+m-separation (:func:`m_separated`) and inducing paths
+(:func:`has_inducing_path`) are decided by one two-mark walk: reachability
+over (vertex, entered-with-arrowhead) states, run on one frontier mask per
+arrowhead mark; this is equivalent to the path-based definitions and
+polynomial, instead of path enumeration.
+
+The DMAG projection (:func:`dmag_project`) runs no walk per pair.  It works
+on the ADMG latent projection, which keeps m-separation and ancestry among
+the observed vertices, and uses the MAG adjacency criterion of Richardson &
+Spirtes, "Ancestral graph Markov models" (Ann. Statist. 2002): i and j are
+adjacent iff they are adjacent in the ADMG or it has a collider path
+i *-> c1 <-> ... <-> ck <-* j whose colliders all lie in An({i, j}).  The
+colliders reachable from i by sibling steps name the candidate j's, and one
+masked reachability per candidate checks the ancestor condition.
+
+:func:`ancestors` stays on vertex sets: it runs on unrolled windows of
+thousands of steps, where one n-bit mask per vertex would take quadratic
+memory.
 """
 
 from __future__ import annotations
@@ -107,9 +121,10 @@ def admg_latent_project(
     # vertices.  src[i]: i itself plus every latent x with a directed path
     # x -> ... -> i through latent intermediates, the admissible sources of a
     # confounding path ending at i; sib[i]: every vertex with a bidirected
-    # edge to one of them.
+    # edge to one of them; sinks[x]: every observed i with x in src[i].
     src: dict[int, int] = {}
     sib: dict[int, int] = {}
+    sinks = [0] * len(verts)
     obs = list(bits(obs_mask))
     for i in obs:
         down = 0
@@ -120,13 +135,17 @@ def admg_latent_project(
         s = 0
         for x in bits(src[i]):
             s |= index.siblings[x]
+            sinks[x] |= 1 << i
         sib[i] = s
 
+    # i <-> j iff src[j] meets src[i] - i (a latent common source) or sib[i]
     bidirected = set()
-    for a, i in enumerate(obs):
-        for j in obs[a + 1 :]:
-            if src[i] & src[j] & ~((1 << i) | (1 << j)) or sib[i] & src[j]:
-                bidirected.add((verts[i], verts[j]))
+    for i in obs:
+        partners = 0
+        for x in bits((src[i] & ~(1 << i)) | sib[i]):
+            partners |= sinks[x]
+        for j in bits(partners & -(2 << i)):
+            bidirected.add((verts[i], verts[j]))
 
     return FiniteMixedGraph(
         vertices=observed,
@@ -256,28 +275,35 @@ def dmag_project(dag: FiniteMixedGraph, observed: Iterable[TsVertex]) -> FiniteM
     """DMAG latent projection of a DAG with latent marks.
 
     Two observed vertices are adjacent iff no subset of the remaining observed
-    vertices m-separates them; this is decided via the inducing-path criterion
-    (verified against literal subset enumeration in the test suite).  An
-    adjacency i - j becomes i -> j if i is an ancestor of j, j -> i if j is an
-    ancestor of i, and i <-> j otherwise.
+    vertices m-separates them; this is decided by the collider-path criterion
+    on the ADMG latent projection (see the module docstring; verified against
+    literal subset enumeration and the per-pair inducing-path definition in
+    the test suite).  An adjacency i - j becomes i -> j if i is an ancestor
+    of j, j -> i if j is an ancestor of i, and i <-> j otherwise.
     """
     observed = frozenset(observed)
     if dag.bidirected:
         raise ValidationError("dmag_project expects a DAG (no bidirected edges)")
     if observed != dag.vertices - dag.latent:
         raise ValidationError("observed must equal the non-latent vertices")
-    index = _Index(dag)
-    verts = index.vertices
-    anc = index.ancestor_masks()
-    latents = index.mask(dag.latent)
-    obs = list(bits(index.mask(observed)))
+    index = _Index(admg_latent_project(dag, observed))
+    verts, anc = index.vertices, index.ancestor_masks()
+    parents, children, siblings = index.parents, index.children, index.siblings
     directed = set()
     bidirected = set()
-    for a, i in enumerate(obs):
-        for j in obs[a + 1 :]:
-            # has_inducing_path(dag, verts[i], verts[j], dag.latent) on the shared index
-            if not _walk_reachable(index, 1 << i, 1 << j, anc[i] | anc[j], latents):
-                continue
+    for i in range(len(verts)):
+        into_i = children[i] | siblings[i]
+        adjacent = parents[i] | into_i
+        # every possible collider of a collider path from i, before the
+        # ancestor condition; a j that is not adjacent needs an edge into one
+        candidates = adjacent
+        for c in bits(reach(siblings, into_i, ~(1 << i))):
+            candidates |= parents[c] | siblings[c]
+        for j in bits(candidates & -(2 << i)):
+            if not adjacent >> j & 1:
+                inner = (anc[i] | anc[j]) & ~((1 << i) | (1 << j))
+                if not reach(siblings, into_i & inner, inner) & (children[j] | siblings[j]):
+                    continue
             if anc[j] >> i & 1:
                 directed.add((verts[i], verts[j]))
             elif anc[i] >> j & 1:

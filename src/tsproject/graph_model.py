@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
@@ -227,11 +228,16 @@ class FiniteMixedGraph:
     var_order: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
-        # a plain (var, offset) tuple equals its TsVertex and would pass the checks below
+        # a plain (var, offset) tuple equals its TsVertex and would pass the
+        # checks below, and TsVertex('X', True) equals TsVertex('X', 1)
         for group in (self.vertices, self.latent, *self.directed, *self.bidirected):
             for v in group:
                 if not isinstance(v, TsVertex):
                     raise ValidationError(f"{v!r} is not a TsVertex")
+                if not isinstance(v.var, str):
+                    raise ValidationError(f"variable name of vertex {v!r} must be a string")
+                if type(v.offset) is not int or v.offset < 0:  # bool is an int subclass
+                    raise ValidationError(f"offset of vertex {v!r} must be a non-negative integer")
         object.__setattr__(
             self, "bidirected", frozenset((u, v) if u <= v else (v, u) for u, v in self.bidirected)
         )
@@ -271,14 +277,26 @@ class FiniteMixedGraph:
         )
 
     def to_json(self) -> str:
+        """The bytes of ``json.dumps(doc, indent=2) + "\\n"`` for the document
+        with the keys ``vertices``, ``directed``, ``bidirected`` and ``latent``,
+        written directly: with an indent, ``json.dumps`` runs its pure-Python
+        encoder."""
         directed, bidirected = self._sorted_edges()
-        doc = {
-            "vertices": self.sorted_vertices(),
-            "directed": directed,
-            "bidirected": bidirected,
-            "latent": sorted(self.latent, key=self.vertex_key),
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        # each vertex as a list item (indent 4) and as an edge end (indent 6)
+        at_4: dict[TsVertex, str] = {}
+        at_6: dict[TsVertex, str] = {}
+        for v in self.vertices:
+            fields = (encode_basestring_ascii(v.var), str(v.offset))
+            at_4[v] = _json_array(fields, "    ")
+            at_6[v] = _json_array(fields, "      ")
+        lists = (
+            ("vertices", [at_4[v] for v in self.sorted_vertices()]),
+            ("directed", [_json_array((at_6[u], at_6[v]), "    ") for u, v in directed]),
+            ("bidirected", [_json_array((at_6[u], at_6[v]), "    ") for u, v in bidirected]),
+            ("latent", [at_4[v] for v in sorted(self.latent, key=self.vertex_key)]),
+        )
+        body = ",\n".join(f'  "{key}": {_json_array(items, "  ")}' for key, items in lists)
+        return "{\n" + body + "\n}\n"
 
     def to_dot(self) -> str:
         """DOT export: bidirected edges are rendered with ``dir=both``."""
@@ -289,6 +307,15 @@ class FiniteMixedGraph:
         lines += [f"  {_dot_id(u)} -> {_dot_id(v)} [dir=both];" for u, v in bidirected]
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _json_array(items: Sequence[str], pad: str) -> str:
+    """A JSON array of encoded items, laid out as ``json.dumps(..., indent=2)``
+    lays it out when its closing bracket is indented by ``pad``."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
 
 
 def _dot_id(v: TsVertex) -> str:

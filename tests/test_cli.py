@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -177,6 +178,19 @@ def test_projection_output_is_pinned(data_dir, name, command, p, capsys):
     assert run(argv) == 0
     pinned = data_dir / "project" / f"{name}_{command}_p{p}.json"
     assert capsys.readouterr().out == pinned.read_text()
+
+
+@pytest.mark.parametrize("p", [6, 9, 12])
+@pytest.mark.parametrize("name", sorted(_OBSERVED))
+def test_wide_dmag_output_is_pinned(data_dir, name, p, capsys):
+    """The sha256 of the project-dmag JSON at wide windows, as recorded in
+    tests/data/project/dmag_sha256.json."""
+    argv = ["project-dmag", "--graph", str(data_dir / f"{name}.json"),
+            "--observed", _OBSERVED[name], "--window", str(p)]
+    assert run(argv) == 0
+    digests = json.loads((data_dir / "project" / "dmag_sha256.json").read_text())
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[f"{name}_p{p}"]
 
 
 def test_projection_dot_output_is_pinned(data_dir, fig3_path, tmp_path, capsys):

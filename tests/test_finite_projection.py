@@ -13,6 +13,7 @@ from tsproject import (
     dmag_project,
     has_inducing_path,
     m_separated,
+    marginal_ts_admg,
     unroll_window,
 )
 from tsproject.oracle_testkit import (
@@ -126,6 +127,46 @@ class TestAdmgLatentProjection:
             with_bidirected += bool(g.bidirected and mine.bidirected)
         assert with_bidirected >= 20
 
+    def test_matches_the_reference_through_latent_chains(self):
+        """Windows up to p = 8 in which whole rows of a variable are latent, so
+        that latents have latent parents: confounding paths then run down
+        latent chains, past the one-step neighbourhood of either endpoint."""
+        beyond_one_step = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            tpl = random_template(
+                seed, rng.randint(2, 4), 2, 0.35, bidirected_density=rng.choice([0.0, 0.1])
+            )
+            g = unroll_window(tpl, rng.randint(3, 8))
+            hidden = set(rng.sample(tpl.variables, rng.randint(1, len(tpl.variables) - 1)))
+            observed = frozenset(
+                u for u in g.vertices if u.var not in hidden and rng.random() < 0.8
+            )
+            mine = admg_latent_project(g, observed)
+            assert mine.to_json() == _reference_latent_project(g, observed).to_json(), seed
+            beyond_one_step += bool(mine.bidirected - _one_step_bidirected(g, observed))
+        assert beyond_one_step >= 30
+
+
+def _one_step_bidirected(g, observed):
+    """The bidirected edges of the latent projection whose confounding path
+    has at most one latent on each side: a common latent parent, or a
+    bidirected edge between the endpoints or their latent parents."""
+    sources = {i: {i} for i in observed}
+    for u, w in g.directed:
+        if w in observed and u not in observed:
+            sources[w].add(u)
+    siblings = {u: set() for u in g.vertices}
+    for u, w in g.bidirected:
+        siblings[u].add(w)
+        siblings[w].add(u)
+    return {
+        (i, j)
+        for i, j in itertools.combinations(sorted(observed), 2)
+        if (sources[i] & sources[j]) - {i, j}
+        or any(siblings[x] & sources[j] for x in sources[i])
+    }
+
 
 def test_canonical_dag_replaces_bidirected_edges():
     a, b = v("A"), v("B")
@@ -221,6 +262,59 @@ class TestInducingPaths:
         assert has_inducing_path(g2, a, b, {l})
 
 
+def _dmag_by_inducing_paths(dag):
+    """The per-pair definition of the DMAG: observed i and j are adjacent iff
+    the DAG has an inducing path between them relative to its latents, and
+    the edge is oriented by ancestry."""
+    observed = sorted(dag.observed)
+    anc = {u: ancestors(dag, {u}) for u in observed}
+    directed, bidirected = set(), set()
+    for i, j in itertools.combinations(observed, 2):
+        if not has_inducing_path(dag, i, j, dag.latent):
+            continue
+        if i in anc[j]:
+            directed.add((i, j))
+        elif j in anc[i]:
+            directed.add((j, i))
+        else:
+            bidirected.add((i, j))
+    return FiniteMixedGraph(
+        frozenset(observed), frozenset(directed), frozenset(bidirected), var_order=dag.var_order
+    )
+
+
+def random_latent_chain_dag(seed, n_observed=30, n_chains=8):
+    """A random DAG over ``n_observed`` observed vertices plus ``n_chains``
+    chains of one to three latents; every latent has observed parents and
+    observed children, and each chain is a directed path."""
+    rng = random.Random(seed)
+    observed = [v(f"O{k:02d}") for k in range(n_observed)]
+    # a topological order by rank; O00 comes first, so every latent can have
+    # an observed parent
+    rank = {u: (rng.random() if k else 0.0) for k, u in enumerate(observed)}
+    directed = {
+        (a, b) for a, b in itertools.permutations(observed, 2)
+        if rank[a] < rank[b] and rng.random() < 0.06
+    }
+    latent = set()
+    for c in range(n_chains):
+        chain = [v(f"L{c}_{k}") for k in range(rng.randint(1, 3))]
+        for u, r in zip(chain, sorted(rng.uniform(0.05, 0.95) for _ in chain)):
+            rank[u] = r
+        latent.update(chain)
+        directed.update(zip(chain, chain[1:]))
+        for u in chain:
+            before = [w for w in observed if rank[w] < rank[u]]
+            after = [w for w in observed if rank[w] > rank[u]]
+            for w in rng.sample(before, min(len(before), rng.randint(1, 2))):
+                directed.add((w, u))
+            for w in rng.sample(after, min(len(after), rng.randint(1, 3))):
+                directed.add((u, w))
+    return FiniteMixedGraph(
+        frozenset(observed) | latent, frozenset(directed), latent=frozenset(latent)
+    )
+
+
 class TestDmagProjection:
     def test_rejects_non_dag(self):
         a, b = v("A"), v("B")
@@ -275,3 +369,51 @@ class TestDmagProjection:
             assert dmag_project(h, h.observed) == dmag_by_subset_enumeration(
                 h, h.observed
             ), seed
+
+    @pytest.mark.parametrize("p", [6, 9, 12])
+    @pytest.mark.parametrize("name", ["running", "b1", "b2", "fig3"])
+    def test_matches_inducing_paths_on_canonical_windows(self, request, name, p):
+        """The canonical DAGs that project-dmag builds, against the per-pair
+        inducing-path definition, at windows too wide for subset enumeration."""
+        tpl = request.getfixturevalue(f"{name}_tpl")
+        marginal = marginal_ts_admg(tpl, tpl.variables, p)
+        dag = canonical_dag(marginal)
+        assert dmag_project(dag, marginal.vertices) == _dmag_by_inducing_paths(dag)
+
+    def test_matches_inducing_paths_on_latent_chains(self):
+        """Random DAGs with 30 to 36 observed vertices and latent chains; at
+        least some adjacencies come from inducing paths through observed
+        colliders, which the ADMG does not have as edges."""
+        through_colliders = 0
+        for seed in range(12):
+            dag = random_latent_chain_dag(seed, n_observed=30 + seed % 7)
+            mag = dmag_project(dag, dag.observed)
+            assert mag == _dmag_by_inducing_paths(dag), seed
+            admg = admg_latent_project(dag, dag.observed)
+            through_colliders += len(mag.directed | mag.bidirected) - len(
+                {frozenset(e) for e in admg.directed | admg.bidirected}
+            )
+        assert through_colliders >= 100
+
+    @pytest.mark.parametrize("i_name, j_name", [("I", "J"), ("J", "I")])
+    def test_inducing_path_with_two_bidirected_hops(self, i_name, j_name):
+        """i <-> c1 <-> c2 <-> c3 <-> j, every <-> through a latent, with
+        c1 -> i, c3 -> i and c2 -> j: the only inducing path between i and j
+        has the colliders c1, c2, c3, and its middle collider c2 is an
+        ancestor of j only.  Both endpoint names are tried, so that either one
+        comes first in the vertex order."""
+        i, j, c1, c2, c3 = v(i_name), v(j_name), v("C1"), v("C2"), v("C3")
+        chain = [i, c1, c2, c3, j]
+        hidden = [v(f"L{k}") for k in range(4)]
+        directed = {(c1, i), (c3, i), (c2, j)}
+        for l, a, b in zip(hidden, chain, chain[1:]):
+            directed |= {(l, a), (l, b)}
+        dag = FiniteMixedGraph(
+            frozenset(chain + hidden), frozenset(directed), latent=frozenset(hidden)
+        )
+        observed = frozenset(chain)
+        admg = admg_latent_project(dag, observed)
+        assert not {(i, j), (j, i)} & (admg.directed | admg.bidirected)
+        mag = dmag_project(dag, observed)
+        assert (min(i, j), max(i, j)) in mag.bidirected
+        assert mag == dmag_by_subset_enumeration(dag, observed)

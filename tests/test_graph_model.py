@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 import re
 
@@ -205,6 +207,32 @@ def test_finite_graph_rejects_plain_tuple_vertices(where):
         FiniteMixedGraph(**{"vertices": frozenset({a, b}), **fields})
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (TsVertex("X", -1), "offset of vertex .* must be a non-negative integer"),
+        (TsVertex("Y", True), "offset of vertex .* must be a non-negative integer"),
+        (TsVertex("X", 1.0), "offset of vertex .* must be a non-negative integer"),
+        (TsVertex(1, 0), "variable name of vertex .* must be a string"),
+    ],
+)
+@pytest.mark.parametrize("where", ["vertices", "directed", "bidirected", "latent"])
+def test_finite_graph_rejects_bad_vertex_fields(bad, message, where):
+    """The field checks of parse_mixed_graph hold on every construction.
+    TsVertex('Y', True) equals TsVertex('Y', 1), so only a type check keeps
+    it out of an edge or the latent set of a graph that has ('Y', 1)."""
+    a = TsVertex("A", 0)
+    twin = TsVertex(bad.var if isinstance(bad.var, str) else "B", 1)
+    fields = {
+        "vertices": {"vertices": frozenset({a, bad})},
+        "directed": {"directed": frozenset({(a, bad)})},
+        "bidirected": {"bidirected": frozenset({(bad, a)})},
+        "latent": {"latent": frozenset({bad})},
+    }[where]
+    with pytest.raises(ValidationError, match=message):
+        FiniteMixedGraph(**{"vertices": frozenset({a, twin}), **fields})
+
+
 def test_finite_graph_equality_ignores_var_order():
     a, b = TsVertex("A", 0), TsVertex("B", 0)
     g1 = FiniteMixedGraph(frozenset({a, b}), bidirected=frozenset({(a, b)}), var_order=("A", "B"))
@@ -220,6 +248,49 @@ def test_mixed_graph_json_round_trip(b1_tpl):
 def test_to_json_is_deterministic(running_tpl):
     g = unroll_window(running_tpl, 5)
     assert g.to_json() == unroll_window(running_tpl, 5).to_json()
+
+
+def _to_json_by_json_dumps(g):
+    """The serialization as json.dumps writes it: the definition of to_json."""
+    directed, bidirected = g._sorted_edges()
+    doc = {
+        "vertices": g.sorted_vertices(),
+        "directed": directed,
+        "bidirected": bidirected,
+        "latent": sorted(g.latent, key=g.vertex_key),
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_to_json_writes_the_bytes_of_json_dumps():
+    """Random graphs over names with quotes, backslashes, non-ASCII and
+    control characters, many with one or more empty lists."""
+    pool = ["X", 'a"b', "c\\d", "é", "日本", "tab\tnl\n", "\x01\x7f", "", "Z9"]
+    empty = {"directed": 0, "bidirected": 0, "latent": 0}
+    for seed in range(150):
+        rng = random.Random(seed)
+        names = rng.sample(pool, rng.randint(1, 4))
+        verts = [TsVertex(n, off) for n in names for off in range(rng.randint(1, 4))]
+        verts += [TsVertex(names[0], 10**20)] if seed % 7 == 0 else []
+        rng.shuffle(verts)
+        density = rng.choice([0.0, 0.2, 0.5])
+        g = FiniteMixedGraph(
+            frozenset(verts),
+            directed=frozenset(
+                (a, b) for a, b in itertools.combinations(verts, 2) if rng.random() < density
+            ),
+            bidirected=frozenset(
+                (a, b) for a, b in itertools.combinations(verts, 2) if rng.random() < density / 2
+            ),
+            latent=frozenset(u for u in verts if rng.random() < density),
+            var_order=tuple(names),
+        )
+        assert g.to_json() == _to_json_by_json_dumps(g), seed
+        for key in empty:
+            empty[key] += not getattr(g, key)
+    assert min(empty.values()) >= 30
+    empty_graph = FiniteMixedGraph(frozenset())
+    assert empty_graph.to_json() == _to_json_by_json_dumps(empty_graph)
 
 
 def test_to_dot_marks_bidirected_edges(fig3_tpl):
