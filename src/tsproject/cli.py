@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from . import oracle_testkit
 from .ancestor_query import CommonAncestorEngine, WalkWeights, lag1_shortcut
 from .diophantine import solvable
-from .finite_projection import canonical_dag, dmag_project, m_separated
+from .finite_projection import m_separated
 from .graph_model import (
     TsVertex,
     ValidationError,
@@ -35,6 +35,7 @@ from .ts_projection import (
     canonical_ts_dag,
     cutoff_bound,
     marginal_ts_admg,
+    marginal_ts_dmag,
 )
 
 
@@ -87,17 +88,22 @@ def _emit_graph(graph, args) -> None:
         _write(args.dot, graph.to_dot())
 
 
-def _cmd_project(args, want_dmag: bool) -> int:
+def _window_engine(args, tpl, x: int) -> Optional[WalkWeights]:
+    """``--method window``: walk weights on the canonical ts-DAG of ``tpl`` to
+    the cutoff depth of the window or lag ``x``; None for ``--method dioph``."""
+    if args.method == "dioph":
+        return None
+    ctpl = canonical_ts_dag(tpl)
+    return WalkWeights(ctpl, cutoff_bound(ctpl, x).p_cut + x)
+
+
+def _cmd_project(args) -> int:
     tpl = parse_template(_read(args.graph))
     observed = [v for v in args.observed.split(",") if v]
-    engine = None
-    if args.method == "window":
-        ctpl = canonical_ts_dag(tpl)
-        engine = WalkWeights(ctpl, cutoff_bound(ctpl, args.window).p_cut + args.window)
-    marginal = marginal_ts_admg(tpl, observed, args.window, engine)
-    if want_dmag:
-        marginal = dmag_project(canonical_dag(marginal), marginal.vertices)
-    _emit_graph(marginal, args)
+    # chosen per call, so that wrappers of the globals (perfbench/tracer.py) see it
+    project = marginal_ts_dmag if args.command == "project-dmag" else marginal_ts_admg
+    engine = _window_engine(args, tpl, args.window)
+    _emit_graph(project(tpl, observed, args.window, engine), args)
     return 0
 
 
@@ -137,17 +143,14 @@ def _cmd_ancestor(args) -> int:
         print("error: --explain is not available with --method window", file=sys.stderr)
         return 2
     tpl = canonical_ts_dag(parse_template(_read(args.graph)))
-    if args.method == "window":
-        engine = WalkWeights(tpl, cutoff_bound(tpl, args.tau).p_cut + args.tau)
-        answer = engine.query(args.i, args.tau, args.j)
-    else:
-        engine = CommonAncestorEngine(tpl)
-        answer = engine.query(args.i, args.tau, args.j)
-        if args.explain:
-            sys.stderr.write(
-                json.dumps(_explain_dump(engine, args.i, args.tau, args.j), indent=2)
-                + "\n"
-            )
+    if args.tau < 0:  # before the window engine reads it as a window length
+        raise ValidationError("tau must be non-negative")
+    engine = _window_engine(args, tpl, args.tau) or CommonAncestorEngine(tpl)
+    answer = engine.query(args.i, args.tau, args.j)
+    if args.explain:
+        sys.stderr.write(
+            json.dumps(_explain_dump(engine, args.i, args.tau, args.j), indent=2) + "\n"
+        )
     print("true" if answer else "false")
     return 0
 
@@ -263,18 +266,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_projection(name: str, help_text: str, want_dmag: bool):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=functools.partial(_cmd_project, want_dmag=want_dmag))
+    for name, kind in (("project-admg", "ADMG"), ("project-dmag", "DMAG")):
+        p = sub.add_parser(name, help=f"marginal ts-{kind} on a finite window")
+        p.set_defaults(handler=_cmd_project)
         p.add_argument("--graph", required=True, help="template JSON file")
         p.add_argument("--observed", required=True, help="comma-separated variable names")
         p.add_argument("--window", required=True, type=int, help="observed window length p")
         p.add_argument("--method", choices=["dioph", "window"], default="dioph")
         p.add_argument("--out", help="write JSON here instead of stdout")
         p.add_argument("--dot", help="also write a DOT rendering to this file")
-
-    add_projection("project-admg", "marginal ts-ADMG on a finite window", want_dmag=False)
-    add_projection("project-dmag", "marginal ts-DMAG on a finite window", want_dmag=True)
 
     p = sub.add_parser("ancestor", help="common-ancestor query on an infinite ts-DAG")
     p.set_defaults(handler=_cmd_ancestor)

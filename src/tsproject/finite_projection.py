@@ -1,7 +1,7 @@
 """Projections and separation queries on finite mixed graphs.
 
 Implements the ADMG latent projection, the canonical-DAG construction,
-m-separation, inducing paths, and the DMAG latent projection.
+m-separation, inducing paths, and the DMAG latent projection of an ADMG.
 
 The projections and separation queries number the vertices once per call, in
 sorted order, and carry vertex sets as int masks (bit n stands for the n-th
@@ -271,8 +271,8 @@ def has_inducing_path(
     )
 
 
-def dmag_project(dag: FiniteMixedGraph, observed: Iterable[TsVertex]) -> FiniteMixedGraph:
-    """DMAG latent projection of a DAG with latent marks.
+def dmag_project(g: FiniteMixedGraph, observed: Iterable[TsVertex]) -> FiniteMixedGraph:
+    """DMAG latent projection of an ADMG (a DAG included) with latent marks.
 
     Two observed vertices are adjacent iff no subset of the remaining observed
     vertices m-separates them; this is decided by the collider-path criterion
@@ -282,11 +282,9 @@ def dmag_project(dag: FiniteMixedGraph, observed: Iterable[TsVertex]) -> FiniteM
     of j, j -> i if j is an ancestor of i, and i <-> j otherwise.
     """
     observed = frozenset(observed)
-    if dag.bidirected:
-        raise ValidationError("dmag_project expects a DAG (no bidirected edges)")
-    if observed != dag.vertices - dag.latent:
+    if observed != g.vertices - g.latent:
         raise ValidationError("observed must equal the non-latent vertices")
-    index = _Index(admg_latent_project(dag, observed))
+    index = _Index(admg_latent_project(g, observed))
     verts, anc = index.vertices, index.ancestor_masks()
     parents, children, siblings = index.parents, index.children, index.siblings
     directed = set()
@@ -314,5 +312,5 @@ def dmag_project(dag: FiniteMixedGraph, observed: Iterable[TsVertex]) -> FiniteM
         vertices=observed,
         directed=frozenset(directed),
         bidirected=frozenset(bidirected),
-        var_order=dag.var_order,
+        var_order=g.var_order,
     )

@@ -4,8 +4,8 @@ The pipeline for a template with bidirected edges is: replace bidirected
 entries by auxiliary latent variables (canonical ts-DAG), compute the marginal
 over all variables on the window via common-ancestor queries against the
 infinite past, then apply the finite ADMG latent projection to the requested
-observed variables.  The DMAG variant additionally projects the canonical DAG
-of that marginal.
+observed variables.  The DMAG variant projects that marginal ADMG onto its
+maximal ancestral graph (:func:`finite_projection.dmag_project`).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .ancestor_query import CommonAncestorEngine, WalkWeights
-from .finite_projection import admg_latent_project, canonical_dag, dmag_project
+from .finite_projection import admg_latent_project, dmag_project
 from .graph_model import (
     FiniteMixedGraph,
     TsGraphTemplate,
@@ -140,11 +140,11 @@ def marginal_ts_dmag(
     tpl: TsGraphTemplate,
     observed_vars: Iterable[str],
     p: int,
+    engine: Optional[CommonAncestorEngine | WalkWeights] = None,
 ) -> FiniteMixedGraph:
-    """Marginal ts-DMAG: DMAG projection of the canonical DAG of the marginal ts-ADMG."""
-    marginal = marginal_ts_admg(tpl, observed_vars, p)
-    dag = canonical_dag(marginal)
-    return dmag_project(dag, marginal.vertices)
+    """Marginal ts-DMAG: the DMAG of the marginal ts-ADMG, with the same ``engine``."""
+    marginal = marginal_ts_admg(tpl, observed_vars, p, engine)
+    return dmag_project(marginal, marginal.vertices)
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,14 @@ def test_ancestor_true(running_path, capsys):
     assert capsys.readouterr().out == "true\n"
 
 
+@pytest.mark.parametrize("method", ["dioph", "window"])
+def test_ancestor_rejects_negative_tau(running_path, method, capsys):
+    argv = ["ancestor", "--graph", running_path, "--i", "X", "--tau", "-1", "--j", "Z",
+            "--method", method]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: tau must be non-negative\n"
+
+
 def test_ancestor_explain_dumps_machinery(running_path, capsys):
     run(["ancestor", "--graph", running_path, "--i", "X", "--tau", "0", "--j", "Z", "--explain"])
     captured = capsys.readouterr()

@@ -316,12 +316,6 @@ def random_latent_chain_dag(seed, n_observed=30, n_chains=8):
 
 
 class TestDmagProjection:
-    def test_rejects_non_dag(self):
-        a, b = v("A"), v("B")
-        g = FiniteMixedGraph(frozenset({a, b}), bidirected=frozenset({(a, b)}))
-        with pytest.raises(ValidationError):
-            dmag_project(g, {a, b})
-
     def test_latent_confounder_yields_bidirected(self):
         a, b, l = v("A"), v("B"), v("L")
         g = FiniteMixedGraph(
@@ -353,14 +347,17 @@ class TestDmagProjection:
         assert mag.directed == {(v("A"), v("B"))}
 
     def test_agrees_with_subset_enumeration(self):
-        """Random DAGs with up to 7 observed vertices: canonical DAGs of random
-        mixed graphs, and random DAGs with some vertices marked latent."""
+        """Up to 7 observed vertices: random mixed graphs, as they are and as
+        their canonical DAGs; random DAGs with some vertices marked latent;
+        and random mixed graphs with some vertices marked latent, as they are
+        and as their canonical DAGs."""
+        with_bidirected = 0
         for seed in range(40):
             g = random_mixed_graph(seed, n_max=7)
             dag = canonical_dag(g)
-            assert dmag_project(dag, g.vertices) == dmag_by_subset_enumeration(
-                dag, g.vertices
-            ), seed
+            mag = dmag_by_subset_enumeration(dag, g.vertices)
+            assert dmag_project(dag, g.vertices) == mag, seed
+            assert dmag_project(g, g.vertices) == mag, seed
             rng = random.Random(seed)
             h = random_mixed_graph(seed + 1000, n_max=9, bidirected_p=0.0)
             verts = sorted(h.vertices)
@@ -369,6 +366,15 @@ class TestDmagProjection:
             assert dmag_project(h, h.observed) == dmag_by_subset_enumeration(
                 h, h.observed
             ), seed
+            m = random_mixed_graph(seed + 2000, n_max=9)
+            verts = sorted(m.vertices)
+            latent = frozenset(rng.sample(verts, max(0, len(verts) - 7) + rng.randint(0, 2)))
+            m = FiniteMixedGraph(m.vertices, m.directed, m.bidirected, latent=latent)
+            mag = dmag_by_subset_enumeration(m, m.observed)
+            assert dmag_project(m, m.observed) == mag, seed
+            assert dmag_project(canonical_dag(m), m.observed) == mag, seed
+            with_bidirected += bool(m.bidirected)
+        assert with_bidirected >= 20
 
     @pytest.mark.parametrize("p", [6, 9, 12])
     @pytest.mark.parametrize("name", ["running", "b1", "b2", "fig3"])

@@ -14,7 +14,7 @@ from tsproject import (
     simple_marginal_ts_admg,
     unroll_window,
 )
-from tsproject.oracle_testkit import random_template, window_marginal
+from tsproject.oracle_testkit import dmag_by_subset_enumeration, random_template, window_marginal
 
 
 def edge(i, ti, j, tj):
@@ -173,6 +173,20 @@ class TestMarginalTsDmag:
         for u, v in mag.bidirected:
             assert u not in ancestors(mag, {v})
             assert v not in ancestors(mag, {u})
+
+    def test_latent_named_like_a_canonical_dag_latent(self):
+        """A variable named as canonical_dag names its latents, l(X[0],Y[0]),
+        next to the bidirected edge X[0] <-> Y[0] that such a latent would
+        replace: the DMAG is projected from the marginal ADMG as it is."""
+        tpl = make_template(
+            ["X", "Y", "l(X[0],Y[0])"],
+            directed=[("l(X[0],Y[0])", 1, "X")],
+            bidirected=[("X", 0, "Y")],
+        )
+        mag = marginal_ts_dmag(tpl, tpl.variables, 0)
+        marginal = marginal_ts_admg(tpl, tpl.variables, 0)
+        assert (TsVertex("X", 0), TsVertex("Y", 0)) in marginal.bidirected
+        assert mag == dmag_by_subset_enumeration(marginal, marginal.vertices)
 
     def test_adjacencies_superset_of_admg(self, b2_tpl):
         admg = marginal_ts_admg(b2_tpl, ["X1", "X5"], 1)
