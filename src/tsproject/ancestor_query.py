@@ -47,13 +47,10 @@ def summary_prefilter(s: MwSummaryGraph, i: str, j: str) -> bool:
 
 
 class CommonAncestorEngine:
-    """Caches the summary-graph machinery for repeated queries on one template."""
+    """Caches the summary-graph machinery for repeated queries on one ts-DAG
+    (:func:`~tsproject.summary_mwdg.build_mw_summary` rejects a ts-ADMG)."""
 
     def __init__(self, tpl: TsGraphTemplate):
-        if tpl.bidirected_t:
-            raise ValidationError(
-                "common-ancestor queries require a ts-DAG; canonicalize first"
-            )
         self.tpl = tpl
         self.summary = build_mw_summary(tpl)
         self.classes = sorted(enumerate_cycle_classes(self.summary))
@@ -138,7 +135,8 @@ class WalkWeights:
     of (x, t) and s <= depth.  ``query(i, tau, j)`` then equals ancestor-set
     intersection in the unrolled window [t-depth, t]; with depth p_cut + p
     from ``cutoff_bound`` it is exact for the window [t-p, t] by the cutoff
-    theorem.  A ``depth`` above ``_MAX_WALK_DEPTH`` raises ``ValidationError``.
+    theorem.  A ``depth`` above ``_MAX_WALK_DEPTH`` raises ``ValidationError``,
+    and so does a ts-ADMG, in :func:`~tsproject.summary_mwdg.build_mw_summary`.
 
     The bitsets are the fixpoint of a worklist over the edges between
     distinct nodes.  Each time a node's bitset is taken from the worklist, it
@@ -151,10 +149,6 @@ class WalkWeights:
     """
 
     def __init__(self, tpl: TsGraphTemplate, depth: int):
-        if tpl.bidirected_t:
-            raise ValidationError(
-                "common-ancestor queries require a ts-DAG; canonicalize first"
-            )
         if depth < 0:
             raise ValidationError("depth must be non-negative")
         if depth > _MAX_WALK_DEPTH:
@@ -229,8 +223,6 @@ def lag1_shortcut(tpl: TsGraphTemplate, i: str, tau: int, j: str) -> Optional[bo
     ancestorship then coincides with the summary-graph check.  Returns None
     when not applicable."""
     tpl.index(i), tpl.index(j)
-    if tpl.bidirected_t:
-        return None
-    if not all((v, 1, v) in tpl.directed_t for v in tpl.variables):
+    if tpl.bidirected_t or not all((v, 1, v) in tpl.directed_t for v in tpl.variables):
         return None
     return summary_prefilter(build_mw_summary(tpl), i, j)

@@ -54,10 +54,10 @@ def _write(path: str, text: str) -> None:
 
 
 def _parse_vertices(spec: str) -> list[TsVertex]:
-    """Parse 'X:1,Y:0' into vertices; an empty string yields the empty list."""
+    """Parse 'X:1,Y:0' into vertices, each offset after the last colon; '' gives []."""
     vertices = []
     for token in filter(None, spec.split(",")):
-        var, sep, offset = token.partition(":")
+        var, sep, offset = token.rpartition(":")
         if not sep:
             raise ValidationError(f"bad vertex token {token!r}; expected VAR:OFFSET")
         try:

@@ -6,8 +6,9 @@ m-separation, inducing paths, and the DMAG latent projection of an ADMG.
 The projections and separation queries number the vertices once per call, in
 sorted order, and carry vertex sets as int masks (bit n stands for the n-th
 vertex), with one parent, child and sibling mask per vertex.  Plain
-reachability, such as the ancestors of Z, is :func:`graph_model.reach` on
-the parent or child masks.
+reachability, such as the ancestors of Z or the ancestor mask of each vertex
+in :func:`dmag_project`, is :func:`graph_model.reach` on the parent or child
+masks.
 
 m-separation (:func:`m_separated`) and inducing paths
 (:func:`has_inducing_path`) are decided by one two-mark walk: reachability
@@ -58,7 +59,8 @@ def ancestors(g: FiniteMixedGraph, seeds: Iterable[TsVertex]) -> frozenset[TsVer
 
 class _Index:
     """The vertices of a finite graph numbered in sorted order, with one
-    parent, child and sibling (bidirected neighbour) mask per vertex."""
+    parent, child and sibling (bidirected neighbour) mask per vertex; ancestors
+    are :func:`graph_model.reach` over parents (:func:`ancestors` uses sets)."""
 
     def __init__(self, g: FiniteMixedGraph):
         self.vertices = sorted(g.vertices)
@@ -77,22 +79,6 @@ class _Index:
 
     def mask(self, vertices: Iterable[TsVertex]) -> int:
         return encode(vertices, self.pos)
-
-    def ancestor_masks(self) -> list[int]:
-        """Per vertex, the mask of its ancestors (itself included), filled in
-        one Kahn topological order."""
-        n = len(self.vertices)
-        indegree = [self.parents[k].bit_count() for k in range(n)]
-        ready = [k for k in range(n) if not indegree[k]]
-        anc = [1 << k for k in range(n)]
-        while ready:
-            k = ready.pop()
-            for c in bits(self.children[k]):
-                anc[c] |= anc[k]
-                indegree[c] -= 1
-                if not indegree[c]:
-                    ready.append(c)
-        return anc
 
 
 def admg_latent_project(
@@ -285,7 +271,8 @@ def dmag_project(g: FiniteMixedGraph, observed: Iterable[TsVertex]) -> FiniteMix
     if observed != g.vertices - g.latent:
         raise ValidationError("observed must equal the non-latent vertices")
     index = _Index(admg_latent_project(g, observed))
-    verts, anc = index.vertices, index.ancestor_masks()
+    verts = index.vertices
+    anc = [reach(index.parents, 1 << k, -1) for k in range(len(verts))]
     parents, children, siblings = index.parents, index.children, index.siblings
     directed = set()
     bidirected = set()

@@ -245,11 +245,14 @@ class FiniteMixedGraph:
             object.__setattr__(
                 self, "var_order", tuple(sorted({v.var for v in self.vertices}))
             )
-        for u, v in self.directed | self.bidirected:
+        edges = self.directed | self.bidirected
+        if any(u == v or u not in self.vertices or v not in self.vertices for u, v in edges):
+            # the least bad edge, so that the message does not follow set order
+            u, v = min(e for e in edges if e[0] == e[1] or not self.vertices.issuperset(e))
             if u == v:
-                raise ValidationError(f"self edge at {u}")
-            if u not in self.vertices or v not in self.vertices:
-                raise ValidationError(f"edge endpoint {u} or {v} not a vertex")
+                raise ValidationError(f"self edge at {u.var}:{u.offset}")
+            bad = u if u not in self.vertices else v
+            raise ValidationError(f"edge endpoint {bad.var}:{bad.offset} is not a vertex")
         if not self.latent <= self.vertices:
             raise ValidationError("latent marks must be a subset of the vertices")
         if not is_acyclic(self.vertices, self.directed):

@@ -26,10 +26,11 @@ pi, and cl(A | B) = cl(A) | cl(B)):
   deepest in a breadth-first search from S & T through S (any class if S
   lies inside T).
 
-Summary graphs have one node per variable, so cycle-free paths and simple
-cycles are found by plain depth-first searches over a successor map built
-once per graph (Johnson, SIAM J. Comput. 1975, gives an output-sensitive
-cycle search for larger graphs).
+Summary graphs have one node per variable, so one depth-first search, run
+once per graph, lists the simple paths from every node.  Cycle classes, the
+cycle-free paths between two nodes and the longest cycle-free path of the
+cutoff bound are filters over that list (Johnson, SIAM J. Comput. 1975,
+gives an output-sensitive cycle search for larger graphs).
 """
 
 from __future__ import annotations
@@ -78,6 +79,18 @@ class MwSummaryGraph:
         for src, dst in self.edges:
             succ[src].append(dst)
         return {v: tuple(heads) for v, heads in succ.items()}
+
+    @cached_property
+    def simple_paths(self) -> dict[str, tuple[Path, ...]]:
+        """Per node, every simple path from it, the trivial path included, from
+        one depth-first search."""
+        found: dict[str, list[Path]] = {v: [] for v in self.nodes}
+        stack = [(v,) for v in self.nodes]
+        while stack:
+            path = stack.pop()
+            found[path[0]].append(path)
+            stack.extend(path + (v,) for v in self.successors[path[-1]] if v not in path)
+        return {v: tuple(paths) for v, paths in found.items()}
 
     def digraph(self) -> nx.DiGraph:
         dg = nx.DiGraph()
@@ -317,7 +330,8 @@ def _minkowski(a: Iterable[int], b: Iterable[int]) -> tuple[int, ...]:
 
 
 def build_mw_summary(tpl: TsGraphTemplate) -> MwSummaryGraph:
-    """Summary graph of a time-series DAG: edge (i, j) with weight set = set of lags."""
+    """Summary graph of a time-series DAG: edge (i, j) with weight set = set of
+    lags.  The only check that rejects a ts-ADMG; the engines rely on it."""
     if tpl.bidirected_t:
         raise ValidationError(
             "summary graph is defined for ts-DAGs; canonicalize bidirected edges first"
@@ -334,23 +348,18 @@ def build_mw_summary(tpl: TsGraphTemplate) -> MwSummaryGraph:
 def enumerate_cycle_classes(s: MwSummaryGraph) -> frozenset[CycleClass]:
     """One :class:`CycleClass` per rotation-equivalence class of irreducible cycles.
 
-    Each simple cycle is found once, by a depth-first search from its earliest
-    node in ``s.nodes`` order that visits only later nodes; a self-loop is a
-    cycle of one node.
+    Each simple cycle is found once, as a simple path from its earliest node
+    in ``s.nodes`` order over later nodes whose last node has an edge back to
+    the start; a self-loop is a cycle of one node.
     """
-    order = {v: n for n, v in enumerate(s.nodes)}
     classes = set()
-    for start in s.nodes:
-        stack = [(start,)]
-        while stack:
-            path = stack.pop()
-            for v in s.successors[path[-1]]:
-                if v == start:
-                    pivot = path.index(min(path))
-                    rep = path[pivot:] + path[:pivot]
-                    classes.add(CycleClass(rep, path_weightset(s, rep + rep[:1])))
-                elif order[v] > order[start] and v not in path:
-                    stack.append(path + (v,))
+    for n, start in enumerate(s.nodes):
+        later = s.nodes[n + 1 :]
+        for path in s.simple_paths[start]:
+            if start in s.successors[path[-1]] and all(v in later for v in path[1:]):
+                pivot = path.index(min(path))
+                rep = path[pivot:] + path[:pivot]
+                classes.add(CycleClass(rep, path_weightset(s, rep + rep[:1])))
     return frozenset(classes)
 
 
@@ -362,18 +371,7 @@ def cycle_free_paths(s: MwSummaryGraph, k: str, i: str) -> frozenset[Path]:
     """All cycle-free directed paths from k to i; exactly the trivial walk if k == i."""
     if k not in s.nodes or i not in s.nodes:
         raise ValidationError(f"unknown node in path query ({k}, {i})")
-    if k == i:
-        return frozenset({(k,)})
-    paths = set()
-    stack = [(k,)]
-    while stack:
-        path = stack.pop()
-        for v in s.successors[path[-1]]:
-            if v == i:
-                paths.add(path + (v,))
-            elif v not in path:
-                stack.append(path + (v,))
-    return frozenset(paths)
+    return frozenset(pi for pi in s.simple_paths[k] if pi[-1] == i)
 
 
 def path_weightset(s: MwSummaryGraph, pi: Sequence[str]) -> tuple[int, ...]:

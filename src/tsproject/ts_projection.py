@@ -23,7 +23,7 @@ from .graph_model import (
     make_template,
     unroll_window,
 )
-from .summary_mwdg import build_mw_summary, cycle_free_paths, enumerate_cycle_classes
+from .summary_mwdg import build_mw_summary, enumerate_cycle_classes
 
 
 def canonical_ts_dag(tpl: TsGraphTemplate) -> TsGraphTemplate:
@@ -66,12 +66,11 @@ def simple_marginal_ts_admg(
     ``start`` and the first hit ends the pattern.
 
     ``engine`` answers the common-ancestor queries; it defaults to a
-    :class:`CommonAncestorEngine` on ``tpl`` and must be built on ``tpl``.
+    :class:`CommonAncestorEngine` on ``tpl`` and must be built on ``tpl``;
+    either engine rejects a ts-ADMG in its ``build_mw_summary``.
     """
     if p < 0:
         raise ValidationError("window length must be non-negative")
-    if tpl.bidirected_t:
-        raise ValidationError("simple marginal requires a ts-DAG")
     engine = engine or CommonAncestorEngine(tpl)
     if engine.tpl != tpl:
         raise ValidationError("the engine was built on another template")
@@ -169,23 +168,18 @@ def cutoff_bound(tpl: TsGraphTemplate, p: int) -> CutoffQuantities:
 
     K, L and M are read off the summary graph: the largest weight of a cycle
     class is its largest entry, and the largest weight of a cycle-free path
-    is the sum of the largest lags of its edges."""
+    is the sum of the largest lags of its edges.  ``build_mw_summary`` rejects
+    a ts-ADMG."""
     if p < 0:
         raise ValidationError("window length must be non-negative")
-    if tpl.bidirected_t:
-        raise ValidationError("cutoff bound is defined for ts-DAGs")
     summary = build_mw_summary(tpl)
     maxima = [max(c.weights) for c in enumerate_cycle_classes(summary)]
     big_k = max(maxima, default=0)
     big_m = sum(maxima)
     big_l = max(
-        (
-            sum(max(summary.edges[e]) for e in zip(pi, pi[1:]))
-            for k in summary.nodes
-            for i in summary.nodes
-            for pi in cycle_free_paths(summary, k, i)
-        ),
-        default=0,
+        sum(max(summary.edges[e]) for e in zip(pi, pi[1:]))
+        for paths in summary.simple_paths.values()
+        for pi in paths
     )
     p_cut = (big_k**2 + 1) * (p + big_l + big_m) + big_k * ((big_k - 1) ** 2 + 1)
     return CutoffQuantities(K=big_k, L=big_l, M=big_m, p_cut=p_cut)

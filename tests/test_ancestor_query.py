@@ -105,6 +105,32 @@ def test_query_needs_a_cycle_class_outside_the_touch_set():
         assert engine.query("K", tau, "I") == (tau in weights), tau
 
 
+def test_query_needs_a_minimal_set_of_two_classes():
+    """K has no parents, so the answer is True iff tau is a walk weight from
+    K to J.  The path K -> J touches only the J-U class (weight 4); U-V (6)
+    is reachable only through J-U, and V-W (5) only through U-V.  A walk of
+    weight 20 can only be 1 + 4 + 4 + 6 + 5: it needs V-W, which lies only in
+    the closure of the minimal set {J-U, U-V}, so the answer needs a cone of
+    a minimal set of two classes."""
+    tpl = make_template(
+        ["K", "J", "U", "V", "W"],
+        directed=[
+            ("K", 1, "J"),
+            ("J", 2, "U"),
+            ("U", 2, "J"),
+            ("U", 3, "V"),
+            ("V", 3, "U"),
+            ("V", 2, "W"),
+            ("W", 3, "V"),
+        ],
+    )
+    engine = CommonAncestorEngine(tpl)
+    walks = WalkWeights(tpl, 60)  # exact: the only ancestor of K[t-tau] is itself
+    assert engine.query("K", 20, "J")
+    for tau in range(40):
+        assert engine.query("K", tau, "J") == walks.query("K", tau, "J"), tau
+
+
 def test_query_memoization_returns_same_object_answer(running_tpl):
     engine = CommonAncestorEngine(running_tpl)
     assert engine.query("X", 0, "Z") == engine.query("X", 0, "Z")

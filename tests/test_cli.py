@@ -1,15 +1,24 @@
 import hashlib
+import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import tsproject
 from tsproject import (
+    TsVertex,
     build_graph_of_cycles,
     build_mw_summary,
     cli,
     enumerate_cycle_classes,
     get_monoid,
+    m_separated,
+    parse_mixed_graph,
     serialize_template,
     touch_set,
 )
@@ -318,6 +327,70 @@ def test_msep_subcommand(b1_path, tmp_path, capsys):
     assert run(["msep", "--marginal", marginal, "--x", "X:1", "--y", "Y:0", "--z", "X:0"]) == 0
     assert capsys.readouterr().out == "false\n"
     assert run(["msep", "--marginal", marginal, "--x", "bad-token", "--y", "Y:0"]) == 1
+
+
+def test_msep_names_variables_that_contain_a_colon(tmp_path, capsys):
+    """project-admg writes a variable named 'a:b'; msep reads the offset
+    after the last colon of 'a:b:1' and answers as m_separated does on the
+    written marginal."""
+    graph, marginal = tmp_path / "g.json", tmp_path / "m.json"
+    graph.write_text(json.dumps({
+        "variables": ["a:b", "c", "d"],
+        "directed": [["a:b", "c", 1], ["a:b", "a:b", 1], ["d", "c", 0], ["d", "a:b", 2]],
+    }))
+    assert run(["project-admg", "--graph", str(graph), "--observed", "a:b,c",
+                "--window", "1", "--out", str(marginal)]) == 0
+    g = parse_mixed_graph(marginal.read_text())
+    vertices = sorted(g.vertices)
+    assert TsVertex("a:b", 1) in vertices and g.bidirected
+    def token(v):
+        return f"{v.var}:{v.offset}"
+
+    answers = set()
+    for x, y in itertools.combinations(vertices, 2):
+        for z in [[]] + [[v] for v in vertices if v not in (x, y)]:
+            argv = ["msep", "--marginal", str(marginal), "--x", token(x), "--y", token(y),
+                    "--z", ",".join(map(token, z))]
+            assert run(argv) == 0
+            expected = m_separated(g, [x], [y], z)
+            assert capsys.readouterr().out == ("true\n" if expected else "false\n"), argv
+            answers.add(expected)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {
+                "vertices": [["X", 0], ["Y", 0]],
+                "directed": [[["X", 1], ["X", 0]], [["Y", 5], ["Y", 0]], [["Z", 2], ["Y", 0]]],
+            },
+            "error: edge endpoint X:1 is not a vertex\n",
+        ),
+        (
+            {
+                "vertices": [["X", 0], ["Y", 0], ["Z", 0]],
+                "directed": [[["Z", 0], ["Z", 0]], [["Y", 0], ["Y", 0]]],
+                "bidirected": [[["X", 0], ["X", 0]]],
+            },
+            "error: self edge at X:0\n",
+        ),
+    ],
+    ids=["missing-endpoint", "self-edge"],
+)
+def test_bad_edge_message_does_not_depend_on_string_hashing(tmp_path, doc, message):
+    """Of several bad edges, the least in sorted order is reported, naming
+    only the vertex at fault, whatever order the edge sets iterate in."""
+    marginal = tmp_path / "m.json"
+    marginal.write_text(json.dumps(doc))
+    src = str(Path(tsproject.__file__).parents[1])
+    argv = [sys.executable, "-m", "tsproject.cli", "msep", "--marginal", str(marginal),
+            "--x", "X:0", "--y", "Y:0"]
+    for seed in ("1", "2", "5"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", message), seed
 
 
 @pytest.mark.parametrize(
