@@ -14,7 +14,7 @@ window.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 import networkx as nx
 
@@ -149,12 +149,29 @@ class WalkWeights:
     """
 
     def __init__(self, tpl: TsGraphTemplate, depth: int):
+        self._fill(tpl, depth, None)
+
+    @classmethod
+    def from_cycle_classes(
+        cls, tpl: TsGraphTemplate, depth: int, classes: Iterable[CycleClass]
+    ) -> WalkWeights:
+        """The engine of ``WalkWeights(tpl, depth)``, for a caller that holds
+        the cycle classes of ``build_mw_summary(tpl)`` already."""
+        engine = cls.__new__(cls)
+        engine._fill(tpl, depth, classes)
+        return engine
+
+    def _fill(
+        self, tpl: TsGraphTemplate, depth: int, classes: Optional[Iterable[CycleClass]]
+    ) -> None:
         if depth < 0:
             raise ValidationError("depth must be non-negative")
         if depth > _MAX_WALK_DEPTH:
             raise ValidationError(
                 f"search depth {depth} exceeds the walk-weight limit of {_MAX_WALK_DEPTH}"
             )
+        if classes is None:
+            classes = enumerate_cycle_classes(build_mw_summary(tpl))
         self.tpl = tpl
         self.depth = depth
         mask = (1 << (depth + 1)) - 1
@@ -163,7 +180,7 @@ class WalkWeights:
             if src != dst:
                 in_edges[dst].append((src, lag))
         cycle_weights: dict[str, set[int]] = {v: set() for v in tpl.variables}
-        for c in enumerate_cycle_classes(build_mw_summary(tpl)):
+        for c in classes:
             for v in c.node_set:
                 cycle_weights[v].update(c.weights)
         closing: dict[str, list[int]] = {}

@@ -34,6 +34,7 @@ from .summary_mwdg import ConeTuple
 from .ts_projection import (
     canonical_ts_dag,
     cutoff_bound,
+    cutoff_walk_weights,
     marginal_ts_admg,
     marginal_ts_dmag,
 )
@@ -88,13 +89,10 @@ def _emit_graph(graph, args) -> None:
         _write(args.dot, graph.to_dot())
 
 
-def _window_engine(args, tpl, x: int) -> Optional[WalkWeights]:
-    """``--method window``: walk weights on the canonical ts-DAG of ``tpl`` to
+def _window_engine(args, ctpl, x: int) -> Optional[WalkWeights]:
+    """``--method window``: walk weights on the canonical ts-DAG ``ctpl`` to
     the cutoff depth of the window or lag ``x``; None for ``--method dioph``."""
-    if args.method == "dioph":
-        return None
-    ctpl = canonical_ts_dag(tpl)
-    return WalkWeights(ctpl, cutoff_bound(ctpl, x).p_cut + x)
+    return None if args.method == "dioph" else cutoff_walk_weights(ctpl, x)
 
 
 def _cmd_project(args) -> int:
@@ -102,8 +100,11 @@ def _cmd_project(args) -> int:
     observed = [v for v in args.observed.split(",") if v]
     # chosen per call, so that wrappers of the globals (perfbench/tracer.py) see it
     project = marginal_ts_dmag if args.command == "project-dmag" else marginal_ts_admg
-    engine = _window_engine(args, tpl, args.window)
-    _emit_graph(project(tpl, observed, args.window, engine), args)
+    ctpl = canonical_ts_dag(tpl)
+    engine = _window_engine(args, ctpl, args.window)
+    for v in observed:  # ctpl also names the auxiliary latents
+        tpl.index(v)
+    _emit_graph(project(ctpl, observed, args.window, engine), args)
     return 0
 
 

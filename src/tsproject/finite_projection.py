@@ -3,12 +3,14 @@
 Implements the ADMG latent projection, the canonical-DAG construction,
 m-separation, inducing paths, and the DMAG latent projection of an ADMG.
 
-The projections and separation queries number the vertices once per call, in
-sorted order, and carry vertex sets as int masks (bit n stands for the n-th
-vertex), with one parent, child and sibling mask per vertex.  Plain
-reachability, such as the ancestors of Z or the ancestor mask of each vertex
-in :func:`dmag_project`, is :func:`graph_model.reach` on the parent or child
-masks.
+The projections and separation queries work on :class:`_Index`, a graph as
+int masks: the vertices numbered in sorted order (bit n stands for the n-th
+vertex), with one parent, child and sibling mask per vertex.  The latent
+projection and the DMAG are kernels from one index to the next
+(:func:`_latent_project`, :func:`_dmag`), so a pipeline of them, here or in
+:mod:`tsproject.ts_projection`, builds one :class:`FiniteMixedGraph` and
+runs its checks once, at the end.  Plain reachability, such as the ancestors
+of Z, is :func:`graph_model.reach` on the parent or child masks.
 
 m-separation (:func:`m_separated`) and inducing paths
 (:func:`has_inducing_path`) are decided by one two-mark walk: reachability
@@ -16,23 +18,24 @@ over (vertex, entered-with-arrowhead) states, run on one frontier mask per
 arrowhead mark; this is equivalent to the path-based definitions and
 polynomial, instead of path enumeration.
 
-The DMAG projection (:func:`dmag_project`) runs no walk per pair.  It works
-on the ADMG latent projection, which keeps m-separation and ancestry among
-the observed vertices, and uses the MAG adjacency criterion of Richardson &
-Spirtes, "Ancestral graph Markov models" (Ann. Statist. 2002): i and j are
-adjacent iff they are adjacent in the ADMG or it has a collider path
-i *-> c1 <-> ... <-> ck <-* j whose colliders all lie in An({i, j}).  The
-colliders reachable from i by sibling steps name the candidate j's, and one
-masked reachability per candidate checks the ancestor condition.
+The DMAG runs no walk per pair.  It works on the ADMG latent projection,
+which keeps m-separation and ancestry among the observed vertices, and uses
+the MAG adjacency criterion of Richardson & Spirtes, "Ancestral graph Markov
+models" (Ann. Statist. 2002): i and j are adjacent iff they are adjacent in
+the ADMG or it has a collider path i *-> c1 <-> ... <-> ck <-* j whose
+colliders all lie in An({i, j}).  The colliders reachable from i by sibling
+steps name the candidate j's, and one masked reachability per candidate
+checks the ancestor condition.
 
-:func:`ancestors` stays on vertex sets: it runs on unrolled windows of
-thousands of steps, where one n-bit mask per vertex would take quadratic
-memory.
+:func:`ancestors` stays on vertex sets, as does
+:func:`graph_model.unroll_window`: the oracles unroll windows of thousands of
+steps, where one n-bit mask per vertex would take quadratic memory.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from typing import Iterable
 
 from .graph_model import FiniteMixedGraph, TsVertex, ValidationError, bits, encode, reach
@@ -58,27 +61,128 @@ def ancestors(g: FiniteMixedGraph, seeds: Iterable[TsVertex]) -> frozenset[TsVer
 
 
 class _Index:
-    """The vertices of a finite graph numbered in sorted order, with one
-    parent, child and sibling (bidirected neighbour) mask per vertex; ancestors
-    are :func:`graph_model.reach` over parents (:func:`ancestors` uses sets)."""
+    """A finite mixed graph as int masks: its vertices in sorted order, bit n
+    standing for ``vertices[n]``, with one parent and one sibling
+    (bidirected neighbour) mask per vertex, the child masks derived from the
+    parents on first use, and the ``var_order`` of :meth:`graph`."""
 
-    def __init__(self, g: FiniteMixedGraph):
-        self.vertices = sorted(g.vertices)
-        self.pos = {v: n for n, v in enumerate(self.vertices)}
-        n = len(self.vertices)
-        self.parents = [0] * n
-        self.children = [0] * n
-        self.siblings = [0] * n
-        pos = self.pos
+    def __init__(self, vertices: list[TsVertex], parents: list[int], siblings: list[int],
+                 var_order: tuple[str, ...]):
+        self.vertices = vertices
+        self.parents = parents
+        self.siblings = siblings
+        self.var_order = var_order
+
+    @classmethod
+    def of(cls, g: FiniteMixedGraph) -> _Index:
+        vertices = sorted(g.vertices)
+        pos = {v: n for n, v in enumerate(vertices)}
+        parents = [0] * len(vertices)
+        siblings = [0] * len(vertices)
         for u, v in g.directed:
-            self.parents[pos[v]] |= 1 << pos[u]
-            self.children[pos[u]] |= 1 << pos[v]
+            parents[pos[v]] |= 1 << pos[u]
         for u, v in g.bidirected:
-            self.siblings[pos[u]] |= 1 << pos[v]
-            self.siblings[pos[v]] |= 1 << pos[u]
+            siblings[pos[u]] |= 1 << pos[v]
+            siblings[pos[v]] |= 1 << pos[u]
+        return cls(vertices, parents, siblings, g.var_order)
+
+    @cached_property
+    def children(self) -> list[int]:
+        children = [0] * len(self.vertices)
+        for v, mask in enumerate(self.parents):
+            for u in bits(mask):
+                children[u] |= 1 << v
+        return children
 
     def mask(self, vertices: Iterable[TsVertex]) -> int:
-        return encode(vertices, self.pos)
+        return encode(vertices, {v: n for n, v in enumerate(self.vertices)})
+
+    def graph(self) -> FiniteMixedGraph:
+        """The graph of these masks; its constructor runs every check on it."""
+        vs = self.vertices
+        directed = [(vs[u], vs[v]) for v, mask in enumerate(self.parents) for u in bits(mask)]
+        bidirected = [
+            (vs[u], vs[v]) for u, mask in enumerate(self.siblings) for v in bits(mask & -(2 << u))
+        ]
+        return FiniteMixedGraph(
+            frozenset(vs), frozenset(directed), frozenset(bidirected), var_order=self.var_order
+        )
+
+
+def _latent_project(index: _Index, keep: int) -> _Index:
+    """The ADMG latent projection of ``index`` onto the vertices of the mask
+    ``keep``, numbered in the same order (see :func:`admg_latent_project`)."""
+    n = len(index.vertices)
+    if keep == (1 << n) - 1:  # nothing is latent
+        return index
+    parents, siblings = index.parents, index.siblings
+    latents = ((1 << n) - 1) & ~keep
+    obs = list(bits(keep))
+    rank = dict(zip(obs, range(len(obs))))
+
+    def renumber(mask: int) -> int:
+        out = 0
+        for x in bits(mask):
+            out |= 1 << rank[x]
+        return out
+
+    # src: per observed i, i itself plus every latent x with a directed path
+    # x -> ... -> i through latent intermediates; i's parents in the
+    # projection are the observed parents of src.  sib: every vertex with a
+    # bidirected edge to a member of src; sinks[x]: every observed i with x
+    # in its src.
+    src, up, sib = [], [], []
+    sinks = [0] * n
+    for i in obs:
+        source = reach(parents, 1 << i, latents)
+        p = b = 0
+        for x in bits(source):
+            p |= parents[x]
+            b |= siblings[x]
+            sinks[x] |= 1 << i
+        src.append(source)
+        up.append(renumber(p & keep))
+        sib.append(b)
+    # i <-> j iff src[j] meets src[i] - i (a latent common source) or sib[i];
+    # the relation is symmetric, so each side finds the other
+    side = []
+    for r, i in enumerate(obs):
+        partners = 0
+        for x in bits((src[r] & ~(1 << i)) | sib[r]):
+            partners |= sinks[x]
+        side.append(renumber(partners & ~(1 << i)))
+    return _Index([index.vertices[i] for i in obs], up, side, index.var_order)
+
+
+def _dmag(index: _Index) -> _Index:
+    """The DMAG of the ADMG ``index`` over all its vertices (see
+    :func:`dmag_project`)."""
+    parents, children, siblings = index.parents, index.children, index.siblings
+    n = len(index.vertices)
+    anc = [reach(parents, 1 << k, -1) for k in range(n)]
+    mag_parents = [0] * n
+    mag_siblings = [0] * n
+    for i in range(n):
+        into_i = children[i] | siblings[i]
+        adjacent = parents[i] | into_i
+        # every possible collider of a collider path from i, before the
+        # ancestor condition; a j that is not adjacent needs an edge into one
+        candidates = adjacent
+        for c in bits(reach(siblings, into_i, ~(1 << i))):
+            candidates |= parents[c] | siblings[c]
+        for j in bits(candidates & -(2 << i)):
+            if not adjacent >> j & 1:
+                inner = (anc[i] | anc[j]) & ~((1 << i) | (1 << j))
+                if not reach(siblings, into_i & inner, inner) & (children[j] | siblings[j]):
+                    continue
+            if anc[j] >> i & 1:
+                mag_parents[j] |= 1 << i
+            elif anc[i] >> j & 1:
+                mag_parents[i] |= 1 << j
+            else:
+                mag_siblings[i] |= 1 << j
+                mag_siblings[j] |= 1 << i
+    return _Index(index.vertices, mag_parents, mag_siblings, index.var_order)
 
 
 def admg_latent_project(
@@ -96,49 +200,8 @@ def admg_latent_project(
     observed = frozenset(observed)
     if not observed <= g.vertices:
         raise ValidationError("observed set is not a subset of the vertices")
-    index = _Index(g)
-    verts = index.vertices
-    obs_mask = index.mask(observed)
-    latents = ((1 << len(verts)) - 1) & ~obs_mask
-
-    directed = set()
-    # down: the children of i and of the latents that i reaches through
-    # latents, the ends of the directed paths from i with latent middle
-    # vertices.  src[i]: i itself plus every latent x with a directed path
-    # x -> ... -> i through latent intermediates, the admissible sources of a
-    # confounding path ending at i; sib[i]: every vertex with a bidirected
-    # edge to one of them; sinks[x]: every observed i with x in src[i].
-    src: dict[int, int] = {}
-    sib: dict[int, int] = {}
-    sinks = [0] * len(verts)
-    obs = list(bits(obs_mask))
-    for i in obs:
-        down = 0
-        for x in bits(reach(index.children, 1 << i, latents)):
-            down |= index.children[x]
-        directed.update((verts[i], verts[j]) for j in bits(down & obs_mask))
-        src[i] = reach(index.parents, 1 << i, latents)
-        s = 0
-        for x in bits(src[i]):
-            s |= index.siblings[x]
-            sinks[x] |= 1 << i
-        sib[i] = s
-
-    # i <-> j iff src[j] meets src[i] - i (a latent common source) or sib[i]
-    bidirected = set()
-    for i in obs:
-        partners = 0
-        for x in bits((src[i] & ~(1 << i)) | sib[i]):
-            partners |= sinks[x]
-        for j in bits(partners & -(2 << i)):
-            bidirected.add((verts[i], verts[j]))
-
-    return FiniteMixedGraph(
-        vertices=observed,
-        directed=frozenset(directed),
-        bidirected=frozenset(bidirected),
-        var_order=g.var_order,
-    )
+    index = _Index.of(g)
+    return _latent_project(index, index.mask(observed)).graph()
 
 
 def canonical_dag(g: FiniteMixedGraph) -> FiniteMixedGraph:
@@ -224,7 +287,7 @@ def m_separated(
             raise ValidationError(f"{name} is not a subset of the vertices")
     if x & y or x & z or y & z:
         raise ValidationError("X, Y, Z must be pairwise disjoint")
-    index = _Index(g)
+    index = _Index.of(g)
     return not _walk_reachable(
         index,
         sources=index.mask(x),
@@ -247,7 +310,7 @@ def has_inducing_path(
         raise ValidationError("inducing-path query requires distinct endpoints")
     if not latents <= g.vertices - {i, j}:
         raise ValidationError("latents must be a subset of the vertices minus the endpoints")
-    index = _Index(g)
+    index = _Index.of(g)
     return _walk_reachable(
         index,
         sources=index.mask({i}),
@@ -270,34 +333,5 @@ def dmag_project(g: FiniteMixedGraph, observed: Iterable[TsVertex]) -> FiniteMix
     observed = frozenset(observed)
     if observed != g.vertices - g.latent:
         raise ValidationError("observed must equal the non-latent vertices")
-    index = _Index(admg_latent_project(g, observed))
-    verts = index.vertices
-    anc = [reach(index.parents, 1 << k, -1) for k in range(len(verts))]
-    parents, children, siblings = index.parents, index.children, index.siblings
-    directed = set()
-    bidirected = set()
-    for i in range(len(verts)):
-        into_i = children[i] | siblings[i]
-        adjacent = parents[i] | into_i
-        # every possible collider of a collider path from i, before the
-        # ancestor condition; a j that is not adjacent needs an edge into one
-        candidates = adjacent
-        for c in bits(reach(siblings, into_i, ~(1 << i))):
-            candidates |= parents[c] | siblings[c]
-        for j in bits(candidates & -(2 << i)):
-            if not adjacent >> j & 1:
-                inner = (anc[i] | anc[j]) & ~((1 << i) | (1 << j))
-                if not reach(siblings, into_i & inner, inner) & (children[j] | siblings[j]):
-                    continue
-            if anc[j] >> i & 1:
-                directed.add((verts[i], verts[j]))
-            elif anc[i] >> j & 1:
-                directed.add((verts[j], verts[i]))
-            else:
-                bidirected.add((verts[i], verts[j]))
-    return FiniteMixedGraph(
-        vertices=observed,
-        directed=frozenset(directed),
-        bidirected=frozenset(bidirected),
-        var_order=g.var_order,
-    )
+    index = _Index.of(g)
+    return _dmag(_latent_project(index, index.mask(observed))).graph()

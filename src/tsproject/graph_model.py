@@ -230,14 +230,23 @@ class FiniteMixedGraph:
     def __post_init__(self) -> None:
         # a plain (var, offset) tuple equals its TsVertex and would pass the
         # checks below, and TsVertex('X', True) equals TsVertex('X', 1)
-        for group in (self.vertices, self.latent, *self.directed, *self.bidirected):
-            for v in group:
-                if not isinstance(v, TsVertex):
-                    raise ValidationError(f"{v!r} is not a TsVertex")
-                if not isinstance(v.var, str):
-                    raise ValidationError(f"variable name of vertex {v!r} must be a string")
-                if type(v.offset) is not int or v.offset < 0:  # bool is an int subclass
-                    raise ValidationError(f"offset of vertex {v!r} must be a non-negative integer")
+        bad = [
+            v
+            for group in (self.vertices, self.latent, *self.directed, *self.bidirected)
+            for v in group
+            if not isinstance(v, TsVertex)
+            or not isinstance(v.var, str)
+            or type(v.offset) is not int  # bool is an int subclass
+            or v.offset < 0
+        ]
+        if bad:
+            v = min(bad, key=repr)  # so that the message does not follow set order
+            if not isinstance(v, TsVertex):
+                raise ValidationError(f"{v!r} is not a TsVertex")
+            name = f"{v.var}:{v.offset}"
+            if not isinstance(v.var, str):
+                raise ValidationError(f"variable name of vertex {name} must be a string")
+            raise ValidationError(f"offset of vertex {name} must be a non-negative integer")
         object.__setattr__(
             self, "bidirected", frozenset((u, v) if u <= v else (v, u) for u, v in self.bidirected)
         )

@@ -5,25 +5,32 @@ entries by auxiliary latent variables (canonical ts-DAG), compute the marginal
 over all variables on the window via common-ancestor queries against the
 infinite past, then apply the finite ADMG latent projection to the requested
 observed variables.  The DMAG variant projects that marginal ADMG onto its
-maximal ancestral graph (:func:`finite_projection.dmag_project`).
+maximal ancestral graph.
+
+The pipeline carries one mask graph (:class:`finite_projection._Index`)
+from start to finish: the window marginal is written as masks straight from
+the template entries and the engine's answers, the latent projection and the
+DMAG are mask kernels on it, and one :class:`FiniteMixedGraph`, the result,
+is built at the end, so its checks run once.  The oracles' windows run to the
+cutoff p_cut + p, so :func:`graph_model.unroll_window` stays on vertex sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .ancestor_query import CommonAncestorEngine, WalkWeights
-from .finite_projection import admg_latent_project, dmag_project
+from .finite_projection import _dmag, _Index, _latent_project
 from .graph_model import (
     FiniteMixedGraph,
     TsGraphTemplate,
     TsVertex,
     ValidationError,
     make_template,
-    unroll_window,
 )
-from .summary_mwdg import build_mw_summary, enumerate_cycle_classes
+from .summary_mwdg import CycleClass, build_mw_summary, enumerate_cycle_classes
 
 
 def canonical_ts_dag(tpl: TsGraphTemplate) -> TsGraphTemplate:
@@ -69,46 +76,79 @@ def simple_marginal_ts_admg(
     :class:`CommonAncestorEngine` on ``tpl`` and must be built on ``tpl``;
     either engine rejects a ts-ADMG in its ``build_mw_summary``.
     """
+    return _window_marginal(tpl, p, engine).graph()
+
+
+def _window_marginal(
+    tpl: TsGraphTemplate, p: int, engine: Optional[CommonAncestorEngine | WalkWeights]
+) -> _Index:
+    """:func:`simple_marginal_ts_admg` as masks: (v, off) is bit
+    n * (p + 1) + off for the n-th variable in sorted order, the vertex
+    order of :class:`_Index`."""
     if p < 0:
         raise ValidationError("window length must be non-negative")
     engine = engine or CommonAncestorEngine(tpl)
     if engine.tpl != tpl:
         raise ValidationError("the engine was built on another template")
-    segment = unroll_window(tpl, p)
+    width = p + 1
+    names = sorted(tpl.variables)
+    first = {v: n * width for n, v in enumerate(names)}
+    parents = [0] * (len(names) * width)
+    siblings = [0] * len(parents)
 
     in_lags: dict[str, list[tuple[str, int]]] = {v: [] for v in tpl.variables}
     for src, lag, dst in sorted(tpl.directed_t):
         in_lags[dst].append((src, lag))
+        for off in range(width - lag):
+            parents[first[dst] + off] |= 1 << (first[src] + off + lag)
 
+    # a variable without parents (every auxiliary latent) has no pairs
     idx = {v: n for n, v in enumerate(tpl.variables)}
-    bidirected = set()
-    for dt in range(p + 1):
-        last = p - dt
-        for i in tpl.variables:
-            for j in tpl.variables:
-                if dt == 0 and idx[i] >= idx[j]:
-                    continue
+    fed = [v for v in tpl.variables if in_lags[v]]
+    for i in fed:
+        for j in fed:
+            pairs = [(k, li, l, lj) for k, li in in_lags[i] for l, lj in in_lags[j]]
+            for dt in range(0 if idx[i] < idx[j] else 1, width):
+                last = p - dt
                 # a stable sort: pairs of equal start stay in in_lags order
-                pairs = sorted(
+                starts = sorted(
                     (
-                        (max(0, p + 1 - dt - lag_i, p + 1 - lag_j), k, dt + lag_i - lag_j, l)
-                        for k, lag_i in in_lags[i]
-                        for l, lag_j in in_lags[j]
+                        (max(0, width - dt - li, width - lj), k, dt + li - lj, l)
+                        for k, li, l, lj in pairs
                     ),
-                    key=lambda pair: pair[0],
+                    key=itemgetter(0),
                 )
-                for start, k, d, l in pairs:
+                for start, k, d, l in starts:
                     if start > last:
                         break
                     if (k == l and d == 0) or (
                         engine.query(k, d, l) if d >= 0 else engine.query(l, -d, k)
                     ):
-                        bidirected.update(
-                            (TsVertex(i, off + dt), TsVertex(j, off))
-                            for off in range(start, last + 1)
-                        )
+                        for off in range(start, last + 1):
+                            u, v = first[i] + off + dt, first[j] + off
+                            siblings[u] |= 1 << v
+                            siblings[v] |= 1 << u
                         break
-    return replace(segment, bidirected=frozenset(bidirected))
+    vertices = [TsVertex(v, off) for v in names for off in range(width)]
+    return _Index(vertices, parents, siblings, tpl.variables)
+
+
+def _marginal(
+    tpl: TsGraphTemplate,
+    observed_vars: Iterable[str],
+    p: int,
+    engine: Optional[CommonAncestorEngine | WalkWeights],
+) -> _Index:
+    """:func:`marginal_ts_admg` as masks."""
+    observed_vars = tuple(dict.fromkeys(observed_vars))
+    if not observed_vars:
+        raise ValidationError("observed variable set must be non-empty")
+    for v in observed_vars:
+        tpl.index(v)
+    ctpl = canonical_ts_dag(tpl)
+    full = _window_marginal(ctpl, p, engine)
+    keep = full.mask(TsVertex(var, off) for var in observed_vars for off in range(p + 1))
+    return _latent_project(full, keep)
 
 
 def marginal_ts_admg(
@@ -122,17 +162,7 @@ def marginal_ts_admg(
     ``engine``, if given, answers the common-ancestor queries and must be
     built on ``canonical_ts_dag(tpl)``.
     """
-    observed_vars = tuple(dict.fromkeys(observed_vars))
-    if not observed_vars:
-        raise ValidationError("observed variable set must be non-empty")
-    for v in observed_vars:
-        tpl.index(v)
-    ctpl = canonical_ts_dag(tpl)
-    full = simple_marginal_ts_admg(ctpl, p, engine)
-    keep = frozenset(
-        TsVertex(var, off) for var in observed_vars for off in range(p + 1)
-    )
-    return admg_latent_project(full, keep)
+    return _marginal(tpl, observed_vars, p, engine).graph()
 
 
 def marginal_ts_dmag(
@@ -142,8 +172,7 @@ def marginal_ts_dmag(
     engine: Optional[CommonAncestorEngine | WalkWeights] = None,
 ) -> FiniteMixedGraph:
     """Marginal ts-DMAG: the DMAG of the marginal ts-ADMG, with the same ``engine``."""
-    marginal = marginal_ts_admg(tpl, observed_vars, p, engine)
-    return dmag_project(marginal, marginal.vertices)
+    return _dmag(_marginal(tpl, observed_vars, p, engine)).graph()
 
 
 @dataclass(frozen=True)
@@ -170,10 +199,23 @@ def cutoff_bound(tpl: TsGraphTemplate, p: int) -> CutoffQuantities:
     class is its largest entry, and the largest weight of a cycle-free path
     is the sum of the largest lags of its edges.  ``build_mw_summary`` rejects
     a ts-ADMG."""
+    return _cutoff(tpl, p)[0]
+
+
+def cutoff_walk_weights(tpl: TsGraphTemplate, p: int) -> WalkWeights:
+    """``WalkWeights(tpl, cutoff_bound(tpl, p).p_cut + p)``, exact for the
+    window [t-p, t], from one summary graph and one cycle-class enumeration."""
+    q, classes = _cutoff(tpl, p)
+    return WalkWeights.from_cycle_classes(tpl, q.p_cut + p, classes)
+
+
+def _cutoff(tpl: TsGraphTemplate, p: int) -> tuple[CutoffQuantities, frozenset[CycleClass]]:
+    """:func:`cutoff_bound`, and the cycle classes it read."""
     if p < 0:
         raise ValidationError("window length must be non-negative")
     summary = build_mw_summary(tpl)
-    maxima = [max(c.weights) for c in enumerate_cycle_classes(summary)]
+    classes = enumerate_cycle_classes(summary)
+    maxima = [max(c.weights) for c in classes]
     big_k = max(maxima, default=0)
     big_m = sum(maxima)
     big_l = max(
@@ -182,4 +224,4 @@ def cutoff_bound(tpl: TsGraphTemplate, p: int) -> CutoffQuantities:
         for pi in paths
     )
     p_cut = (big_k**2 + 1) * (p + big_l + big_m) + big_k * ((big_k - 1) ** 2 + 1)
-    return CutoffQuantities(K=big_k, L=big_l, M=big_m, p_cut=p_cut)
+    return CutoffQuantities(K=big_k, L=big_l, M=big_m, p_cut=p_cut), classes

@@ -1,12 +1,17 @@
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
+import tsproject
 from tsproject import (
     FiniteMixedGraph,
     TsVertex,
@@ -231,6 +236,39 @@ def test_finite_graph_rejects_bad_vertex_fields(bad, message, where):
     }[where]
     with pytest.raises(ValidationError, match=message):
         FiniteMixedGraph(**{"vertices": frozenset({a, twin}), **fields})
+
+
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        (
+            "TsVertex('a', -1), TsVertex('b', -2), TsVertex('c', 0)",
+            "offset of vertex a:-1 must be a non-negative integer",
+        ),
+        (
+            "TsVertex('b', True), TsVertex(2, 0), TsVertex('c', -3), TsVertex('a', 0)",
+            "offset of vertex b:True must be a non-negative integer",
+        ),
+    ],
+    ids=["offsets", "mixed"],
+)
+def test_bad_vertex_message_does_not_depend_on_string_hashing(vertices, message):
+    """Of several malformed vertices, the least by repr is reported, named
+    var:offset, whatever order the vertex set iterates in."""
+    code = (
+        "from tsproject.graph_model import FiniteMixedGraph, TsVertex, ValidationError\n"
+        "try:\n"
+        f"    FiniteMixedGraph(vertices=frozenset({{{vertices}}}))\n"
+        "except ValidationError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(tsproject.__file__).parents[1])
+    for seed in ("1", "2", "3", "4"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, message + "\n", ""), seed
 
 
 def test_finite_graph_equality_ignores_var_order():

@@ -2,6 +2,7 @@ import pytest
 
 from tsproject import (
     CommonAncestorEngine,
+    FiniteMixedGraph,
     TsVertex,
     ValidationError,
     WalkWeights,
@@ -14,6 +15,7 @@ from tsproject import (
     simple_marginal_ts_admg,
     unroll_window,
 )
+from tsproject.finite_projection import canonical_dag
 from tsproject.oracle_testkit import dmag_by_subset_enumeration, random_template, window_marginal
 
 
@@ -194,6 +196,52 @@ class TestMarginalTsDmag:
         admg_adj = {frozenset(e) for e in admg.directed | admg.bidirected}
         mag_adj = {frozenset(e) for e in mag.directed | mag.bidirected}
         assert admg_adj <= mag_adj
+
+
+    def test_matches_subset_enumeration_on_observed_subsets(self):
+        """The literal DMAG definition on the window marginal at p_cut + p,
+        over proper observed subsets with at most 7 observed vertices, on
+        templates with bidirected entries; windows past 150 steps are
+        skipped."""
+        checked = with_bidirected = 0
+        for seed in range(16):
+            tpl = random_template(
+                seed, n_vars=3, max_lag=2, edge_density=0.25, bidirected_density=0.1
+            )
+            for observed in (tpl.variables[:1], tpl.variables[1:], tpl.variables[::2]):
+                for p in range(7 // len(observed)):
+                    w = cutoff_bound(canonical_ts_dag(tpl), p).p_cut + p
+                    if w > 150:
+                        continue
+                    marginal = window_marginal(tpl, observed, p, w)
+                    expected = dmag_by_subset_enumeration(
+                        canonical_dag(marginal), marginal.vertices
+                    )
+                    mag = marginal_ts_dmag(tpl, observed, p)
+                    assert mag == expected, (seed, observed, p)
+                    checked += 1
+                    with_bidirected += bool(mag.bidirected)
+        assert checked >= 120 and with_bidirected >= 70
+
+
+@pytest.mark.parametrize("project", [marginal_ts_admg, marginal_ts_dmag])
+@pytest.mark.parametrize("name, observed", [("running", "X,Z"), ("fig3", "X1,X3")])
+def test_one_finite_graph_per_projection(monkeypatch, request, project, name, observed):
+    """A projection constructs one FiniteMixedGraph, its result, and every
+    check of the constructor runs on it."""
+    tpl = request.getfixturevalue(f"{name}_tpl")
+    built = []
+    check = FiniteMixedGraph.__post_init__
+
+    def counted(self):
+        check(self)
+        built.append(self)
+
+    monkeypatch.setattr(FiniteMixedGraph, "__post_init__", counted)
+    for variables in (tpl.variables, observed.split(",")):
+        built.clear()
+        result = project(tpl, variables, 2)
+        assert len(built) == 1 and built[0] is result
 
 
 class TestCutoffBound:
