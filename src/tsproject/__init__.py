@@ -10,7 +10,6 @@ brute-force window oracles for cross-checking.
 from .ancestor_query import (
     CommonAncestorEngine,
     WalkWeights,
-    have_common_ancestor,
     lag1_shortcut,
     summary_prefilter,
 )
@@ -56,7 +55,6 @@ from .summary_mwdg import (
     get_monoid,
     monoid_from_generating_set,
     path_weightset,
-    touch_set,
     tuple_sets,
 )
 from .ts_projection import (
@@ -100,7 +98,6 @@ __all__ = [
     "get_monoid",
     "has_inducing_path",
     "has_nonneg_solution",
-    "have_common_ancestor",
     "lag1_shortcut",
     "m_separated",
     "make_template",
@@ -114,7 +111,6 @@ __all__ = [
     "serialize_template",
     "simple_marginal_ts_admg",
     "summary_prefilter",
-    "touch_set",
     "tuple_sets",
     "unroll_window",
 ]

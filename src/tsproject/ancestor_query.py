@@ -78,16 +78,13 @@ class CommonAncestorEngine:
 
         Their union is the union over all of M_pi: for S' <= S in M_pi with
         cl(S') = cl(S), the cone of S lies in the cone of S' (dominance).  The
-        minimal sets come from a level-by-level search that decides
-        membership in M_pi by one traversal and never lists M_pi (prefix
-        lemma); see :mod:`tsproject.summary_mwdg`."""
+        cone terms of the minimal sets come from a level-by-level search that
+        decides membership in M_pi by one traversal and never lists M_pi
+        (prefix lemma); see :mod:`tsproject.summary_mwdg`."""
         if pi not in self._cones:
-            touch = self.goc.touch_mask(pi)
             self._cones[pi] = cone_set(
-                self.goc,
                 path_weightset(self.summary, pi),
-                touch,
-                self.goc.minimal_masks(touch),
+                self.goc.cone_terms(self.goc.touch_mask(pi)),
             )
         return self._cones[pi]
 
@@ -146,24 +143,14 @@ class WalkWeights:
     a cycle that spans several nodes is crossed in a few rounds instead of
     one round per trip around it.  A weight that is a multiple of a smaller
     kept weight adds nothing and is dropped.
+
+    ``classes``, if given, are the cycle classes of ``build_mw_summary(tpl)``,
+    which the engine then does not enumerate again.
     """
 
-    def __init__(self, tpl: TsGraphTemplate, depth: int):
-        self._fill(tpl, depth, None)
-
-    @classmethod
-    def from_cycle_classes(
-        cls, tpl: TsGraphTemplate, depth: int, classes: Iterable[CycleClass]
-    ) -> WalkWeights:
-        """The engine of ``WalkWeights(tpl, depth)``, for a caller that holds
-        the cycle classes of ``build_mw_summary(tpl)`` already."""
-        engine = cls.__new__(cls)
-        engine._fill(tpl, depth, classes)
-        return engine
-
-    def _fill(
-        self, tpl: TsGraphTemplate, depth: int, classes: Optional[Iterable[CycleClass]]
-    ) -> None:
+    def __init__(
+        self, tpl: TsGraphTemplate, depth: int, classes: Optional[Iterable[CycleClass]] = None
+    ):
         if depth < 0:
             raise ValidationError("depth must be non-negative")
         if depth > _MAX_WALK_DEPTH:
@@ -228,11 +215,6 @@ class WalkWeights:
         self.tpl.index(i), self.tpl.index(j)
         anc_j = self.anc[j]
         return any((bits << tau) & anc_j.get(u, 0) for u, bits in self.anc[i].items())
-
-
-def have_common_ancestor(tpl: TsGraphTemplate, i: str, tau: int, j: str) -> bool:
-    """One-shot form of :meth:`CommonAncestorEngine.query`."""
-    return CommonAncestorEngine(tpl).query(i, tau, j)
 
 
 def lag1_shortcut(tpl: TsGraphTemplate, i: str, tau: int, j: str) -> Optional[bool]:

@@ -81,12 +81,12 @@ def _parse_cone_tuple(spec: str) -> ConeTuple:
 
 def _emit_graph(graph, args) -> None:
     text = graph.to_json()
+    if args.dot:  # first, so that a failed write leaves no JSON
+        _write(args.dot, graph.to_dot())
     if args.out:
         _write(args.out, text)
     else:
         sys.stdout.write(text)
-    if args.dot:
-        _write(args.dot, graph.to_dot())
 
 
 def _window_engine(args, ctpl, x: int) -> Optional[WalkWeights]:

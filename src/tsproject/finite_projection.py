@@ -27,9 +27,11 @@ colliders all lie in An({i, j}).  The colliders reachable from i by sibling
 steps name the candidate j's, and one masked reachability per candidate
 checks the ancestor condition.
 
+An index takes memory quadratic in its vertex count, one n-bit mask per
+vertex, so :mod:`tsproject.ts_projection` bounds the window it builds.
 :func:`ancestors` stays on vertex sets, as does
 :func:`graph_model.unroll_window`: the oracles unroll windows of thousands of
-steps, where one n-bit mask per vertex would take quadratic memory.
+steps.
 """
 
 from __future__ import annotations

@@ -26,6 +26,9 @@ pi, and cl(A | B) = cl(A) | cl(B)):
   deepest in a breadth-first search from S & T through S (any class if S
   lies inside T).
 
+The level search over the minimal sets yields their cone terms, the
+distinct (w(S), weights of cl(S)), which :func:`cone_set` turns into cones.
+
 Summary graphs have one node per variable, so one depth-first search, run
 once per graph, lists the simple paths from every node.  Cycle classes, the
 cycle-free paths between two nodes and the longest cycle-free path of the
@@ -36,7 +39,7 @@ gives an output-sensitive cycle search for larger graphs).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
@@ -45,6 +48,7 @@ import networkx as nx
 from .graph_model import TsGraphTemplate, ValidationError, bits, encode, is_acyclic, reach
 
 Path = tuple[str, ...]  # node sequence of a directed path; length 1 = trivial walk
+Term = tuple[tuple[int, ...], tuple[int, ...]]  # (w(S), the weights of cl(S)) of one cone
 
 _MAX_GENERATING_PATHS = 10**6  # only --explain lists M_pi; its paths grow exponentially
 
@@ -120,7 +124,8 @@ class GraphOfCycles:
 
     Sets of classes are also carried as int masks, bit k standing for
     ``classes[k]``; touch sets, access points, closures, monoids and cone
-    coefficients are computed on masks, and each is memoized on its mask.
+    terms are computed on masks.  Three memos, each keyed on a touch mask,
+    hold its accessors, its set monoid and its cone terms.
     """
 
     def __init__(self, classes: Iterable[CycleClass]):
@@ -131,12 +136,9 @@ class GraphOfCycles:
             _touch_mask(c.representative, self.node_masks) & ~(1 << k)
             for k, c in enumerate(self.classes)
         )
-        # per touch mask: its accessor pairs and the mask of its access points
         self._accessors: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
         self._monoids: dict[int, frozenset[int]] = {}
-        self._minimal: dict[int, frozenset[int]] = {}
-        self._sums: dict[int, tuple[int, ...]] = {0: (0,)}
-        self._coeffs: dict[int, tuple[int, ...]] = {}
+        self._terms: dict[int, frozenset[Term]] = {}
 
     @property
     def edges(self) -> frozenset[frozenset[CycleClass]]:
@@ -155,10 +157,10 @@ class GraphOfCycles:
     def touch_mask(self, pi: Sequence[str]) -> int:
         return _touch_mask(pi, self.node_masks)
 
-    def accessors(self, touch: int) -> tuple[tuple[int, int], ...]:
-        """``(w_bit, access_mask)`` for each class w outside ``touch`` that has
-        touch-access points: the neighbours of w that some path from ``touch``
-        reaches in GoC - w."""
+    def accessors(self, touch: int) -> tuple[tuple[tuple[int, int], ...], int]:
+        """``(w_bit, access)`` for each class w outside ``touch`` that has
+        touch-access points (the neighbours of w that some path from ``touch``
+        reaches in GoC - w), and the mask of all touch-access points."""
         if touch not in self._accessors:
             pairs, points = [], 0
             for k, adj_w in enumerate(self._adj):
@@ -170,17 +172,12 @@ class GraphOfCycles:
                     pairs.append((w, access))
                     points |= access
             self._accessors[touch] = tuple(pairs), points
-        return self._accessors[touch][0]
-
-    def access_mask(self, touch: int) -> int:
-        """All touch-access points."""
-        self.accessors(touch)
-        return self._accessors[touch][1]
+        return self._accessors[touch]
 
     def closure_mask(self, subset: int, touch: int) -> int:
         """cl(S) = S | touch | every w outside touch with a touch-access point in S."""
         mask = subset | touch
-        for w, access in self.accessors(touch):
+        for w, access in self.accessors(touch)[0]:
             if access & subset:
                 mask |= w
         return mask
@@ -201,7 +198,7 @@ class GraphOfCycles:
         """The set monoid for a touch set: union closure of the node sets of
         its generating paths.  Over ``_MAX_GENERATING_PATHS`` paths raise ValidationError."""
         if touch not in self._monoids:
-            paths = self.generating_paths(touch, self.access_mask(touch))
+            paths = self.generating_paths(touch, self.accessors(touch)[1])
             monoid = _union_closure(mask for mask, _ in islice(paths, _MAX_GENERATING_PATHS))
             if next(paths, None) is not None:
                 raise ValidationError(
@@ -215,13 +212,15 @@ class GraphOfCycles:
         """Whether ``subset`` is in the set monoid of ``touch``: it holds only
         access points, and each of its classes outside ``touch`` is joined to
         ``subset & touch`` through classes of ``subset``."""
-        if subset & ~self.access_mask(touch):
+        if subset & ~self.accessors(touch)[1]:
             return False
         return reach(self._adj, subset & touch, subset & ~touch) == subset
 
-    def minimal_masks(self, touch: int) -> frozenset[int]:
-        """The inclusion-minimal members of the set monoid of ``touch`` for
-        each closure: the S in M with no S' < S in M and cl(S') = cl(S).
+    def cone_terms(self, touch: int) -> frozenset[Term]:
+        """The distinct ``(w(S), coeffs)`` over the inclusion-minimal members
+        S of the set monoid of ``touch`` for each closure (no S' < S in M has
+        cl(S') = cl(S)): w(S) is the Minkowski sum of the weight sets of the
+        classes in S, coeffs the weights of the classes in cl(S) in class order.
 
         The search grows the sets one class at a time, level by level from
         the empty set, and keeps a grown set only if it is minimal; by the
@@ -229,9 +228,10 @@ class GraphOfCycles:
         than a minimal set, so no minimal set is missed.  A set t is not
         minimal iff some class y of t leaves t - y in M with f(y) inside
         ``touch`` | f(t - y), where f(x) = cl({x}) and cl distributes over
-        unions."""
-        if touch not in self._minimal:
-            points = self.access_mask(touch)
+        unions.  So a grown set t = s | x carries its closure cl(s) | f(x)
+        and its weight sum w(s) + w(x) forward from s."""
+        if touch not in self._terms:
+            points = self.accessors(touch)[1]
             single = {k: self.closure_mask(1 << k, touch) & ~touch for k in bits(points)}
 
             def minimal(t: int) -> bool:
@@ -250,12 +250,12 @@ class GraphOfCycles:
             # minimal
             adds: dict[int, int] = {}
             # level: each kept set of the current size, with its closure
-            # outside touch
-            kept, level = {0}, {0: 0}
+            # outside touch and its weight sum
+            kept, level = {(0, (0,))}, {0: (0, (0,))}
             while level:
                 tried: set[int] = set()
                 grown = {}
-                for s, cl in level.items():
+                for s, (cl, sums) in level.items():
                     if cl not in adds:
                         adds[cl] = sum(1 << k for k, f in single.items() if f & ~cl)
                     near = touch
@@ -268,32 +268,15 @@ class GraphOfCycles:
                         if t not in tried:
                             tried.add(t)
                             if minimal(t):
-                                grown[t] = cl | single[x]
-                kept.update(grown)
+                                sums_t = _minkowski(sums, self.classes[x].weights)
+                                grown[t] = cl | single[x], sums_t
+                kept.update(grown.values())
                 level = grown
-            self._minimal[touch] = frozenset(kept)
-        return self._minimal[touch]
-
-    def weight_sum(self, subset: int) -> tuple[int, ...]:
-        """Minkowski sum of the weight sets of the classes in ``subset``."""
-        chain, mask = [], subset
-        while mask not in self._sums:
-            chain.append(mask)
-            mask &= mask - 1
-        for mask in reversed(chain):
-            low = mask & -mask
-            self._sums[mask] = _minkowski(
-                self._sums[mask ^ low], self.classes[low.bit_length() - 1].weights
+            self._terms[touch] = frozenset(
+                (sums, tuple(w for k in bits(cl | touch) for w in self.classes[k].weights))
+                for cl, sums in kept
             )
-        return self._sums[subset]
-
-    def coeffs(self, subset: int) -> tuple[int, ...]:
-        """The weights of the classes in ``subset``, concatenated in class order."""
-        if subset not in self._coeffs:
-            self._coeffs[subset] = tuple(
-                w for k in bits(subset) for w in self.classes[k].weights
-            )
-        return self._coeffs[subset]
+        return self._terms[touch]
 
 
 def _decode(mask: int, universe: Sequence) -> frozenset:
@@ -384,16 +367,10 @@ def path_weightset(s: MwSummaryGraph, pi: Sequence[str]) -> tuple[int, ...]:
     return weights
 
 
-def touch_set(pi: Sequence[str], classes: Iterable[CycleClass]) -> frozenset[CycleClass]:
-    """Cycle classes that share at least one node with the walk ``pi``."""
-    classes = tuple(classes)
-    return _decode(_touch_mask(pi, _node_masks(classes)), classes)
-
-
 def access_points(goc: GraphOfCycles, s: Iterable[CycleClass]) -> frozenset[CycleClass]:
     """All S-access points: v such that some path from S has v as the
     second-to-last node and ends at a node outside S."""
-    return goc.decode(goc.access_mask(goc.encode(s)))
+    return goc.decode(goc.accessors(goc.encode(s))[1])
 
 
 def generating_set(
@@ -424,7 +401,7 @@ def get_monoid(
     goc: GraphOfCycles,
 ) -> frozenset[frozenset[CycleClass]]:
     """The set monoid M_pi: union closure of the node sets of the generating paths."""
-    touch = goc.encode(touch_set(pi, classes))
+    touch = goc.encode(c for c in classes if c.node_set & set(pi))
     return frozenset(goc.decode(m) for m in goc.monoid_masks(touch))
 
 
@@ -452,19 +429,12 @@ class ConeTuple:
 
 
 def cone_set(
-    goc: GraphOfCycles,
-    weights: Sequence[int],
-    touch: int,
-    subsets: Iterable[int],
+    weights: Sequence[int], terms: Iterable[Term]
 ) -> frozenset[tuple[int, tuple[int, ...]]]:
-    """The distinct ``(a0, coeffs)`` of D_0(pi, S) over the masks S in
-    ``subsets``, for a path pi with weight set ``weights`` and touch mask
-    ``touch``: a0 ranges over w(pi) + w(S), and coeffs are the weights of the
-    classes in cl(S)."""
-    terms = {(goc.weight_sum(subset), goc.closure_mask(subset, touch)) for subset in subsets}
-    return frozenset(
-        (a0, goc.coeffs(cl)) for sums, cl in terms for a0 in _minkowski(weights, sums)
-    )
+    """The distinct ``(a0, coeffs)`` of the cones of a path pi with weight set
+    ``weights``, one cone term ``(w(S), coeffs)`` of
+    :meth:`GraphOfCycles.cone_terms` at a time: a0 ranges over w(pi) + w(S)."""
+    return frozenset((a0, coeffs) for sums, coeffs in terms for a0 in _minkowski(weights, sums))
 
 
 def tuple_sets(
@@ -485,6 +455,10 @@ def tuple_sets(
     Minkowski sum of its weight set, i.e. independent non-negative multiples of
     every individual weight.
     """
-    touch = goc.encode(touch_set(pi, classes))
-    cones = cone_set(goc, path_weightset(s, pi), touch, [goc.encode(subset)])
-    return frozenset(ConeTuple(a0 + tau, coeffs) for a0, coeffs in cones)
+    subset = goc.encode(subset)
+    touch = goc.encode(c for c in classes if c.node_set & set(pi))
+    weights = (goc.classes[k].weights for k in bits(subset))
+    heads = reduce(_minkowski, weights, path_weightset(s, pi))
+    cl = goc.closure_mask(subset, touch)
+    coeffs = tuple(w for k in bits(cl) for w in goc.classes[k].weights)
+    return frozenset(ConeTuple(a0 + tau, coeffs) for a0 in heads)

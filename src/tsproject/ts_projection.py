@@ -32,6 +32,8 @@ from .graph_model import (
 )
 from .summary_mwdg import CycleClass, build_mw_summary, enumerate_cycle_classes
 
+_MAX_WINDOW_VERTICES = 10**5  # n * (p + 1); one mask of that many bits per vertex
+
 
 def canonical_ts_dag(tpl: TsGraphTemplate) -> TsGraphTemplate:
     """Replace each bidirected entry (a, t-lag) <-> (b, t) by a fresh auxiliary
@@ -87,11 +89,15 @@ def _window_marginal(
     order of :class:`_Index`."""
     if p < 0:
         raise ValidationError("window length must be non-negative")
+    width = p + 1
+    names = sorted(tpl.variables)
+    if len(names) * width > _MAX_WINDOW_VERTICES:
+        raise ValidationError(
+            f"{len(names)} x {width} window vertices exceed the limit of {_MAX_WINDOW_VERTICES}"
+        )
     engine = engine or CommonAncestorEngine(tpl)
     if engine.tpl != tpl:
         raise ValidationError("the engine was built on another template")
-    width = p + 1
-    names = sorted(tpl.variables)
     first = {v: n * width for n, v in enumerate(names)}
     parents = [0] * (len(names) * width)
     siblings = [0] * len(parents)
@@ -206,7 +212,7 @@ def cutoff_walk_weights(tpl: TsGraphTemplate, p: int) -> WalkWeights:
     """``WalkWeights(tpl, cutoff_bound(tpl, p).p_cut + p)``, exact for the
     window [t-p, t], from one summary graph and one cycle-class enumeration."""
     q, classes = _cutoff(tpl, p)
-    return WalkWeights.from_cycle_classes(tpl, q.p_cut + p, classes)
+    return WalkWeights(tpl, q.p_cut + p, classes)
 
 
 def _cutoff(tpl: TsGraphTemplate, p: int) -> tuple[CutoffQuantities, frozenset[CycleClass]]:

@@ -7,7 +7,6 @@ from tsproject import (
     build_mw_summary,
     canonical_ts_dag,
     cutoff_bound,
-    have_common_ancestor,
     lag1_shortcut,
     make_template,
     summary_prefilter,
@@ -22,7 +21,7 @@ from tsproject.oracle_testkit import (
 
 def test_running_example_query(running_tpl):
     """X_t and Z_t share the ancestor X_{t-4}."""
-    assert have_common_ancestor(running_tpl, "X", 0, "Z")
+    assert CommonAncestorEngine(running_tpl).query("X", 0, "Z")
 
 
 def test_rejects_bidirected_template(fig3_tpl):

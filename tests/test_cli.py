@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -20,7 +21,6 @@ from tsproject import (
     m_separated,
     parse_mixed_graph,
     serialize_template,
-    touch_set,
 )
 from tsproject.cli import run
 from tsproject.oracle_testkit import random_template
@@ -70,6 +70,41 @@ def test_output_in_a_missing_directory_is_a_validation_error(b1_path, tmp_path, 
     assert f"error: cannot write {target}: " in capsys.readouterr().err
 
 
+def test_a_failed_dot_write_leaves_no_json(b1_path, tmp_path, capsys):
+    """The DOT file is written before the JSON: a run whose --dot target
+    cannot be written prints nothing and creates no --out file."""
+    argv = ["project-admg", "--graph", b1_path, "--observed", "X", "--window", "1",
+            "--dot", str(tmp_path / "missing" / "g.dot")]
+    assert run(argv) == 1
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "g.json"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method, window", [("dioph", "2000000"), ("window", "200000")])
+def test_a_window_over_the_vertex_limit_is_refused_before_allocating(
+    running_path, method, window
+):
+    """running.json has 3 variables, so these windows have 6,000,003 and
+    600,003 vertices, whose masks would take terabytes and gigabytes.  Both
+    methods refuse the window before building one, well inside a 1.5 GB
+    address space."""
+    src = str(Path(tsproject.__file__).parents[1])
+    argv = [sys.executable, "-m", "tsproject.cli", "project-admg", "--graph", running_path,
+            "--observed", "X,Y,Z", "--window", window, "--method", method]
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+    done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120, preexec_fn=limit_memory)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (
+        f"error: 3 x {int(window) + 1} window vertices exceed the limit of 100000\n"
+    )
+
+
 def test_cutoff_output_format(running_path, capsys):
     assert run(["cutoff", "--graph", running_path, "--window", "1"]) == 0
     assert capsys.readouterr().out == "K=3 L=6 M=5 p_cut=135\n"
@@ -117,7 +152,8 @@ def test_ancestor_explain_output_is_pinned(data_dir, name, i, tau, j, capsys):
 
 def test_ancestor_explain_touch_and_monoid_size_match_the_definitions(tmp_path, capsys):
     """touch and monoid_size of every path in the --explain dump, on seeded
-    random templates, against touch_set and get_monoid."""
+    random templates, against the classes that share a node with the path
+    and get_monoid."""
     checked = 0
     for seed in range(12):
         tpl = random_template(seed, n_vars=4, max_lag=2, edge_density=0.3)
@@ -133,7 +169,7 @@ def test_ancestor_explain_touch_and_monoid_size_match_the_definitions(tmp_path, 
             for entry in root["paths_to_i"] + root["paths_to_j"]:
                 pi = tuple(entry["path"])
                 assert entry["touch"] == sorted(
-                    "-".join(c.representative) for c in touch_set(pi, classes)
+                    "-".join(c.representative) for c in classes if c.node_set & set(pi)
                 ), (seed, pi)
                 assert entry["monoid_size"] == len(get_monoid(pi, classes, goc)), (seed, pi)
                 checked += entry["monoid_size"] > 1

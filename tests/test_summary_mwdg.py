@@ -23,7 +23,6 @@ from tsproject import (
     make_template,
     monoid_from_generating_set,
     path_weightset,
-    touch_set,
     tuple_sets,
 )
 from tsproject.diophantine import bounded_representable
@@ -42,6 +41,11 @@ def toy_summary(toy_tpl):
 
 def by_rep(classes):
     return {c.representative: c for c in classes}
+
+
+def literal_touch(pi, classes):
+    """The touch set by definition: the classes that share a node with pi."""
+    return frozenset(c for c in classes if c.node_set & set(pi))
 
 
 def test_summary_collects_lags_per_edge(running_summary):
@@ -122,15 +126,15 @@ def test_path_weightset(running_summary):
 
 def test_toy_touch_set_uses_node_intersection(toy_summary):
     """The walk (1, 2) touches the class on {2, 3} but not the one on {3, 4}."""
-    classes = enumerate_cycle_classes(toy_summary)
-    touch = touch_set(("1", "2"), classes)
+    goc = build_graph_of_cycles(enumerate_cycle_classes(toy_summary))
+    touch = goc.decode(goc.touch_mask(("1", "2")))
     assert {c.representative for c in touch} == {("2", "3")}
 
 
 def test_toy_access_points_and_monoid(toy_summary):
     classes = sorted(enumerate_cycle_classes(toy_summary))
     goc = build_graph_of_cycles(classes)
-    touch = touch_set(("1", "2"), classes)
+    touch = literal_touch(("1", "2"), classes)
     points = access_points(goc, touch)
     assert {c.representative for c in points} == {("2", "3")}
     monoid = get_monoid(("1", "2"), classes, goc)
@@ -143,7 +147,7 @@ def test_toy_access_points_and_monoid(toy_summary):
 def test_toy_closures(toy_summary):
     classes = sorted(enumerate_cycle_classes(toy_summary))
     goc = build_graph_of_cycles(classes)
-    touch = touch_set(("1", "2"), classes)
+    touch = literal_touch(("1", "2"), classes)
     c2 = by_rep(classes)[("2", "3")]
     assert closure(frozenset(), touch, goc) == touch
     assert closure({c2}, touch, goc) == frozenset(classes)
@@ -265,12 +269,12 @@ def test_access_relation_matches_definition():
         paths = sorted(
             {pi for k in s.nodes for i in s.nodes for pi in cycle_free_paths(s, k, i)}
         )
-        for src in subsets + [touch_set(pi, classes) for pi in paths]:
+        for src in subsets + [literal_touch(pi, classes) for pi in paths]:
             expected = {v for w in goc.classes if w not in src for v in accessors(src, w)}
             assert access_points(goc, src) == expected
             checked += 1
         for pi in paths:
-            touch = touch_set(pi, classes)
+            touch = literal_touch(pi, classes)
             for subset in set(get_monoid(pi, classes, goc)) | set(subsets):
                 expected = subset | touch | {
                     w for w in goc.classes if w not in touch and accessors(touch, w) & subset
@@ -324,7 +328,7 @@ def test_engine_cones_match_tuple_sets():
         for k in s.nodes:
             for i in s.nodes:
                 for pi in engine.paths(k, i):
-                    touch = frozenset(c for c in classes if c.node_set & set(pi))
+                    touch = literal_touch(pi, classes)
                     by_closure, full = {}, set()
                     for subset in get_monoid(pi, classes, goc):
                         cl = subset | touch | {

@@ -16,6 +16,7 @@ from tsproject import (
     unroll_window,
 )
 from tsproject.finite_projection import canonical_dag
+from tsproject.ts_projection import _MAX_WINDOW_VERTICES
 from tsproject.oracle_testkit import dmag_by_subset_enumeration, random_template, window_marginal
 
 
@@ -161,6 +162,14 @@ class TestMarginalTsAdmg:
             marginal_ts_admg(fig3_tpl, ["X1"], 1, CommonAncestorEngine(b1_tpl))
         with pytest.raises(ValidationError):
             marginal_ts_admg(fig3_tpl, ["X1"], 1, WalkWeights(b1_tpl, 9))
+
+    def test_rejects_a_window_over_the_vertex_limit(self, fig3_tpl):
+        """fig3 has 3 variables and 4 after canonicalization; at p = 25,000
+        only the canonical count, 100,004 window vertices, is over the limit."""
+        assert _MAX_WINDOW_VERTICES == 10**5
+        for project in (marginal_ts_admg, marginal_ts_dmag):
+            with pytest.raises(ValidationError, match="4 x 25001 window vertices exceed the limit"):
+                project(fig3_tpl, ["X1"], 25_000)
 
     def test_admg_input_goes_through_canonicalization(self, fig3_tpl):
         marg = marginal_ts_admg(fig3_tpl, ["X1", "X2", "X3"], 1)
