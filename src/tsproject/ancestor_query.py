@@ -42,7 +42,9 @@ _MAX_WALK_DEPTH = 10**7  # deepest WalkWeights search; a bitset that deep is 1.2
 def summary_prefilter(s: MwSummaryGraph, i: str, j: str) -> bool:
     """Necessary condition: i and j have a common ancestor in the unweighted
     summary graph.  False here implies no common ancestor at any lag."""
-    dg = s.digraph()
+    dg = nx.DiGraph()
+    dg.add_nodes_from(s.nodes)
+    dg.add_edges_from(s.edges)
     return bool(({i} | nx.ancestors(dg, i)) & ({j} | nx.ancestors(dg, j)))
 
 
@@ -53,8 +55,8 @@ class CommonAncestorEngine:
     def __init__(self, tpl: TsGraphTemplate):
         self.tpl = tpl
         self.summary = build_mw_summary(tpl)
-        self.classes = sorted(enumerate_cycle_classes(self.summary))
-        self.goc = build_graph_of_cycles(self.classes)
+        self.goc = build_graph_of_cycles(enumerate_cycle_classes(self.summary))
+        self.classes = self.goc.classes
         self._paths: dict[tuple[str, str], tuple[Path, ...]] = {}
         self._cones: dict[Path, frozenset[tuple[int, tuple[int, ...]]]] = {}
         self._answers: dict[tuple[str, int, str], bool] = {}

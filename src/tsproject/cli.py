@@ -143,10 +143,12 @@ def _cmd_ancestor(args) -> int:
     if args.explain and args.method == "window":
         print("error: --explain is not available with --method window", file=sys.stderr)
         return 2
-    tpl = canonical_ts_dag(parse_template(_read(args.graph)))
+    named = parse_template(_read(args.graph))
+    tpl = canonical_ts_dag(named)
     if args.tau < 0:  # before the window engine reads it as a window length
         raise ValidationError("tau must be non-negative")
     engine = _window_engine(args, tpl, args.tau) or CommonAncestorEngine(tpl)
+    named.index(args.i), named.index(args.j)  # tpl also names the auxiliary latents
     answer = engine.query(args.i, args.tau, args.j)
     if args.explain:
         sys.stderr.write(

@@ -189,6 +189,9 @@ def parse_template(text: str) -> TsGraphTemplate:
                 and all(isinstance(v, str) for v in entry[:2])
             ):
                 raise ValidationError(f"malformed {key} entry {entry!r}")
+    for src, dst, lag in doc.get("directed", []) + doc.get("bidirected", []):
+        if isinstance(lag, (list, dict)):  # unhashable: the entry sets could not hold it
+            raise ValidationError(f"negative or non-integer lag in ({src}, {lag}, {dst})")
     return make_template(
         names,
         directed=[(src, lag, dst) for src, dst, lag in doc.get("directed", [])],

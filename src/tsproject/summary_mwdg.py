@@ -43,14 +43,13 @@ from functools import cached_property, reduce
 from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
-import networkx as nx
-
 from .graph_model import TsGraphTemplate, ValidationError, bits, encode, is_acyclic, reach
 
 Path = tuple[str, ...]  # node sequence of a directed path; length 1 = trivial walk
 Term = tuple[tuple[int, ...], tuple[int, ...]]  # (w(S), the weights of cl(S)) of one cone
 
 _MAX_GENERATING_PATHS = 10**6  # only --explain lists M_pi; its paths grow exponentially
+_MAX_SIMPLE_PATHS = 10**6  # about 200 MB of paths; their number grows exponentially
 
 
 @dataclass
@@ -87,20 +86,19 @@ class MwSummaryGraph:
     @cached_property
     def simple_paths(self) -> dict[str, tuple[Path, ...]]:
         """Per node, every simple path from it, the trivial path included, from
-        one depth-first search."""
+        one depth-first search.  Over ``_MAX_SIMPLE_PATHS`` paths raise ValidationError."""
         found: dict[str, list[Path]] = {v: [] for v in self.nodes}
         stack = [(v,) for v in self.nodes]
-        while stack:
+        for _ in range(_MAX_SIMPLE_PATHS + 1):
+            if not stack:
+                return {v: tuple(paths) for v, paths in found.items()}
             path = stack.pop()
             found[path[0]].append(path)
             stack.extend(path + (v,) for v in self.successors[path[-1]] if v not in path)
-        return {v: tuple(paths) for v, paths in found.items()}
-
-    def digraph(self) -> nx.DiGraph:
-        dg = nx.DiGraph()
-        dg.add_nodes_from(self.nodes)
-        dg.add_edges_from(self.edges)
-        return dg
+        raise ValidationError(
+            f"the summary graph has more than {_MAX_SIMPLE_PATHS} simple paths; "
+            "it is too large to search"
+        )
 
 
 class CycleClass(NamedTuple):
@@ -124,20 +122,20 @@ class GraphOfCycles:
 
     Sets of classes are also carried as int masks, bit k standing for
     ``classes[k]``; touch sets, access points, closures, monoids and cone
-    terms are computed on masks.  Three memos, each keyed on a touch mask,
-    hold its accessors, its set monoid and its cone terms.
+    terms are computed on masks.  One memo, keyed on a touch mask, holds its
+    cone terms; everything else is computed on each call.
     """
 
     def __init__(self, classes: Iterable[CycleClass]):
         self.classes: tuple[CycleClass, ...] = tuple(sorted(classes))
         self._index = {c: k for k, c in enumerate(self.classes)}
-        self.node_masks = _node_masks(self.classes)
+        self.node_masks: dict[str, int] = {}  # per node, the classes that contain it
+        for k, c in enumerate(self.classes):
+            for v in c.representative:
+                self.node_masks[v] = self.node_masks.get(v, 0) | 1 << k
         self._adj = tuple(
-            _touch_mask(c.representative, self.node_masks) & ~(1 << k)
-            for k, c in enumerate(self.classes)
+            self.touch_mask(c.representative) & ~(1 << k) for k, c in enumerate(self.classes)
         )
-        self._accessors: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
-        self._monoids: dict[int, frozenset[int]] = {}
         self._terms: dict[int, frozenset[Term]] = {}
 
     @property
@@ -154,25 +152,26 @@ class GraphOfCycles:
     def decode(self, mask: int) -> frozenset[CycleClass]:
         return _decode(mask, self.classes)
 
-    def touch_mask(self, pi: Sequence[str]) -> int:
-        return _touch_mask(pi, self.node_masks)
+    def touch_mask(self, pi: Iterable[str]) -> int:
+        mask = 0
+        for v in pi:
+            mask |= self.node_masks.get(v, 0)
+        return mask
 
     def accessors(self, touch: int) -> tuple[tuple[tuple[int, int], ...], int]:
         """``(w_bit, access)`` for each class w outside ``touch`` that has
         touch-access points (the neighbours of w that some path from ``touch``
         reaches in GoC - w), and the mask of all touch-access points."""
-        if touch not in self._accessors:
-            pairs, points = [], 0
-            for k, adj_w in enumerate(self._adj):
-                w = 1 << k
-                if touch & w:
-                    continue
-                access = adj_w & reach(self._adj, touch, ~w)
-                if access:
-                    pairs.append((w, access))
-                    points |= access
-            self._accessors[touch] = tuple(pairs), points
-        return self._accessors[touch]
+        pairs, points = [], 0
+        for k, adj_w in enumerate(self._adj):
+            w = 1 << k
+            if touch & w:
+                continue
+            access = adj_w & reach(self._adj, touch, ~w)
+            if access:
+                pairs.append((w, access))
+                points |= access
+        return tuple(pairs), points
 
     def closure_mask(self, subset: int, touch: int) -> int:
         """cl(S) = S | touch | every w outside touch with a touch-access point in S."""
@@ -197,42 +196,50 @@ class GraphOfCycles:
     def monoid_masks(self, touch: int) -> frozenset[int]:
         """The set monoid for a touch set: union closure of the node sets of
         its generating paths.  Over ``_MAX_GENERATING_PATHS`` paths raise ValidationError."""
-        if touch not in self._monoids:
-            paths = self.generating_paths(touch, self.accessors(touch)[1])
-            monoid = _union_closure(mask for mask, _ in islice(paths, _MAX_GENERATING_PATHS))
-            if next(paths, None) is not None:
-                raise ValidationError(
-                    f"the set monoid has more than {_MAX_GENERATING_PATHS} generating paths; "
-                    "it is too large to list"
-                )
-            self._monoids[touch] = monoid
-        return self._monoids[touch]
+        paths = self.generating_paths(touch, self.accessors(touch)[1])
+        monoid = _union_closure(mask for mask, _ in islice(paths, _MAX_GENERATING_PATHS))
+        if next(paths, None) is not None:
+            raise ValidationError(
+                f"the set monoid has more than {_MAX_GENERATING_PATHS} generating paths; "
+                "it is too large to list"
+            )
+        return monoid
 
-    def _in_monoid(self, subset: int, touch: int) -> bool:
-        """Whether ``subset`` is in the set monoid of ``touch``: it holds only
-        access points, and each of its classes outside ``touch`` is joined to
-        ``subset & touch`` through classes of ``subset``."""
-        if subset & ~self.accessors(touch)[1]:
+    def _in_monoid(self, subset: int, touch: int, points: int) -> bool:
+        """Whether ``subset`` is in the set monoid of ``touch``, whose access
+        points are ``points``: it holds only access points, and each of its
+        classes outside ``touch`` is joined to ``subset & touch`` through
+        classes of ``subset``."""
+        if subset & ~points:
             return False
         return reach(self._adj, subset & touch, subset & ~touch) == subset
 
     def cone_terms(self, touch: int) -> frozenset[Term]:
         """The distinct ``(w(S), coeffs)`` over the inclusion-minimal members
-        S of the set monoid of ``touch`` for each closure (no S' < S in M has
+        S of the set monoid M of ``touch`` for each closure (no S' < S in M has
         cl(S') = cl(S)): w(S) is the Minkowski sum of the weight sets of the
         classes in S, coeffs the weights of the classes in cl(S) in class order.
+
+        The access relation is read once and transposed: f(x), for an access
+        point x, is the classes outside ``touch`` that x gives access to, x
+        left out.  For S in M, cl(S) = ``touch`` | the union of f over S, as
+        each class of S outside ``touch`` is reached from S & ``touch``
+        through S, and the class before it on that path gives access to it.
 
         The search grows the sets one class at a time, level by level from
         the empty set, and keeps a grown set only if it is minimal; by the
         prefix lemma (module docstring) every minimal set is one class larger
-        than a minimal set, so no minimal set is missed.  A set t is not
-        minimal iff some class y of t leaves t - y in M with f(y) inside
-        ``touch`` | f(t - y), where f(x) = cl({x}) and cl distributes over
-        unions.  So a grown set t = s | x carries its closure cl(s) | f(x)
-        and its weight sum w(s) + w(x) forward from s."""
+        than a minimal set, so no minimal set is missed.  A set t in M is not
+        minimal iff some class y of t leaves t - y in M with f(y) inside the
+        union of f over t - y (which then holds y too).  So a grown set
+        t = s | x carries its closure cl(s) | f(x) and its weight sum
+        w(s) + w(x) forward from s."""
         if touch not in self._terms:
-            points = self.accessors(touch)[1]
-            single = {k: self.closure_mask(1 << k, touch) & ~touch for k in bits(points)}
+            pairs, points = self.accessors(touch)
+            single = dict.fromkeys(bits(points), 0)
+            for w, access in pairs:
+                for k in bits(access):
+                    single[k] |= w
 
             def minimal(t: int) -> bool:
                 # twice: the classes that two or more members of t put in cl(t)
@@ -241,7 +248,7 @@ class GraphOfCycles:
                     twice |= once & single[k]
                     once |= single[k]
                 return not any(
-                    not single[y] & ~twice and self._in_monoid(t ^ 1 << y, touch)
+                    not single[y] & ~twice and self._in_monoid(t ^ 1 << y, touch, points)
                     for y in bits(t)
                 )
 
@@ -262,7 +269,7 @@ class GraphOfCycles:
                     for k in bits(s):
                         near |= self._adj[k]
                     # an extension by a touched point or an adjacent point
-                    # stays in M
+                    # stays in M, and an adjacent point is in cl(s) already
                     for x in bits(adds[cl] & near & ~s):
                         t = s | 1 << x
                         if t not in tried:
@@ -281,22 +288,6 @@ class GraphOfCycles:
 
 def _decode(mask: int, universe: Sequence) -> frozenset:
     return frozenset(universe[k] for k in bits(mask))
-
-
-def _node_masks(classes: Sequence[CycleClass]) -> dict[str, int]:
-    """Per node, the mask of the classes that contain it."""
-    masks: dict[str, int] = {}
-    for k, c in enumerate(classes):
-        for v in c.representative:
-            masks[v] = masks.get(v, 0) | 1 << k
-    return masks
-
-
-def _touch_mask(pi: Iterable[str], node_masks: dict[str, int]) -> int:
-    mask = 0
-    for v in pi:
-        mask |= node_masks.get(v, 0)
-    return mask
 
 
 def _union_closure(generators: Iterable[int]) -> frozenset[int]:

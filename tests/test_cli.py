@@ -82,6 +82,18 @@ def test_a_failed_dot_write_leaves_no_json(b1_path, tmp_path, capsys):
     assert not out.exists()
 
 
+def _run_in_1536_mb(argv):
+    """The CLI in a subprocess whose address space is limited to 1.5 GB."""
+    src = str(Path(tsproject.__file__).parents[1])
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+    return subprocess.run([sys.executable, "-m", "tsproject.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120, preexec_fn=limit_memory)
+
+
 @pytest.mark.parametrize("method, window", [("dioph", "2000000"), ("window", "200000")])
 def test_a_window_over_the_vertex_limit_is_refused_before_allocating(
     running_path, method, window
@@ -90,18 +102,32 @@ def test_a_window_over_the_vertex_limit_is_refused_before_allocating(
     600,003 vertices, whose masks would take terabytes and gigabytes.  Both
     methods refuse the window before building one, well inside a 1.5 GB
     address space."""
-    src = str(Path(tsproject.__file__).parents[1])
-    argv = [sys.executable, "-m", "tsproject.cli", "project-admg", "--graph", running_path,
-            "--observed", "X,Y,Z", "--window", window, "--method", method]
-
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
-
-    done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-                          text=True, timeout=120, preexec_fn=limit_memory)
+    done = _run_in_1536_mb(["project-admg", "--graph", running_path, "--observed", "X,Y,Z",
+                            "--window", window, "--method", method])
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == (
         f"error: 3 x {int(window) + 1} window vertices exceed the limit of 100000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cutoff", "--window", "1"],
+        ["project-admg", "--observed", "X1", "--window", "1"],
+        ["project-admg", "--observed", "X1", "--window", "1", "--method", "window"],
+    ],
+    ids=["cutoff", "dioph", "window"],
+)
+def test_a_summary_graph_with_too_many_simple_paths_is_refused(data_dir, argv):
+    """wide30.json is random_template(0, 30, 1, 0.08), whose summary graph has
+    more than 10^6 simple paths.  The cycle classes, the engine's paths and
+    the cutoff's L all read that table; its search stops at the limit, well
+    inside a 1.5 GB address space that listing every path would overrun."""
+    done = _run_in_1536_mb([argv[0], "--graph", str(data_dir / "wide30.json"), *argv[1:]])
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (
+        "error: the summary graph has more than 1000000 simple paths; it is too large to search\n"
     )
 
 
@@ -128,6 +154,22 @@ def test_ancestor_rejects_negative_tau(running_path, method, capsys):
             "--method", method]
     assert run(argv) == 1
     assert capsys.readouterr().err == "error: tau must be non-negative\n"
+
+
+@pytest.mark.parametrize("method", ["dioph", "window"])
+@pytest.mark.parametrize("side", ["--i", "--j"])
+def test_ancestor_rejects_auxiliary_latent_names(tmp_path, method, side, capsys):
+    """The canonical ts-DAG of a template with the bidirected entry
+    (X, 0, Y) has an auxiliary latent L(X,Y,0); a query may name only the
+    template's own variables."""
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"variables": ["X", "Y"], "bidirected": [["X", "Y", 0]]}))
+    names = {"--i": "X", "--j": "X", side: "L(X,Y,0)"}
+    argv = ["ancestor", "--graph", str(graph), "--i", names["--i"], "--tau", "3",
+            "--j", names["--j"], "--method", method]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: unknown variable 'L(X,Y,0)'\n")
 
 
 def test_ancestor_explain_dumps_machinery(running_path, capsys):
@@ -395,6 +437,22 @@ def test_msep_names_variables_that_contain_a_colon(tmp_path, capsys):
             assert capsys.readouterr().out == ("true\n" if expected else "false\n"), argv
             answers.add(expected)
     assert answers == {True, False}
+
+
+@pytest.mark.parametrize(
+    "key, lag, shown",
+    [("directed", [1], "[1]"), ("bidirected", {"a": 1}, "{'a': 1}")],
+    ids=["array", "object"],
+)
+def test_a_list_or_object_lag_is_a_validation_error(tmp_path, key, lag, shown, capsys):
+    """A JSON array or object as a lag gets the message of any other
+    non-integer lag, not a traceback."""
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"variables": ["X", "Y"], key: [["X", "Y", lag]]}))
+    assert run(["cutoff", "--graph", str(graph), "--window", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: negative or non-integer lag in (X, {shown}, Y)\n"
 
 
 @pytest.mark.parametrize(

@@ -378,10 +378,22 @@ def test_in_monoid_matches_monoid_masks():
         }
         for touch in touches:
             monoid = goc.monoid_masks(touch)
+            points = goc.accessors(touch)[1]
             for subset in range(1 << len(goc.classes)):
-                assert goc._in_monoid(subset, touch) == (subset in monoid), (touch, subset)
+                assert goc._in_monoid(subset, touch, points) == (subset in monoid), (
+                    touch,
+                    subset,
+                )
                 checked += subset in monoid
     assert checked > 1000
+
+
+def summary_digraph(s):
+    """The summary graph as a networkx DiGraph, for the reference searches."""
+    g = nx.DiGraph()
+    g.add_nodes_from(s.nodes)
+    g.add_edges_from(s.edges)
+    return g
 
 
 def kernel_test_summaries():
@@ -400,7 +412,7 @@ def test_cycle_classes_match_networkx_simple_cycles():
     counts = []
     for s in kernel_test_summaries():
         expected = set()
-        for cycle in nx.simple_cycles(s.digraph()):
+        for cycle in nx.simple_cycles(summary_digraph(s)):
             pivot = cycle.index(min(cycle))
             rep = tuple(cycle[pivot:] + cycle[:pivot])
             expected.add((rep, path_weightset(s, rep + rep[:1])))
@@ -414,7 +426,7 @@ def test_cycle_free_paths_match_networkx_simple_paths():
     """cycle_free_paths against nx.all_simple_paths for every (k, i)."""
     checked = 0
     for s in kernel_test_summaries():
-        g = s.digraph()
+        g = summary_digraph(s)
         for k in s.nodes:
             for i in s.nodes:
                 expected = {(k,)} if k == i else set(map(tuple, nx.all_simple_paths(g, k, i)))
@@ -431,7 +443,7 @@ def test_cutoff_bound_matches_literal_cycle_and_path_maxima():
         tpl = make_template(
             s.nodes, directed=[(a, w, b) for (a, b), ws in s.edges.items() for w in ws]
         )
-        g = s.digraph()
+        g = summary_digraph(s)
         maxima = [max(path_weightset(s, c + c[:1])) for c in nx.simple_cycles(g)]
         big_k, big_m = max(maxima, default=0), sum(maxima)
         big_l = max(
