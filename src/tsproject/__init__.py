@@ -3,12 +3,13 @@
 A time-series ADMG repeats its edges at every time step and is described by a
 finite template.  This package computes its marginal ADMG and DMAG on a finite
 time window, answers common-ancestor and m-separation queries against the
-infinite past via a linear Diophantine decision procedure, and ships
-brute-force window oracles for cross-checking.
+infinite past via a linear Diophantine decision procedure or a search over
+two-walker states, and ships brute-force window oracles for cross-checking.
 """
 
 from .ancestor_query import (
     CommonAncestorEngine,
+    WalkerReach,
     WalkWeights,
     lag1_shortcut,
     summary_prefilter,
@@ -78,6 +79,7 @@ __all__ = [
     "TsGraphTemplate",
     "TsVertex",
     "ValidationError",
+    "WalkerReach",
     "WalkWeights",
     "access_points",
     "admg_latent_project",

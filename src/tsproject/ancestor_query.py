@@ -10,6 +10,28 @@ solvability checks (:class:`CommonAncestorEngine`).
 walk-weight bitset per pair of variables; at the cutoff depth of
 :func:`~tsproject.ts_projection.cutoff_bound` its answers are exact for the
 window.
+
+:class:`WalkerReach` answers them exactly by reachability over finitely many
+states of two walkers (path search in a 1-dimensional periodic graph; Orlin,
+"Some problems on dynamic/periodic graphs", 1984; Iwano & Steiglitz, STOC
+1987).  Walker A starts at (i, t-tau) and walker B at (j, t); a state
+(a, b, delta) records their variables and delta = time(A) - time(B).  The
+later walker steps back along one template edge, either walker when
+delta = 0, and a common ancestor exists iff a meeting state (x, x, 0) is
+reachable:
+
+- soundness: every state reached is a pair of ancestors of the two start
+  vertices, and a meeting state is one vertex;
+- completeness: take walks from a common ancestor to both vertices; their
+  time sequences merge in this order, since the walker whose walk is done
+  sits at the ancestor's time, which is never later than the other walker;
+- finiteness: a step from |delta| <= R leaves |delta| <= R whenever R is at
+  least the largest lag K (the later walker moves back at most K past the
+  other), so the states with |delta| <= R close under steps.
+
+One backward search from every meeting state over the n^2 (2 R + 1) states
+answers every query with tau <= R at once; a projection on the window
+[t-p, t] asks only lags up to p + K.
 """
 
 from __future__ import annotations
@@ -19,7 +41,7 @@ from typing import Iterable, Optional
 import networkx as nx
 
 from .diophantine import solvable
-from .graph_model import TsGraphTemplate, ValidationError
+from .graph_model import TsGraphTemplate, ValidationError, max_lag
 from .summary_mwdg import (
     ConeTuple,
     CycleClass,
@@ -217,6 +239,79 @@ class WalkWeights:
         self.tpl.index(i), self.tpl.index(j)
         anc_j = self.anc[j]
         return any((bits << tau) & anc_j.get(u, 0) for u, bits in self.anc[i].items())
+
+
+class WalkerReach:
+    """Exact common-ancestor queries on a ts-DAG for tau up to ``reach``,
+    raised to the largest lag if below it, from one backward search over the
+    two-walker states (a, b, delta) of the module docstring with
+    |delta| <= reach.
+
+    From every meeting state (x, x, 0) the search takes steps back: an edge
+    u -> a of lag L takes (u, b, d) to (a, b, d + L) when d + L >= 0 (A, the
+    later walker, stepped), and an edge w -> b takes (a, w, d) to
+    (a, b, d - L) when d - L <= 0.  ``query(i, tau, j)`` reads whether it
+    reached (i, j, -tau).  Each state enters the worklist once, so the search
+    costs one pass over the states and their steps.  A ts-ADMG is rejected in
+    :func:`~tsproject.summary_mwdg.build_mw_summary`.
+    """
+
+    def __init__(self, tpl: TsGraphTemplate, reach: int):
+        if reach < 0:
+            raise ValidationError("reach must be non-negative")
+        summary = build_mw_summary(tpl)
+        self.tpl = tpl
+        self.reach = reach = max(reach, max_lag(tpl))
+        n, width = len(tpl.variables), 2 * reach + 1
+        idx = {v: k for k, v in enumerate(tpl.variables)}
+        # state (a, b, delta) is number (a * n + b) * width + delta + reach;
+        # per edge tail, (lag, the change of that number) for each walker
+        steps_a: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        steps_b: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for (src, dst), lags in summary.edges.items():
+            u, a = idx[src], idx[dst]
+            for lag in lags:
+                steps_a[u].append((lag, (a - u) * n * width + lag))
+                steps_b[u].append((lag, (a - u) * width - lag))
+        for steps in steps_a + steps_b:
+            steps.sort()
+        seen = bytearray(n * n * width)
+        work = [(x * n + x) * width + reach for x in range(n)]
+        for s in work:
+            seen[s] = 1
+        while work:
+            s = work.pop()
+            pair, e = divmod(s, width)  # e = delta + reach
+            a, b = divmod(pair, n)
+            low = reach - e  # A's lag keeps delta + lag in [0, reach]
+            high = low + reach
+            for lag, step in steps_a[a]:
+                if lag > high:
+                    break
+                if lag >= low:
+                    t = s + step
+                    if not seen[t]:
+                        seen[t] = 1
+                        work.append(t)
+            low = e - reach  # B's lag keeps delta - lag in [-reach, 0]
+            for lag, step in steps_b[b]:
+                if lag > e:
+                    break
+                if lag >= low:
+                    t = s + step
+                    if not seen[t]:
+                        seen[t] = 1
+                        work.append(t)
+        self._seen = seen
+
+    def query(self, i: str, tau: int, j: str) -> bool:
+        """Whether (i, t-tau) and (j, t) have a common ancestor."""
+        if tau < 0:
+            raise ValidationError("tau must be non-negative")
+        if tau > self.reach:
+            raise ValidationError("tau must not exceed the reach")
+        pair = self.tpl.index(i) * len(self.tpl.variables) + self.tpl.index(j)
+        return bool(self._seen[pair * (2 * self.reach + 1) + self.reach - tau])
 
 
 def lag1_shortcut(tpl: TsGraphTemplate, i: str, tau: int, j: str) -> Optional[bool]:

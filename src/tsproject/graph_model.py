@@ -116,7 +116,7 @@ class TsGraphTemplate:
             if src not in index or dst not in index:
                 raise ValidationError(f"unknown variable in edge ({src}, {lag}, {dst})")
             if type(lag) is not int or lag < 0:  # bool is an int subclass
-                raise ValidationError(f"negative or non-integer lag in ({src}, {lag}, {dst})")
+                raise ValidationError(f"negative or non-integer lag in ({src}, {lag!r}, {dst})")
             if lag == 0 and src == dst:
                 raise ValidationError(f"self edge ({src}, 0, {dst})")
         for a, lag, b in self.bidirected_t:
@@ -171,7 +171,7 @@ def parse_template(text: str) -> TsGraphTemplate:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested for the decoder
         raise ValidationError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "variables" not in doc:
         raise ValidationError("template document must be an object with a 'variables' key")
@@ -191,7 +191,7 @@ def parse_template(text: str) -> TsGraphTemplate:
                 raise ValidationError(f"malformed {key} entry {entry!r}")
     for src, dst, lag in doc.get("directed", []) + doc.get("bidirected", []):
         if isinstance(lag, (list, dict)):  # unhashable: the entry sets could not hold it
-            raise ValidationError(f"negative or non-integer lag in ({src}, {lag}, {dst})")
+            raise ValidationError(f"negative or non-integer lag in ({src}, {lag!r}, {dst})")
     return make_template(
         names,
         directed=[(src, lag, dst) for src, dst, lag in doc.get("directed", [])],
@@ -342,7 +342,7 @@ def parse_mixed_graph(text: str) -> FiniteMixedGraph:
     """Parse the JSON serialization written by :meth:`FiniteMixedGraph.to_json`."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested for the decoder
         raise ValidationError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise ValidationError("graph document must be an object with a 'vertices' key")

@@ -7,6 +7,15 @@ infinite past, then apply the finite ADMG latent projection to the requested
 observed variables.  The DMAG variant projects that marginal ADMG onto its
 maximal ancestral graph.
 
+The common-ancestor queries of a window marginal ask for lags
+d = dt + lag_i - lag_j with dt <= p and every lag at most the largest lag K,
+so |d| <= p + K.  Without an engine, a :class:`WalkerReach` to reach
+R = p + K answers them all from one search over n^2 (2 R + 1) two-walker
+states, trying 2 n (2 R + 1) |E| steps for |E| template entries, when these
+counts fit ``_MAX_WALKER_STATES`` and ``_MAX_WALKER_STEPS``; otherwise the
+cone engine answers.  The rule reads only the input, and both engines are
+exact, so the output does not depend on it.
+
 The pipeline carries one mask graph (:class:`finite_projection._Index`)
 from start to finish: the window marginal is written as masks straight from
 the template entries and the engine's answers, the latent projection and the
@@ -21,7 +30,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from .ancestor_query import CommonAncestorEngine, WalkWeights
+from .ancestor_query import CommonAncestorEngine, WalkerReach, WalkWeights
 from .finite_projection import _dmag, _Index, _latent_project
 from .graph_model import (
     FiniteMixedGraph,
@@ -29,10 +38,13 @@ from .graph_model import (
     TsVertex,
     ValidationError,
     make_template,
+    max_lag,
 )
 from .summary_mwdg import CycleClass, build_mw_summary, enumerate_cycle_classes
 
 _MAX_WINDOW_VERTICES = 10**5  # n * (p + 1); one mask of that many bits per vertex
+_MAX_WALKER_STATES = 2 * 10**5  # n^2 (2 R + 1); a byte per state
+_MAX_WALKER_STEPS = 4 * 10**6  # 2 n (2 R + 1) |E|; the search takes under 1 s at both
 
 
 def canonical_ts_dag(tpl: TsGraphTemplate) -> TsGraphTemplate:
@@ -58,7 +70,7 @@ def canonical_ts_dag(tpl: TsGraphTemplate) -> TsGraphTemplate:
 def simple_marginal_ts_admg(
     tpl: TsGraphTemplate,
     p: int,
-    engine: Optional[CommonAncestorEngine | WalkWeights] = None,
+    engine: Optional[CommonAncestorEngine | WalkerReach | WalkWeights] = None,
 ) -> FiniteMixedGraph:
     """Marginal of a ts-DAG over all its variables on the window [t-p, t].
 
@@ -74,15 +86,28 @@ def simple_marginal_ts_admg(
     ``engine`` finds a common ancestor; the pairs are asked in order of
     ``start`` and the first hit ends the pattern.
 
-    ``engine`` answers the common-ancestor queries; it defaults to a
-    :class:`CommonAncestorEngine` on ``tpl`` and must be built on ``tpl``;
-    either engine rejects a ts-ADMG in its ``build_mw_summary``.
+    ``engine`` answers the common-ancestor queries and must be built on
+    ``tpl``; without one, the rule of the module docstring picks a
+    :class:`WalkerReach` or a :class:`CommonAncestorEngine`.  Every engine
+    rejects a ts-ADMG in its ``build_mw_summary``.
     """
     return _window_marginal(tpl, p, engine).graph()
 
 
+def _default_engine(tpl: TsGraphTemplate, p: int) -> CommonAncestorEngine | WalkerReach:
+    """The engine the module docstring's rule picks for the window [t-p, t]."""
+    reach = p + max_lag(tpl)
+    n, span = len(tpl.variables), 2 * reach + 1
+    steps = 2 * n * span * len(tpl.directed_t)
+    if n * n * span <= _MAX_WALKER_STATES and steps <= _MAX_WALKER_STEPS:
+        return WalkerReach(tpl, reach)
+    return CommonAncestorEngine(tpl)
+
+
 def _window_marginal(
-    tpl: TsGraphTemplate, p: int, engine: Optional[CommonAncestorEngine | WalkWeights]
+    tpl: TsGraphTemplate,
+    p: int,
+    engine: Optional[CommonAncestorEngine | WalkerReach | WalkWeights],
 ) -> _Index:
     """:func:`simple_marginal_ts_admg` as masks: (v, off) is bit
     n * (p + 1) + off for the n-th variable in sorted order, the vertex
@@ -95,7 +120,7 @@ def _window_marginal(
         raise ValidationError(
             f"{len(names)} x {width} window vertices exceed the limit of {_MAX_WINDOW_VERTICES}"
         )
-    engine = engine or CommonAncestorEngine(tpl)
+    engine = engine or _default_engine(tpl, p)
     if engine.tpl != tpl:
         raise ValidationError("the engine was built on another template")
     first = {v: n * width for n, v in enumerate(names)}
@@ -143,7 +168,7 @@ def _marginal(
     tpl: TsGraphTemplate,
     observed_vars: Iterable[str],
     p: int,
-    engine: Optional[CommonAncestorEngine | WalkWeights],
+    engine: Optional[CommonAncestorEngine | WalkerReach | WalkWeights],
 ) -> _Index:
     """:func:`marginal_ts_admg` as masks."""
     observed_vars = tuple(dict.fromkeys(observed_vars))
@@ -161,7 +186,7 @@ def marginal_ts_admg(
     tpl: TsGraphTemplate,
     observed_vars: Iterable[str],
     p: int,
-    engine: Optional[CommonAncestorEngine | WalkWeights] = None,
+    engine: Optional[CommonAncestorEngine | WalkerReach | WalkWeights] = None,
 ) -> FiniteMixedGraph:
     """Marginal ts-ADMG of an infinite ts-ADMG onto observed_vars x [0..p].
 
@@ -175,7 +200,7 @@ def marginal_ts_dmag(
     tpl: TsGraphTemplate,
     observed_vars: Iterable[str],
     p: int,
-    engine: Optional[CommonAncestorEngine | WalkWeights] = None,
+    engine: Optional[CommonAncestorEngine | WalkerReach | WalkWeights] = None,
 ) -> FiniteMixedGraph:
     """Marginal ts-DMAG: the DMAG of the marginal ts-ADMG, with the same ``engine``."""
     return _dmag(_marginal(tpl, observed_vars, p, engine)).graph()

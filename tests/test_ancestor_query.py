@@ -3,6 +3,7 @@ import pytest
 from tsproject import (
     CommonAncestorEngine,
     ValidationError,
+    WalkerReach,
     WalkWeights,
     build_mw_summary,
     canonical_ts_dag,
@@ -267,3 +268,56 @@ class TestWalkWeights:
                         assert engine.query(i, tau, j) == exact.query(i, tau, j), (
                             seed, i, tau, j,
                         )
+
+
+class TestWalkerReach:
+    def test_rejects_bidirected_template(self, fig3_tpl):
+        with pytest.raises(ValidationError, match="canonicalize bidirected edges first"):
+            WalkerReach(fig3_tpl, 5)
+
+    def test_rejects_negative_reach(self, running_tpl):
+        with pytest.raises(ValidationError):
+            WalkerReach(running_tpl, -1)
+
+    def test_reach_is_at_least_the_largest_lag(self, running_tpl):
+        """With a reach below the largest lag K a forward step could leave the
+        state range, so the engine searches to K instead."""
+        assert WalkerReach(running_tpl, 0).reach == 5
+        assert WalkerReach(running_tpl, 7).reach == 7
+
+    def test_rejects_tau_past_the_reach(self, running_tpl):
+        engine = WalkerReach(running_tpl, 6)
+        assert engine.query("X", 6, "X")
+        with pytest.raises(ValidationError, match="reach"):
+            engine.query("X", 7, "X")
+
+    def test_rejects_negative_tau(self, running_tpl):
+        with pytest.raises(ValidationError, match="tau must be non-negative"):
+            WalkerReach(running_tpl, 3).query("X", -1, "Z")
+
+    def test_rejects_unknown_variable(self, running_tpl):
+        engine = WalkerReach(running_tpl, 3)
+        with pytest.raises(ValidationError):
+            engine.query("X", 0, "Q")
+        with pytest.raises(ValidationError):
+            engine.query("Q", 0, "X")
+
+    def test_walker_reach_steps_either_walker_at_equal_times(self):
+        """X -> Y at lag 0: (Y, t) and (X, t) meet only if A, at Y, steps at
+        delta = 0, and (X, t) and (Y, t) only if B does."""
+        engine = WalkerReach(make_template(["X", "Y"], directed=[("X", 0, "Y")]), 2)
+        assert engine.query("Y", 0, "X")
+        assert engine.query("X", 0, "Y")
+        assert not engine.query("X", 1, "Y")
+
+    def test_walker_reach_steps_only_the_later_walker(self):
+        """X -> Y at lag 1 and X -> X at lag 2.  (X, t-1) and (Y, t) meet
+        only if the later walker, B, steps: A has no parent at X.  (Y, t-1)
+        and (X, t) meet at (X, t-2): B steps to it first, then A; had the
+        earlier walker stepped, A would reach (X, t-2) and go on to (X, t-4)
+        while B waited at (X, t)."""
+        tpl = make_template(["X", "Y"], directed=[("X", 1, "Y"), ("X", 2, "X")])
+        engine = WalkerReach(tpl, 4)
+        assert engine.query("X", 1, "Y")
+        assert engine.query("Y", 1, "X")
+        assert not engine.query("X", 0, "Y")

@@ -20,10 +20,11 @@ from tsproject import (
     get_monoid,
     m_separated,
     parse_mixed_graph,
+    parse_template,
     serialize_template,
 )
 from tsproject.cli import run
-from tsproject.oracle_testkit import random_template
+from tsproject.oracle_testkit import random_template, window_marginal
 
 
 @pytest.fixture
@@ -114,21 +115,37 @@ def test_a_window_over_the_vertex_limit_is_refused_before_allocating(
     "argv",
     [
         ["cutoff", "--window", "1"],
-        ["project-admg", "--observed", "X1", "--window", "1"],
+        ["ancestor", "--i", "X1", "--tau", "1", "--j", "X2"],
         ["project-admg", "--observed", "X1", "--window", "1", "--method", "window"],
     ],
     ids=["cutoff", "dioph", "window"],
 )
 def test_a_summary_graph_with_too_many_simple_paths_is_refused(data_dir, argv):
     """wide30.json is random_template(0, 30, 1, 0.08), whose summary graph has
-    more than 10^6 simple paths.  The cycle classes, the engine's paths and
-    the cutoff's L all read that table; its search stops at the limit, well
-    inside a 1.5 GB address space that listing every path would overrun."""
+    more than 10^6 simple paths.  The cycle classes, the cone engine's paths
+    and the cutoff's L all read that table; its search stops at the limit,
+    well inside a 1.5 GB address space that listing every path would
+    overrun."""
     done = _run_in_1536_mb([argv[0], "--graph", str(data_dir / "wide30.json"), *argv[1:]])
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == (
         "error: the summary graph has more than 1000000 simple paths; it is too large to search\n"
     )
+
+
+def test_the_default_projection_of_wide30_lists_no_simple_paths(data_dir):
+    """The default projection of wide30.json asks the two-walker search,
+    which never lists simple paths, so it answers in the same 1.5 GB address
+    space.  ``cutoff`` is refused there, so there is no p_cut oracle; a window
+    of 150 steps can only lose bidirected edges, never add one."""
+    wide30 = data_dir / "wide30.json"
+    done = _run_in_1536_mb(["project-admg", "--graph", str(wide30), "--observed", "X1",
+                            "--window", "1"])
+    assert (done.returncode, done.stderr) == (0, "")
+    tpl = parse_template(wide30.read_text())
+    truncated = window_marginal(tpl, ["X1"], 1, 150)
+    assert truncated.bidirected
+    assert truncated.bidirected <= parse_mixed_graph(done.stdout).bidirected
 
 
 def test_cutoff_output_format(running_path, capsys):
@@ -453,6 +470,34 @@ def test_a_list_or_object_lag_is_a_validation_error(tmp_path, key, lag, shown, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: negative or non-integer lag in (X, {shown}, Y)\n"
+
+
+@pytest.mark.parametrize("lag, shown", [("1", "'1'"), (1.5, "1.5"), (None, "None")])
+def test_a_rejected_lag_is_shown_as_its_json_value(tmp_path, lag, shown, capsys):
+    """The message quotes a string lag, so "1" does not read like the integer 1."""
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"variables": ["X", "Y"], "directed": [["X", "Y", lag]]}))
+    assert run(["cutoff", "--graph", str(graph), "--window", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: negative or non-integer lag in (X, {shown}, Y)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cutoff", "--graph", "{}", "--window", "1"],
+     ["msep", "--marginal", "{}", "--x", "X:0", "--y", "Y:0"]],
+    ids=["template", "marginal"],
+)
+def test_a_too_deeply_nested_document_is_a_validation_error(tmp_path, argv, capsys):
+    """100,000 nested arrays exceed the JSON decoder's recursion limit: exit 1
+    with a message, not a RecursionError traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert run([str(deep) if a == "{}" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid JSON: maximum recursion depth exceeded")
 
 
 @pytest.mark.parametrize(

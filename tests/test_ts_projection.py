@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tsproject import (
@@ -5,6 +7,7 @@ from tsproject import (
     FiniteMixedGraph,
     TsVertex,
     ValidationError,
+    WalkerReach,
     WalkWeights,
     admg_latent_project,
     canonical_ts_dag,
@@ -12,12 +15,21 @@ from tsproject import (
     make_template,
     marginal_ts_admg,
     marginal_ts_dmag,
+    max_lag,
     simple_marginal_ts_admg,
     unroll_window,
 )
+from tsproject import ts_projection
 from tsproject.finite_projection import canonical_dag
-from tsproject.ts_projection import _MAX_WINDOW_VERTICES
+from tsproject.ts_projection import (
+    _MAX_WALKER_STATES,
+    _MAX_WALKER_STEPS,
+    _MAX_WINDOW_VERTICES,
+    _default_engine,
+    cutoff_walk_weights,
+)
 from tsproject.oracle_testkit import dmag_by_subset_enumeration, random_template, window_marginal
+from test_acceptance import truncated_random_template
 
 
 def edge(i, ti, j, tj):
@@ -144,10 +156,10 @@ class TestMarginalTsAdmg:
             for density in (0.25, 0.3):
                 tpl = random_template(seed, n_vars=n_vars, max_lag=2, edge_density=density)
                 case = (seed, n_vars, density)
-                walks = WalkWeights(tpl, cutoff_bound(tpl, 1).p_cut + 1)
-                mine = marginal_ts_admg(tpl, tpl.variables, 1)
-                assert mine == marginal_ts_admg(tpl, tpl.variables, 1, walks), case
                 engine = CommonAncestorEngine(tpl)
+                walks = WalkWeights(tpl, cutoff_bound(tpl, 1).p_cut + 1)
+                mine = marginal_ts_admg(tpl, tpl.variables, 1, engine)
+                assert mine == marginal_ts_admg(tpl, tpl.variables, 1, walks), case
                 walks = WalkWeights(tpl, cutoff_bound(tpl, 5).p_cut + 5)
                 for i in tpl.variables:
                     for j in tpl.variables:
@@ -174,6 +186,106 @@ class TestMarginalTsAdmg:
     def test_admg_input_goes_through_canonicalization(self, fig3_tpl):
         marg = marginal_ts_admg(fig3_tpl, ["X1", "X2", "X3"], 1)
         assert has_bidirected(marg, "X2", 1, "X1", 0)
+
+
+class _Recorder:
+    """Answers from ``engine`` and keeps every query a projection asks."""
+
+    def __init__(self, engine):
+        self.tpl, self.engine, self.asked = engine.tpl, engine, set()
+
+    def query(self, i, tau, j):
+        self.asked.add((i, tau, j))
+        return self.engine.query(i, tau, j)
+
+
+def _three_way(tpl, p):
+    """Checks that the default projection of tpl at p equals the cone
+    engine's, and that WalkerReach, the cone engine and walk weights at the
+    cutoff depth agree on every query the projection asks; returns their
+    answers."""
+    ctpl = canonical_ts_dag(tpl)
+    walker = _Recorder(WalkerReach(ctpl, p + max_lag(ctpl)))
+    cone = CommonAncestorEngine(ctpl)
+    mine = marginal_ts_admg(tpl, tpl.variables, p)
+    assert mine == marginal_ts_admg(tpl, tpl.variables, p, cone)
+    assert mine == marginal_ts_admg(tpl, tpl.variables, p, walker)
+    if not walker.asked:
+        return []
+    walks = cutoff_walk_weights(ctpl, max(tau for _, tau, _ in walker.asked))
+    answers = []
+    for i, tau, j in sorted(walker.asked):
+        answer = walker.engine.query(i, tau, j)
+        assert answer == cone.query(i, tau, j) == walks.query(i, tau, j), (i, tau, j)
+        answers.append(answer)
+    return answers
+
+
+class TestDefaultEngine:
+    """Without an engine, a projection asks a WalkerReach when its search
+    fits the state and step limits, and the cone engine otherwise."""
+
+    def test_three_engines_agree_on_the_criterion_3_corpus(self):
+        """Every query that a criterion-3 projection at p = 0-2 asks."""
+        rng = random.Random(20240823)
+        answers = []
+        for n in range(200):
+            tpl = truncated_random_template(n, rng)
+            for p in (0, 1, 2):
+                answers += _three_way(tpl, p)
+        assert answers.count(True) > 500 and answers.count(False) > 500
+
+    def test_three_engines_agree_on_the_dense_grid(self):
+        """Every query that a p = 1 projection of the 108 dense-grid cases of
+        test_cone_engine_matches_walk_weights_on_dense_grid asks."""
+        grid = [(seed, 5) for seed in range(30)] + [(seed, 6) for seed in range(24)]
+        answers = []
+        for seed, n_vars in grid:
+            for density in (0.25, 0.3):
+                tpl = random_template(seed, n_vars=n_vars, max_lag=2, edge_density=density)
+                answers += _three_way(tpl, 1)
+        assert answers.count(True) > 1000 and answers.count(False) > 0
+
+    @pytest.mark.parametrize(
+        "case", [(4, 7, 2, 0.3), (4, 8, 2, 0.3), (5, 8, 2, 0.3), (0, 16, 1, 0.1), (1, 16, 1, 0.12)]
+    )
+    def test_matches_walk_weights_on_the_frontier(self, case):
+        """Templates the cone engine takes from 5 s to more than 30 s to
+        project at p = 1; walk weights at the cutoff depth take under 1 s."""
+        tpl = random_template(*case)
+        assert isinstance(_default_engine(tpl, 1), WalkerReach)
+        walks = cutoff_walk_weights(tpl, 1)
+        assert marginal_ts_admg(tpl, tpl.variables, 1) == marginal_ts_admg(
+            tpl, tpl.variables, 1, walks
+        )
+
+    def test_walker_reach_up_to_the_state_limit(self):
+        """Two variables and p = 1 make 4 (2 (1 + K) + 1) states."""
+        assert _MAX_WALKER_STATES == 2 * 10**5
+        for lag, engine in ((24_998, WalkerReach), (24_999, CommonAncestorEngine)):
+            tpl = make_template(["X", "Y"], directed=[("X", lag, "Y")])
+            assert type(_default_engine(tpl, 1)) is engine
+
+    def test_walker_reach_up_to_the_step_limit(self):
+        """X -> Y at lags 1..m, p = 1: 4 (2 m + 3) m steps, only 4 (2 m + 3)
+        states."""
+        assert _MAX_WALKER_STEPS == 4 * 10**6
+        for m, engine in ((706, WalkerReach), (707, CommonAncestorEngine)):
+            tpl = make_template(["X", "Y"], directed=[("X", lag, "Y") for lag in range(1, m + 1)])
+            assert type(_default_engine(tpl, 1)) is engine
+
+    def test_over_the_limit_goes_to_the_cone_engine(self, monkeypatch):
+        """The lag-100000 template of test_cli.py has 9 x 200,003 states."""
+        tpl = make_template(
+            ["X", "Y", "Z"], directed=[("X", 1, "Y"), ("Y", 2, "X"), ("X", 100_000, "Z")]
+        )
+
+        def refuse(tpl, reach):
+            raise AssertionError("WalkerReach over the state limit")
+
+        monkeypatch.setattr(ts_projection, "WalkerReach", refuse)
+        marg = marginal_ts_admg(tpl, ["X", "Z"], 1)
+        assert has_bidirected(marg, "X", 1, "Z", 0)
 
 
 class TestMarginalTsDmag:
