@@ -100,10 +100,10 @@ def _cmd_project(args) -> int:
     observed = [v for v in args.observed.split(",") if v]
     # chosen per call, so that wrappers of the globals (perfbench/tracer.py) see it
     project = marginal_ts_dmag if args.command == "project-dmag" else marginal_ts_admg
+    for v in observed:  # before the window engine; ctpl also names the auxiliary latents
+        tpl.index(v)
     ctpl = canonical_ts_dag(tpl)
     engine = _window_engine(args, ctpl, args.window)
-    for v in observed:  # ctpl also names the auxiliary latents
-        tpl.index(v)
     _emit_graph(project(ctpl, observed, args.window, engine), args)
     return 0
 

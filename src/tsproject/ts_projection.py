@@ -7,10 +7,11 @@ infinite past, then apply the finite ADMG latent projection to the requested
 observed variables.  The DMAG variant projects that marginal ADMG onto its
 maximal ancestral graph.
 
-The common-ancestor queries of a window marginal ask for lags
-d = dt + lag_i - lag_j with dt <= p and every lag at most the largest lag K,
-so |d| <= p + K.  Without an engine, a :class:`WalkerReach` to reach
-R = p + K answers them all from one search over n^2 (2 R + 1) two-walker
+The window marginal asks one question per lag pair: do some parent of i at
+lag lag_i and some parent of j at lag lag_j, d = dt + lag_i - lag_j steps
+apart, share a common ancestor?  As dt <= p and every lag is at most the
+largest lag K, |d| <= p + K.  Without an engine, a :class:`WalkerReach` to
+reach R = p + K answers them all from one search over n^2 (2 R + 1) two-walker
 states, trying 2 n (2 R + 1) |E| steps for |E| template entries, when these
 counts fit ``_MAX_WALKER_STATES`` and ``_MAX_WALKER_STEPS``; otherwise the
 cone engine answers.  The rule reads only the input, and both engines are
@@ -27,7 +28,6 @@ cutoff p_cut + p, so :func:`graph_model.unroll_window` stays on vertex sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Optional
 
 from .ancestor_query import CommonAncestorEngine, WalkerReach, WalkWeights
@@ -82,9 +82,10 @@ def simple_marginal_ts_admg(
     difference d = dt + lag_i - lag_j does not depend on the offset, so a
     pair that hits at ``start`` hits at every later offset.  The edges of the
     pattern (i, j, dt) therefore run from the smallest ``start`` of a hitting
-    pair to the window's edge.  A pair hits when k = l and d = 0, or when
-    ``engine`` finds a common ancestor; the pairs are asked in order of
-    ``start`` and the first hit ends the pattern.
+    pair to the window's edge.  ``start`` and d depend only on the lags, so
+    the lag pairs are tried in order of ``start``, and the first whose parent
+    groups hold a hitting pair ends the pattern: k = l at d = 0, or a common
+    ancestor that ``engine`` finds.
 
     ``engine`` answers the common-ancestor queries and must be built on
     ``tpl``; without one, the rule of the module docstring picks a
@@ -127,33 +128,31 @@ def _window_marginal(
     parents = [0] * (len(names) * width)
     siblings = [0] * len(parents)
 
-    in_lags: dict[str, list[tuple[str, int]]] = {v: [] for v in tpl.variables}
+    by_lag: dict[str, dict[int, list[str]]] = {v: {} for v in tpl.variables}
     for src, lag, dst in sorted(tpl.directed_t):
-        in_lags[dst].append((src, lag))
+        by_lag[dst].setdefault(lag, []).append(src)
         for off in range(width - lag):
             parents[first[dst] + off] |= 1 << (first[src] + off + lag)
 
-    # a variable without parents (every auxiliary latent) has no pairs
+    # a variable without parents (every auxiliary latent) has no lag pairs
     idx = {v: n for n, v in enumerate(tpl.variables)}
-    fed = [v for v in tpl.variables if in_lags[v]]
+    fed = [v for v in tpl.variables if by_lag[v]]
     for i in fed:
         for j in fed:
-            pairs = [(k, li, l, lj) for k, li in in_lags[i] for l, lj in in_lags[j]]
             for dt in range(0 if idx[i] < idx[j] else 1, width):
                 last = p - dt
-                # a stable sort: pairs of equal start stay in in_lags order
-                starts = sorted(
-                    (
-                        (max(0, width - dt - li, width - lj), k, dt + li - lj, l)
-                        for k, li, l, lj in pairs
-                    ),
-                    key=itemgetter(0),
-                )
-                for start, k, d, l in starts:
+                for start, li, lj in sorted(
+                    (max(0, width - dt - li, width - lj), li, lj)
+                    for li in by_lag[i]
+                    for lj in by_lag[j]
+                ):
                     if start > last:
                         break
-                    if (k == l and d == 0) or (
+                    ks, d, ls = by_lag[i][li], dt + li - lj, by_lag[j][lj]
+                    if (d == 0 and not set(ks).isdisjoint(ls)) or any(
                         engine.query(k, d, l) if d >= 0 else engine.query(l, -d, k)
+                        for k in ks
+                        for l in ls
                     ):
                         for off in range(start, last + 1):
                             u, v = first[i] + off + dt, first[j] + off

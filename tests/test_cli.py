@@ -133,6 +133,17 @@ def test_a_summary_graph_with_too_many_simple_paths_is_refused(data_dir, argv):
     )
 
 
+@pytest.mark.parametrize("method", ["dioph", "window"])
+def test_an_unknown_observed_variable_is_named_before_any_engine_is_built(data_dir, method):
+    """The walk-weight engine of wide30.json is refused at its simple-path
+    limit; an unknown --observed name is reported first, by either method."""
+    done = _run_in_1536_mb(["project-admg", "--graph", str(data_dir / "wide30.json"),
+                            "--observed", "Q", "--window", "1", "--method", method])
+    assert (done.returncode, done.stdout) == (1, "")
+    assert "Q" in done.stderr and "Traceback" not in done.stderr
+    assert done.stderr == "error: unknown variable 'Q'\n"
+
+
 def test_the_default_projection_of_wide30_lists_no_simple_paths(data_dir):
     """The default projection of wide30.json asks the two-walker search,
     which never lists simple paths, so it answers in the same 1.5 GB address

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import time
 
 import pytest
 
@@ -186,6 +188,29 @@ class TestMarginalTsAdmg:
     def test_admg_input_goes_through_canonicalization(self, fig3_tpl):
         marg = marginal_ts_admg(fig3_tpl, ["X1", "X2", "X3"], 1)
         assert has_bidirected(marg, "X2", 1, "X1", 0)
+
+    @pytest.mark.parametrize(
+        "case, digest",
+        [
+            ((1, 40, 3, 0.6), "e573cbd44a5cace966beb1c3423e9e66d6fdcaa462579110dc651f850926d92a"),
+            ((1, 30, 5, 0.6), "ee304b8505c0bc3faac78408d9e32a2552581eb247616d8244bbb67de11846ac"),
+            ((1, 60, 1, 0.6), "a95e90059b2f016f68b7d51d0079257e4048df7cabc9298f2041aa3da3628fdd"),
+        ],
+    )
+    def test_many_parent_templates(self, case, digest):
+        """32 to 114 parents per variable.  The projection asks one question
+        per lag pair, not per parent pair, so it takes well under 3 s (a
+        per-parent-pair search took 8-11 s on 2 vCPUs) with the same bytes.  A
+        window of 3 steps, which the oracle searches in about 0.1 s, can only
+        lose bidirected edges, never add one."""
+        tpl = random_template(*case)
+        started = time.perf_counter()
+        marg = marginal_ts_admg(tpl, tpl.variables, 1)
+        assert time.perf_counter() - started < 3
+        assert hashlib.sha256(marg.to_json().encode()).hexdigest() == digest
+        truncated = window_marginal(tpl, tpl.variables, 1, 3)
+        assert truncated.directed == marg.directed
+        assert truncated.bidirected and truncated.bidirected <= marg.bidirected
 
 
 class _Recorder:
@@ -386,6 +411,24 @@ class TestCutoffBound:
     def test_rejects_bidirected(self, fig3_tpl):
         with pytest.raises(ValidationError):
             cutoff_bound(fig3_tpl, 0)
+
+    def test_walk_weights_at_a_large_lag_match_the_cone_engine(self):
+        """Single queries at tau 5000 and 50,000 on a dense template, where
+        the two-walker search is over its state limit: walk weights to the
+        cutoff depth (0.45 M and 4.2 M steps) agree with the cone engine,
+        True and False alike."""
+        tpl = canonical_ts_dag(random_template(0, 16, 1, 0.1))
+        engine = CommonAncestorEngine(tpl)
+        pairs = [("X1", "X16"), ("X16", "X1"), ("X12", "X1"), ("X12", "X4"),
+                 ("X8", "X9"), ("X2", "X15"), ("X12", "X12"), ("X16", "X16")]
+        answers = []
+        for tau in (5000, 50_000):
+            assert len(tpl.variables) ** 2 * (2 * tau + 1) > _MAX_WALKER_STATES
+            walks = cutoff_walk_weights(tpl, tau)
+            for i, j in pairs:
+                answers.append(engine.query(i, tau, j))
+                assert answers[-1] == walks.query(i, tau, j), (i, tau, j)
+        assert answers.count(False) == 2
 
 
 def test_project_arbitrary_subset(b1_tpl):
