@@ -38,8 +38,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-import networkx as nx
-
 from .diophantine import solvable
 from .graph_model import TsGraphTemplate, ValidationError, max_lag
 from .summary_mwdg import (
@@ -64,6 +62,8 @@ _MAX_WALK_DEPTH = 10**7  # deepest WalkWeights search; a bitset that deep is 1.2
 def summary_prefilter(s: MwSummaryGraph, i: str, j: str) -> bool:
     """Necessary condition: i and j have a common ancestor in the unweighted
     summary graph.  False here implies no common ancestor at any lag."""
+    import networkx as nx  # on first use, so that importing tsproject does not load it
+
     dg = nx.DiGraph()
     dg.add_nodes_from(s.nodes)
     dg.add_edges_from(s.edges)

@@ -100,7 +100,10 @@ def _cmd_project(args) -> int:
     observed = [v for v in args.observed.split(",") if v]
     # chosen per call, so that wrappers of the globals (perfbench/tracer.py) see it
     project = marginal_ts_dmag if args.command == "project-dmag" else marginal_ts_admg
-    for v in observed:  # before the window engine; ctpl also names the auxiliary latents
+    # checked before the window engine; ctpl also names the auxiliary latents
+    if not observed:
+        raise ValidationError("observed variable set must be non-empty")
+    for v in observed:
         tpl.index(v)
     ctpl = canonical_ts_dag(tpl)
     engine = _window_engine(args, ctpl, args.window)
@@ -147,8 +150,9 @@ def _cmd_ancestor(args) -> int:
     tpl = canonical_ts_dag(named)
     if args.tau < 0:  # before the window engine reads it as a window length
         raise ValidationError("tau must be non-negative")
+    # before either engine is built; tpl also names the auxiliary latents
+    named.index(args.i), named.index(args.j)
     engine = _window_engine(args, tpl, args.tau) or CommonAncestorEngine(tpl)
-    named.index(args.i), named.index(args.j)  # tpl also names the auxiliary latents
     answer = engine.query(args.i, args.tau, args.j)
     if args.explain:
         sys.stderr.write(

@@ -63,6 +63,37 @@ def test_summary_prefilter(running_tpl):
     assert not summary_prefilter(s2, "A", "B")
 
 
+def _reflexive_ancestors(s, v):
+    """v and every node with a path to v over the summary edges."""
+    parents = {}
+    for src, dst in s.edges:
+        parents.setdefault(dst, []).append(src)
+    seen, stack = {v}, [v]
+    while stack:
+        for u in parents.get(stack.pop(), ()):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
+def test_summary_prefilter_is_a_shared_summary_ancestor():
+    """summary_prefilter(s, i, j) holds iff the reflexive ancestor sets of i
+    and j over the summary edges meet, for every pair of 200 seeded random
+    summaries; the sparse ones have pairs with no shared ancestor."""
+    answers = {True: 0, False: 0}
+    for seed in range(200):
+        tpl = random_template(seed, 2 + seed % 6, 1 + seed % 3, (0.05, 0.1, 0.2, 0.35)[seed % 4])
+        s = build_mw_summary(tpl)
+        ancestors = {v: _reflexive_ancestors(s, v) for v in s.nodes}
+        for i in s.nodes:
+            for j in s.nodes:
+                expected = bool(ancestors[i] & ancestors[j])
+                assert summary_prefilter(s, i, j) == expected, (seed, i, j)
+                answers[expected] += 1
+    assert min(answers.values()) > 500, answers
+
+
 def test_b1_gap_queries(b1_tpl):
     """X_{t-tau} and Y_t: solvable iff tau is hit by 1 + 5a - 3b with a, b >= 0."""
     engine = CommonAncestorEngine(b1_tpl)

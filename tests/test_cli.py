@@ -144,6 +144,73 @@ def test_an_unknown_observed_variable_is_named_before_any_engine_is_built(data_d
     assert done.stderr == "error: unknown variable 'Q'\n"
 
 
+@pytest.mark.parametrize("observed", ["", ","])
+@pytest.mark.parametrize("method", ["dioph", "window"])
+def test_an_empty_observed_set_is_refused_before_any_engine_is_built(data_dir, method, observed):
+    """The walk-weight engine of wide30.json is refused at its simple-path
+    limit; an empty --observed list is reported first, by either method."""
+    done = _run_in_1536_mb(["project-admg", "--graph", str(data_dir / "wide30.json"),
+                            "--observed", observed, "--window", "1", "--method", method])
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "error: observed variable set must be non-empty\n"
+
+
+@pytest.mark.parametrize("method", ["dioph", "window"])
+@pytest.mark.parametrize("side", ["--i", "--j"])
+def test_ancestor_names_an_unknown_variable_before_any_engine_is_built(data_dir, method, side):
+    """Both engines of wide30.json are refused at its simple-path limit; an
+    unknown --i or --j is reported first."""
+    names = {"--i": "X1", "--j": "X1", side: "Q"}
+    done = _run_in_1536_mb(["ancestor", "--graph", str(data_dir / "wide30.json"),
+                            "--i", names["--i"], "--tau", "1", "--j", names["--j"],
+                            "--method", method])
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "error: unknown variable 'Q'\n"
+
+
+_COLD_START = """
+import contextlib, io, sys
+import tsproject, tsproject.cli
+
+data, out = sys.argv[1], sys.argv[2]
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as captured:
+        assert tsproject.cli.run(list(argv)) == 0, argv
+    return captured.getvalue()
+
+for name, observed in (("running", "X,Y,Z"), ("fig3", "X1,X2,X3")):
+    graph = f"{data}/{name}.json"
+    for method in ("dioph", "window"):
+        run("project-admg", "--graph", graph, "--observed", observed, "--window", "2",
+            "--method", method)
+    run("project-dmag", "--graph", graph, "--observed", observed, "--window", "2",
+        "--out", out)
+    run("cutoff", "--graph", graph, "--window", "1")
+    first, last = observed.split(",")[0], observed.split(",")[-1]
+    run("msep", "--marginal", out, "--x", f"{first}:0", "--y", f"{last}:2")
+run("dioph", "--lhs", "1;5", "--rhs", "0;3")
+print("networkx" in sys.modules)
+assert run("ancestor", "--graph", f"{data}/running.json", "--i", "X", "--tau", "0",
+           "--j", "Z") == "true\\n"
+print("networkx" in sys.modules)
+"""
+
+
+def test_projections_never_load_networkx(data_dir, tmp_path):
+    """networkx is imported by the cone engine's summary prefilter alone:
+    importing the package and running the projections (either method),
+    cutoff, msep and dioph leave it unloaded; the default ancestor query
+    loads it.  A fresh interpreter, since the test session has loaded it."""
+    src = str(Path(tsproject.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(data_dir), str(tmp_path / "dmag.json")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "False\nTrue\n"
+
+
 def test_the_default_projection_of_wide30_lists_no_simple_paths(data_dir):
     """The default projection of wide30.json asks the two-walker search,
     which never lists simple paths, so it answers in the same 1.5 GB address
