@@ -30,13 +30,23 @@ reachable:
   other), so the states with |delta| <= R close under steps.
 
 One backward search from every meeting state over the n^2 (2 R + 1) states
-answers every query with tau <= R at once; a projection on the window
-[t-p, t] asks only lags up to p + K.
+answers every query with tau <= R at once (a projection asks only lags
+below K; see :mod:`tsproject.ts_projection`).  The tail answers tau > R:
+(i, t-tau) and (j, t) have a common ancestor iff some b and some s in
+[tau - R, tau] have (b, t-s) an ancestor of (j, t), bit s of
+``WalkWeights(tpl, tau).anc[j][b]``, and the state (i, b, s - tau) reached.
+Soundness: the two conditions chain an ancestor of (j, t) and a common
+ancestor of (i, t-tau) and (b, t-s).  Completeness: in the merged walks of
+a common ancestor, B is the later walker and steps alone while delta < -R,
+and each step raises delta by at most K <= R, so the walks pass through a
+state (i, b, s - tau) with s - tau in [-R, 0) before they meet; B's walk so
+far sets bit s, and the rest stays within |delta| <= R, where the search
+reached the state.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from .diophantine import solvable
 from .graph_model import TsGraphTemplate, ValidationError, max_lag
@@ -57,6 +67,9 @@ from .summary_mwdg import (
 
 
 _MAX_WALK_DEPTH = 10**7  # deepest WalkWeights search; a bitset that deep is 1.25 MB
+_MAX_WALKER_STATES = 2 * 10**5  # n^2 (2 R + 1); a byte per state
+_MAX_WALKER_STEPS = 4 * 10**6  # 2 n (2 R + 1) |E|; the search takes under 1 s at both
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def summary_prefilter(s: MwSummaryGraph, i: str, j: str) -> bool:
@@ -167,22 +180,16 @@ class WalkWeights:
     a cycle that spans several nodes is crossed in a few rounds instead of
     one round per trip around it.  A weight that is a multiple of a smaller
     kept weight adds nothing and is dropped.
-
-    ``classes``, if given, are the cycle classes of ``build_mw_summary(tpl)``,
-    which the engine then does not enumerate again.
     """
 
-    def __init__(
-        self, tpl: TsGraphTemplate, depth: int, classes: Optional[Iterable[CycleClass]] = None
-    ):
+    def __init__(self, tpl: TsGraphTemplate, depth: int):
         if depth < 0:
             raise ValidationError("depth must be non-negative")
         if depth > _MAX_WALK_DEPTH:
             raise ValidationError(
                 f"search depth {depth} exceeds the walk-weight limit of {_MAX_WALK_DEPTH}"
             )
-        if classes is None:
-            classes = enumerate_cycle_classes(build_mw_summary(tpl))
+        classes = enumerate_cycle_classes(build_mw_summary(tpl))
         self.tpl = tpl
         self.depth = depth
         mask = (1 << (depth + 1)) - 1
@@ -243,17 +250,21 @@ class WalkWeights:
 
 class WalkerReach:
     """Exact common-ancestor queries on a ts-DAG for tau up to ``reach``,
-    raised to the largest lag if below it, from one backward search over the
-    two-walker states (a, b, delta) of the module docstring with
-    |delta| <= reach.
+    raised to the largest lag K if below it.
+
+    A backward search over the two-walker states (a, b, delta) of the module
+    docstring with |delta| <= R answers tau <= R by whether it reached
+    (i, j, -tau).  R is the largest value in [K, reach] whose states and
+    steps fit ``_MAX_WALKER_STATES`` and ``_MAX_WALKER_STEPS``, or K if none
+    does; the module docstring's tail, from ``WalkWeights(tpl, reach)``,
+    answers tau in (R, reach].
 
     From every meeting state (x, x, 0) the search takes steps back: an edge
     u -> a of lag L takes (u, b, d) to (a, b, d + L) when d + L >= 0 (A, the
     later walker, stepped), and an edge w -> b takes (a, w, d) to
-    (a, b, d - L) when d - L <= 0.  ``query(i, tau, j)`` reads whether it
-    reached (i, j, -tau).  Each state enters the worklist once, so the search
-    costs one pass over the states and their steps.  A ts-ADMG is rejected in
-    :func:`~tsproject.summary_mwdg.build_mw_summary`.
+    (a, b, d - L) when d - L <= 0.  Each state enters the worklist once, so
+    the search costs one pass over the states and their steps.  A ts-ADMG is
+    rejected in :func:`~tsproject.summary_mwdg.build_mw_summary`.
     """
 
     def __init__(self, tpl: TsGraphTemplate, reach: int):
@@ -261,10 +272,11 @@ class WalkerReach:
             raise ValidationError("reach must be non-negative")
         summary = build_mw_summary(tpl)
         self.tpl = tpl
-        self.reach = reach = max(reach, max_lag(tpl))
-        n, width = len(tpl.variables), 2 * reach + 1
+        self.reach = max(reach, max_lag(tpl))
+        self._r = r = max(max_lag(tpl), min(reach, _largest_reach(tpl)))
+        n, width = len(tpl.variables), 2 * r + 1
         idx = {v: k for k, v in enumerate(tpl.variables)}
-        # state (a, b, delta) is number (a * n + b) * width + delta + reach;
+        # state (a, b, delta) is number (a * n + b) * width + delta + r;
         # per edge tail, (lag, the change of that number) for each walker
         steps_a: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         steps_b: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -276,15 +288,15 @@ class WalkerReach:
         for steps in steps_a + steps_b:
             steps.sort()
         seen = bytearray(n * n * width)
-        work = [(x * n + x) * width + reach for x in range(n)]
+        work = [(x * n + x) * width + r for x in range(n)]
         for s in work:
             seen[s] = 1
         while work:
             s = work.pop()
-            pair, e = divmod(s, width)  # e = delta + reach
+            pair, e = divmod(s, width)  # e = delta + r
             a, b = divmod(pair, n)
-            low = reach - e  # A's lag keeps delta + lag in [0, reach]
-            high = low + reach
+            low = r - e  # A's lag keeps delta + lag in [0, r]
+            high = low + r
             for lag, step in steps_a[a]:
                 if lag > high:
                     break
@@ -293,7 +305,7 @@ class WalkerReach:
                     if not seen[t]:
                         seen[t] = 1
                         work.append(t)
-            low = e - reach  # B's lag keeps delta - lag in [-reach, 0]
+            low = e - r  # B's lag keeps delta - lag in [-r, 0]
             for lag, step in steps_b[b]:
                 if lag > e:
                     break
@@ -303,6 +315,14 @@ class WalkerReach:
                         seen[t] = 1
                         work.append(t)
         self._seen = seen
+        if self.reach > r:
+            self._walks = WalkWeights(tpl, self.reach)
+            # bit k of _rows[a][b]: the state (a, b, k - r) was reached
+            self._rows = {
+                a: {b: int(seen[s : s + r + 1].translate(_BIT_DIGITS)[::-1], 2)
+                    for b, s in zip(tpl.variables, range(x * n * width, len(seen), width))}
+                for x, a in enumerate(tpl.variables)
+            }
 
     def query(self, i: str, tau: int, j: str) -> bool:
         """Whether (i, t-tau) and (j, t) have a common ancestor."""
@@ -311,7 +331,28 @@ class WalkerReach:
         if tau > self.reach:
             raise ValidationError("tau must not exceed the reach")
         pair = self.tpl.index(i) * len(self.tpl.variables) + self.tpl.index(j)
-        return bool(self._seen[pair * (2 * self.reach + 1) + self.reach - tau])
+        if tau <= self._r:
+            return bool(self._seen[pair * (2 * self._r + 1) + self._r - tau])
+        rows, shift = self._rows[i], tau - self._r
+        return any(bits >> shift & rows[b] for b, bits in self._walks.anc[j].items())
+
+
+def _largest_reach(tpl: TsGraphTemplate) -> int:
+    """The largest R whose two-walker states and steps fit the limits; -1 if none."""
+    n = len(tpl.variables)
+    span = min(_MAX_WALKER_STATES // n**2, _MAX_WALKER_STEPS // (2 * n * len(tpl.directed_t) or 1))
+    return (span - 1) // 2
+
+
+def _default_engine(tpl: TsGraphTemplate, depth: int) -> CommonAncestorEngine | WalkerReach:
+    """The engine for every lag up to ``depth``: a :class:`WalkerReach` when
+    its search fits the limits at R = K and its tail, if depth > R, is within
+    ``_MAX_WALK_DEPTH``; the cone engine otherwise.  The rule reads only the
+    input, and both engines are exact."""
+    fit = _largest_reach(tpl)
+    if max_lag(tpl) <= fit and depth <= max(fit, _MAX_WALK_DEPTH):
+        return WalkerReach(tpl, depth)
+    return CommonAncestorEngine(tpl)
 
 
 def lag1_shortcut(tpl: TsGraphTemplate, i: str, tau: int, j: str) -> Optional[bool]:

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import oracle_testkit
-from .ancestor_query import CommonAncestorEngine, WalkWeights, lag1_shortcut
+from .ancestor_query import CommonAncestorEngine, _default_engine, lag1_shortcut
 from .diophantine import solvable
 from .finite_projection import m_separated
 from .graph_model import (
@@ -34,7 +34,6 @@ from .summary_mwdg import ConeTuple
 from .ts_projection import (
     canonical_ts_dag,
     cutoff_bound,
-    cutoff_walk_weights,
     marginal_ts_admg,
     marginal_ts_dmag,
 )
@@ -89,25 +88,12 @@ def _emit_graph(graph, args) -> None:
         sys.stdout.write(text)
 
 
-def _window_engine(args, ctpl, x: int) -> Optional[WalkWeights]:
-    """``--method window``: walk weights on the canonical ts-DAG ``ctpl`` to
-    the cutoff depth of the window or lag ``x``; None for ``--method dioph``."""
-    return None if args.method == "dioph" else cutoff_walk_weights(ctpl, x)
-
-
 def _cmd_project(args) -> int:
     tpl = parse_template(_read(args.graph))
     observed = [v for v in args.observed.split(",") if v]
     # chosen per call, so that wrappers of the globals (perfbench/tracer.py) see it
     project = marginal_ts_dmag if args.command == "project-dmag" else marginal_ts_admg
-    # checked before the window engine; ctpl also names the auxiliary latents
-    if not observed:
-        raise ValidationError("observed variable set must be non-empty")
-    for v in observed:
-        tpl.index(v)
-    ctpl = canonical_ts_dag(tpl)
-    engine = _window_engine(args, ctpl, args.window)
-    _emit_graph(project(ctpl, observed, args.window, engine), args)
+    _emit_graph(project(tpl, observed, args.window), args)
     return 0
 
 
@@ -143,16 +129,13 @@ def _explain_dump(engine: CommonAncestorEngine, i: str, tau: int, j: str) -> dic
 
 
 def _cmd_ancestor(args) -> int:
-    if args.explain and args.method == "window":
-        print("error: --explain is not available with --method window", file=sys.stderr)
-        return 2
     named = parse_template(_read(args.graph))
     tpl = canonical_ts_dag(named)
-    if args.tau < 0:  # before the window engine reads it as a window length
+    if args.tau < 0:  # before the rule reads it as a depth
         raise ValidationError("tau must be non-negative")
     # before either engine is built; tpl also names the auxiliary latents
     named.index(args.i), named.index(args.j)
-    engine = _window_engine(args, tpl, args.tau) or CommonAncestorEngine(tpl)
+    engine = CommonAncestorEngine(tpl) if args.explain else _default_engine(tpl, args.tau)
     answer = engine.query(args.i, args.tau, args.j)
     if args.explain:
         sys.stderr.write(
@@ -279,7 +262,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
         p.add_argument("--graph", required=True, help="template JSON file")
         p.add_argument("--observed", required=True, help="comma-separated variable names")
         p.add_argument("--window", required=True, type=int, help="observed window length p")
-        p.add_argument("--method", choices=["dioph", "window"], default="dioph")
+        p.add_argument("--method", choices=["dioph", "window"], help=argparse.SUPPRESS)
         p.add_argument("--out", help="write JSON here instead of stdout")
         p.add_argument("--dot", help="also write a DOT rendering to this file")
 
@@ -289,7 +272,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p.add_argument("--i", required=True)
     p.add_argument("--tau", required=True, type=int)
     p.add_argument("--j", required=True)
-    p.add_argument("--method", choices=["dioph", "window"], default="dioph")
+    p.add_argument("--method", choices=["dioph", "window"], help=argparse.SUPPRESS)
     p.add_argument("--explain", action="store_true", help="dump the cone machinery to stderr")
 
     p = sub.add_parser("msep", help="m-separation query on a serialized finite graph")

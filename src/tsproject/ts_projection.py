@@ -9,13 +9,14 @@ maximal ancestral graph.
 
 The window marginal asks one question per lag pair: do some parent of i at
 lag lag_i and some parent of j at lag lag_j, d = dt + lag_i - lag_j steps
-apart, share a common ancestor?  As dt <= p and every lag is at most the
-largest lag K, |d| <= p + K.  Without an engine, a :class:`WalkerReach` to
-reach R = p + K answers them all from one search over n^2 (2 R + 1) two-walker
-states, trying 2 n (2 R + 1) |E| steps for |E| template entries, when these
-counts fit ``_MAX_WALKER_STATES`` and ``_MAX_WALKER_STEPS``; otherwise the
-cone engine answers.  The rule reads only the input, and both engines are
-exact, so the output does not depend on it.
+apart, share a common ancestor?  It asks only when both parents lie before
+the window at some offset up to p - dt, which needs lag_i >= 1 and
+lag_j >= dt + 1, so |d| <= K - 1 for the largest lag K, whatever p is.
+Without an engine, :func:`~tsproject.ancestor_query._default_engine` picks
+one for depth K, by the rule that ``ancestor`` applies at depth tau: a
+:class:`WalkerReach` when its n^2 (2 K + 1) states and 2 n (2 K + 1) |E|
+steps fit its limits, the cone engine otherwise.  The rule reads only the
+input, and both engines are exact, so the output does not depend on it.
 
 The pipeline carries one mask graph (:class:`finite_projection._Index`)
 from start to finish: the window marginal is written as masks straight from
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .ancestor_query import CommonAncestorEngine, WalkerReach, WalkWeights
+from .ancestor_query import CommonAncestorEngine, WalkerReach, WalkWeights, _default_engine
 from .finite_projection import _dmag, _Index, _latent_project
 from .graph_model import (
     FiniteMixedGraph,
@@ -40,11 +41,9 @@ from .graph_model import (
     make_template,
     max_lag,
 )
-from .summary_mwdg import CycleClass, build_mw_summary, enumerate_cycle_classes
+from .summary_mwdg import build_mw_summary, enumerate_cycle_classes
 
 _MAX_WINDOW_VERTICES = 10**5  # n * (p + 1); one mask of that many bits per vertex
-_MAX_WALKER_STATES = 2 * 10**5  # n^2 (2 R + 1); a byte per state
-_MAX_WALKER_STEPS = 4 * 10**6  # 2 n (2 R + 1) |E|; the search takes under 1 s at both
 
 
 def canonical_ts_dag(tpl: TsGraphTemplate) -> TsGraphTemplate:
@@ -95,16 +94,6 @@ def simple_marginal_ts_admg(
     return _window_marginal(tpl, p, engine).graph()
 
 
-def _default_engine(tpl: TsGraphTemplate, p: int) -> CommonAncestorEngine | WalkerReach:
-    """The engine the module docstring's rule picks for the window [t-p, t]."""
-    reach = p + max_lag(tpl)
-    n, span = len(tpl.variables), 2 * reach + 1
-    steps = 2 * n * span * len(tpl.directed_t)
-    if n * n * span <= _MAX_WALKER_STATES and steps <= _MAX_WALKER_STEPS:
-        return WalkerReach(tpl, reach)
-    return CommonAncestorEngine(tpl)
-
-
 def _window_marginal(
     tpl: TsGraphTemplate,
     p: int,
@@ -121,7 +110,7 @@ def _window_marginal(
         raise ValidationError(
             f"{len(names)} x {width} window vertices exceed the limit of {_MAX_WINDOW_VERTICES}"
         )
-    engine = engine or _default_engine(tpl, p)
+    engine = engine or _default_engine(tpl, max_lag(tpl))
     if engine.tpl != tpl:
         raise ValidationError("the engine was built on another template")
     first = {v: n * width for n, v in enumerate(names)}
@@ -229,23 +218,10 @@ def cutoff_bound(tpl: TsGraphTemplate, p: int) -> CutoffQuantities:
     class is its largest entry, and the largest weight of a cycle-free path
     is the sum of the largest lags of its edges.  ``build_mw_summary`` rejects
     a ts-ADMG."""
-    return _cutoff(tpl, p)[0]
-
-
-def cutoff_walk_weights(tpl: TsGraphTemplate, p: int) -> WalkWeights:
-    """``WalkWeights(tpl, cutoff_bound(tpl, p).p_cut + p)``, exact for the
-    window [t-p, t], from one summary graph and one cycle-class enumeration."""
-    q, classes = _cutoff(tpl, p)
-    return WalkWeights(tpl, q.p_cut + p, classes)
-
-
-def _cutoff(tpl: TsGraphTemplate, p: int) -> tuple[CutoffQuantities, frozenset[CycleClass]]:
-    """:func:`cutoff_bound`, and the cycle classes it read."""
     if p < 0:
         raise ValidationError("window length must be non-negative")
     summary = build_mw_summary(tpl)
-    classes = enumerate_cycle_classes(summary)
-    maxima = [max(c.weights) for c in classes]
+    maxima = [max(c.weights) for c in enumerate_cycle_classes(summary)]
     big_k = max(maxima, default=0)
     big_m = sum(maxima)
     big_l = max(
@@ -254,4 +230,4 @@ def _cutoff(tpl: TsGraphTemplate, p: int) -> tuple[CutoffQuantities, frozenset[C
         for pi in paths
     )
     p_cut = (big_k**2 + 1) * (p + big_l + big_m) + big_k * ((big_k - 1) ** 2 + 1)
-    return CutoffQuantities(K=big_k, L=big_l, M=big_m, p_cut=p_cut), classes
+    return CutoffQuantities(K=big_k, L=big_l, M=big_m, p_cut=p_cut)

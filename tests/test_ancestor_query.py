@@ -10,8 +10,10 @@ from tsproject import (
     cutoff_bound,
     lag1_shortcut,
     make_template,
+    max_lag,
     summary_prefilter,
 )
+from tsproject import ancestor_query
 from tsproject.ancestor_query import _MAX_WALK_DEPTH
 from tsproject.oracle_testkit import (
     random_template,
@@ -352,3 +354,29 @@ class TestWalkerReach:
         assert engine.query("X", 1, "Y")
         assert engine.query("Y", 1, "X")
         assert not engine.query("X", 0, "Y")
+
+    def test_the_tail_matches_an_uncapped_search(self, monkeypatch):
+        """With the limits patched so that the search stops at R = K, the
+        tail answers every lag in (K, 60].  An uncapped search (limits
+        patched high) is its reference at every lag, the cone engine at
+        three."""
+        answers = []
+        for seed in range(40):
+            tpl = canonical_ts_dag(
+                random_template(seed, 2 + seed % 4, 1 + seed % 3, 0.3, bidirected_density=0.05)
+            )
+            k, n = max_lag(tpl), len(tpl.variables)
+            monkeypatch.setattr(ancestor_query, "_MAX_WALKER_STATES", 10**12)
+            monkeypatch.setattr(ancestor_query, "_MAX_WALKER_STEPS", 10**12)
+            exact = WalkerReach(tpl, 60)
+            monkeypatch.setattr(ancestor_query, "_MAX_WALKER_STATES", n * n * (2 * k + 1))
+            tail = WalkerReach(tpl, 60)
+            cone = CommonAncestorEngine(tpl)
+            for i in tpl.variables:
+                for j in tpl.variables:
+                    for tau in range(k + 1, 61):
+                        answers.append(exact.query(i, tau, j))
+                        assert answers[-1] == tail.query(i, tau, j), (seed, i, tau, j)
+                    for tau in (k + 1, 2 * k + 1, 60):
+                        assert exact.query(i, tau, j) == cone.query(i, tau, j), (seed, i, tau, j)
+        assert answers.count(True) > 20_000 and answers.count(False) > 10_000

@@ -12,17 +12,24 @@ import pytest
 
 import tsproject
 from tsproject import (
+    CommonAncestorEngine,
     TsVertex,
+    WalkWeights,
     build_graph_of_cycles,
     build_mw_summary,
+    canonical_ts_dag,
     cli,
+    cutoff_bound,
     enumerate_cycle_classes,
     get_monoid,
     m_separated,
+    marginal_ts_admg,
+    marginal_ts_dmag,
     parse_mixed_graph,
     parse_template,
     serialize_template,
 )
+from tsproject.ancestor_query import _default_engine
 from tsproject.cli import run
 from tsproject.oracle_testkit import random_template, window_marginal
 
@@ -115,8 +122,8 @@ def test_a_window_over_the_vertex_limit_is_refused_before_allocating(
     "argv",
     [
         ["cutoff", "--window", "1"],
-        ["ancestor", "--i", "X1", "--tau", "1", "--j", "X2"],
-        ["project-admg", "--observed", "X1", "--window", "1", "--method", "window"],
+        ["ancestor", "--i", "X1", "--tau", "1000", "--j", "X2", "--method", "dioph"],
+        ["ancestor", "--i", "X1", "--tau", "1", "--j", "X2", "--method", "window", "--explain"],
     ],
     ids=["cutoff", "dioph", "window"],
 )
@@ -125,7 +132,9 @@ def test_a_summary_graph_with_too_many_simple_paths_is_refused(data_dir, argv):
     more than 10^6 simple paths.  The cycle classes, the cone engine's paths
     and the cutoff's L all read that table; its search stops at the limit,
     well inside a 1.5 GB address space that listing every path would
-    overrun."""
+    overrun.  The two-walker search of wide30.json stops at R = 110, so the
+    walk weights of its tail read the cycle classes at tau 1000, and
+    --explain builds the cone engine; --method selects nothing."""
     done = _run_in_1536_mb([argv[0], "--graph", str(data_dir / "wide30.json"), *argv[1:]])
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == (
@@ -135,8 +144,8 @@ def test_a_summary_graph_with_too_many_simple_paths_is_refused(data_dir, argv):
 
 @pytest.mark.parametrize("method", ["dioph", "window"])
 def test_an_unknown_observed_variable_is_named_before_any_engine_is_built(data_dir, method):
-    """The walk-weight engine of wide30.json is refused at its simple-path
-    limit; an unknown --observed name is reported first, by either method."""
+    """An unknown --observed name is reported before any engine is built,
+    with either --method value."""
     done = _run_in_1536_mb(["project-admg", "--graph", str(data_dir / "wide30.json"),
                             "--observed", "Q", "--window", "1", "--method", method])
     assert (done.returncode, done.stdout) == (1, "")
@@ -147,8 +156,8 @@ def test_an_unknown_observed_variable_is_named_before_any_engine_is_built(data_d
 @pytest.mark.parametrize("observed", ["", ","])
 @pytest.mark.parametrize("method", ["dioph", "window"])
 def test_an_empty_observed_set_is_refused_before_any_engine_is_built(data_dir, method, observed):
-    """The walk-weight engine of wide30.json is refused at its simple-path
-    limit; an empty --observed list is reported first, by either method."""
+    """An empty --observed list is reported before any engine is built,
+    with either --method value."""
     done = _run_in_1536_mb(["project-admg", "--graph", str(data_dir / "wide30.json"),
                             "--observed", observed, "--window", "1", "--method", method])
     assert (done.returncode, done.stdout) == (1, "")
@@ -158,8 +167,8 @@ def test_an_empty_observed_set_is_refused_before_any_engine_is_built(data_dir, m
 @pytest.mark.parametrize("method", ["dioph", "window"])
 @pytest.mark.parametrize("side", ["--i", "--j"])
 def test_ancestor_names_an_unknown_variable_before_any_engine_is_built(data_dir, method, side):
-    """Both engines of wide30.json are refused at its simple-path limit; an
-    unknown --i or --j is reported first."""
+    """The cone engine of wide30.json is refused at its simple-path limit;
+    an unknown --i or --j is reported before any engine is built."""
     names = {"--i": "X1", "--j": "X1", side: "Q"}
     done = _run_in_1536_mb(["ancestor", "--graph", str(data_dir / "wide30.json"),
                             "--i", names["--i"], "--tau", "1", "--j", names["--j"],
@@ -174,8 +183,9 @@ import tsproject, tsproject.cli
 
 data, out = sys.argv[1], sys.argv[2]
 
-def run(*argv):
-    with contextlib.redirect_stdout(io.StringIO()) as captured:
+def run(*argv):  # stderr, where --explain writes, is dropped
+    with contextlib.redirect_stdout(io.StringIO()) as captured, \\
+            contextlib.redirect_stderr(io.StringIO()):
         assert tsproject.cli.run(list(argv)) == 0, argv
     return captured.getvalue()
 
@@ -190,9 +200,12 @@ for name, observed in (("running", "X,Y,Z"), ("fig3", "X1,X2,X3")):
     first, last = observed.split(",")[0], observed.split(",")[-1]
     run("msep", "--marginal", out, "--x", f"{first}:0", "--y", f"{last}:2")
 run("dioph", "--lhs", "1;5", "--rhs", "0;3")
+for tau in ("0", "50000"):
+    assert run("ancestor", "--graph", f"{data}/running.json", "--i", "X", "--tau", tau,
+               "--j", "Z") == "true\\n"
 print("networkx" in sys.modules)
 assert run("ancestor", "--graph", f"{data}/running.json", "--i", "X", "--tau", "0",
-           "--j", "Z") == "true\\n"
+           "--j", "Z", "--explain") == "true\\n"
 print("networkx" in sys.modules)
 """
 
@@ -200,7 +213,8 @@ print("networkx" in sys.modules)
 def test_projections_never_load_networkx(data_dir, tmp_path):
     """networkx is imported by the cone engine's summary prefilter alone:
     importing the package and running the projections (either method),
-    cutoff, msep and dioph leave it unloaded; the default ancestor query
+    cutoff, msep, dioph and the default ancestor query, from the states and
+    (at tau 50,000) from the tail, leave it unloaded; ancestor --explain
     loads it.  A fresh interpreter, since the test session has loaded it."""
     src = str(Path(tsproject.__file__).parents[1])
     done = subprocess.run(
@@ -224,6 +238,48 @@ def test_the_default_projection_of_wide30_lists_no_simple_paths(data_dir):
     truncated = window_marginal(tpl, ["X1"], 1, 150)
     assert truncated.bidirected
     assert truncated.bidirected <= parse_mixed_graph(done.stdout).bidirected
+
+
+def test_the_default_ancestor_query_of_wide30_lists_no_simple_paths(data_dir):
+    """X1 -> X2 at tau 1 on wide30.json is answered from the two-walker
+    states, which need no simple path, in the same 1.5 GB address space."""
+    done = _run_in_1536_mb(["ancestor", "--graph", str(data_dir / "wide30.json"),
+                            "--i", "X1", "--tau", "1", "--j", "X2"])
+    assert (done.returncode, done.stdout, done.stderr) == (0, "true\n", "")
+
+
+def test_ancestor_past_the_walk_weight_depth_limit_asks_the_cone_engine(running_path, capsys):
+    """At tau 2 * 10^7 the tail would search past 10^7 steps, so the cone
+    engine answers."""
+    tpl = parse_template(Path(running_path).read_text())
+    assert type(_default_engine(tpl, 20_000_000)) is CommonAncestorEngine
+    cone = CommonAncestorEngine(tpl)
+    for i, j in (("X", "Z"), ("Z", "X"), ("Z", "Z")):
+        argv = ["ancestor", "--graph", running_path, "--i", i, "--tau", "20000000", "--j", j]
+        assert run(argv) == 0
+        expected = "true\n" if cone.query(i, 20_000_000, j) else "false\n"
+        assert capsys.readouterr().out == expected, (i, j)
+
+
+def test_ancestor_at_a_large_lag_agrees_with_the_cutoff_walk_weights(tmp_path, capsys):
+    """Every variable of random_template(0, 16, 1, 0.1) into X12 at tau 5000,
+    where the two-walker states stop at R = 390 and the tail answers; every
+    answer is False.  The cone engine takes over a second on X4 -> X12
+    alone."""
+    tpl = canonical_ts_dag(random_template(0, 16, 1, 0.1))
+    graph = tmp_path / "t.json"
+    graph.write_text(serialize_template(tpl))
+    walks = WalkWeights(tpl, cutoff_bound(tpl, 5000).p_cut + 5000)
+    start = time.monotonic()
+    answers = []
+    for i in tpl.variables:
+        assert run(["ancestor", "--graph", str(graph), "--i", i, "--tau", "5000",
+                    "--j", "X12"]) == 0
+        answers.append(capsys.readouterr().out)
+    assert time.monotonic() - start < 15
+    assert answers == ["true\n" if walks.query(i, 5000, "X12") else "false\n"
+                       for i in tpl.variables]
+    assert answers == ["false\n"] * 16
 
 
 def test_cutoff_output_format(running_path, capsys):
@@ -329,13 +385,15 @@ def test_ancestor_explain_stops_on_a_monoid_too_large_to_list(tmp_path, capsys):
     assert "more than 1000000 generating paths" in captured.err
 
 
-def test_ancestor_explain_with_window_method_is_a_usage_error(running_path, capsys):
-    argv = ["ancestor", "--graph", running_path, "--i", "X", "--tau", "0", "--j", "Z",
-            "--method", "window", "--explain"]
-    assert run(argv) == 2
+@pytest.mark.parametrize("method", ["dioph", "window"])
+def test_ancestor_explain_with_either_method_prints_the_pinned_dump(data_dir, method, capsys):
+    """--method selects nothing: --explain always answers with the cone engine."""
+    argv = ["ancestor", "--graph", str(data_dir / "running.json"), "--i", "X", "--tau", "0",
+            "--j", "Z", "--method", method, "--explain"]
+    assert run(argv) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--explain" in captured.err and "--method window" in captured.err
+    assert captured.out == "true\n"
+    assert captured.err == (data_dir / "explain" / "running_X_0_Z.json").read_text()
 
 
 def test_dioph_subcommand(capsys):
@@ -402,13 +460,26 @@ def _outputs_per_method(argv, capsys):
     return outputs
 
 
+def _cutoff_walks_output(argv):
+    """What argv prints when walk weights at the cutoff depth of its window
+    or tau answer the common-ancestor queries, from the library."""
+    args = cli._build_parser()[0].parse_args(argv)
+    tpl = canonical_ts_dag(parse_template(Path(args.graph).read_text()))
+    x = args.tau if args.command == "ancestor" else args.window
+    walks = WalkWeights(tpl, cutoff_bound(tpl, x).p_cut + x)
+    if args.command == "ancestor":
+        return "true\n" if walks.query(args.i, args.tau, args.j) else "false\n"
+    project = marginal_ts_dmag if args.command == "project-dmag" else marginal_ts_admg
+    return project(tpl, args.observed.split(","), args.window, walks).to_json()
+
+
 @pytest.mark.parametrize("command", ["project-admg", "project-dmag"])
 @pytest.mark.parametrize("name, observed", [("b1", "X,Y"), ("fig3", "X1,X2,X3"), ("fig3", "X1,X3")])
 def test_project_methods_agree(data_dir, name, observed, command, capsys):
     argv = [command, "--graph", str(data_dir / f"{name}.json"), "--observed", observed,
             "--window", "1"]
     dioph_out, window_out = _outputs_per_method(argv, capsys)
-    assert dioph_out == window_out
+    assert dioph_out == window_out == _cutoff_walks_output(argv)
 
 
 def test_project_methods_agree_at_a_deep_cutoff(tmp_path, capsys):
@@ -421,13 +492,13 @@ def test_project_methods_agree_at_a_deep_cutoff(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("p_cut=54092\n")
     argv = ["project-admg", "--graph", str(graph), "--observed", "Y", "--window", "1"]
     dioph_out, window_out = _outputs_per_method(argv, capsys)
-    assert dioph_out == window_out
+    assert dioph_out == window_out == _cutoff_walks_output(argv)
 
 
 def test_project_methods_agree_on_a_long_self_loop(tmp_path, capsys):
     """Lags 1 and 100 on X -> X put the cutoff window at 2,000,303 steps; the
-    walk-weight bitsets close each self-loop by doubling, so the window
-    method takes about as long as the cone engine."""
+    walk-weight bitsets close each self-loop by doubling, so walk weights at
+    that depth take about as long as the cone engine."""
     graph = tmp_path / "loops.json"
     graph.write_text(json.dumps(
         {"variables": ["X", "Y"], "directed": [["X", "X", 1], ["X", "X", 100], ["X", "Y", 1]]}
@@ -437,7 +508,7 @@ def test_project_methods_agree_on_a_long_self_loop(tmp_path, capsys):
     argv = ["project-admg", "--graph", str(graph), "--observed", "Y", "--window", "1"]
     start = time.monotonic()
     dioph_out, window_out = _outputs_per_method(argv, capsys)
-    assert dioph_out == window_out
+    assert dioph_out == window_out == _cutoff_walks_output(argv)
     assert time.monotonic() - start < 5.0
 
 
@@ -455,36 +526,40 @@ def test_project_methods_agree_on_a_two_node_cycle_and_a_long_lag(tmp_path, caps
     argv = ["project-admg", "--graph", str(graph), "--observed", "X,Z", "--window", "1"]
     start = time.monotonic()
     dioph_out, window_out = _outputs_per_method(argv, capsys)
-    assert dioph_out == window_out
+    assert dioph_out == window_out == _cutoff_walks_output(argv)
     assert time.monotonic() - start < 5.0
 
 
-def test_window_method_rejects_a_search_past_the_depth_limit(tmp_path, capsys):
+def test_either_method_answers_past_the_walk_weight_depth_limit(tmp_path, capsys):
     """Lags 1000 and 1001 on X -> X put the cutoff window at 2,006,009,007
-    steps: the walk-weight search refuses that depth, the cone engine does not
-    need it."""
+    steps, past the walk-weight limit; neither engine the rule picks needs
+    it, and either --method value prints the cone engine's bytes."""
     graph = tmp_path / "loops.json"
     graph.write_text(json.dumps(
         {"variables": ["X", "Y"],
          "directed": [["X", "X", 1000], ["X", "X", 1001], ["X", "Y", 1]]}
     ))
+    tpl = parse_template(graph.read_text())
+    cone = marginal_ts_admg(tpl, ["Y"], 1, CommonAncestorEngine(tpl)).to_json()
     argv = ["project-admg", "--graph", str(graph), "--observed", "Y", "--window", "1"]
-    assert run(argv + ["--method", "window"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and "limit" in captured.err
-    assert run(argv) == 0
+    assert _outputs_per_method(argv, capsys) == [cone, cone]
 
 
 def test_ancestor_methods_agree(running_path, fig3_path, capsys):
+    """Either --method value, walk weights at the cutoff depth and the cone
+    engine give the same answers."""
     for graph, variables in ((running_path, "XYZ"), (fig3_path, ["X1", "X2", "X3"])):
+        cone = CommonAncestorEngine(canonical_ts_dag(parse_template(Path(graph).read_text())))
         for i in variables:
             for j in variables:
                 for tau in (0, 1, 4):
                     argv = ["ancestor", "--graph", graph, "--i", i, "--tau", str(tau),
                             "--j", j]
                     dioph_out, window_out = _outputs_per_method(argv, capsys)
-                    assert dioph_out == window_out, (graph, i, tau, j)
+                    expected = "true\n" if cone.query(i, tau, j) else "false\n"
+                    assert dioph_out == window_out == _cutoff_walks_output(argv) == expected, (
+                        graph, i, tau, j,
+                    )
 
 
 def test_project_dmag_writes_dot(fig3_path, tmp_path, capsys):

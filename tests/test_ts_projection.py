@@ -21,15 +21,15 @@ from tsproject import (
     simple_marginal_ts_admg,
     unroll_window,
 )
-from tsproject import ts_projection
-from tsproject.finite_projection import canonical_dag
-from tsproject.ts_projection import (
+from tsproject import ancestor_query
+from tsproject.ancestor_query import (
+    _MAX_WALK_DEPTH,
     _MAX_WALKER_STATES,
     _MAX_WALKER_STEPS,
-    _MAX_WINDOW_VERTICES,
     _default_engine,
-    cutoff_walk_weights,
 )
+from tsproject.finite_projection import canonical_dag
+from tsproject.ts_projection import _MAX_WINDOW_VERTICES
 from tsproject.oracle_testkit import dmag_by_subset_enumeration, random_template, window_marginal
 from test_acceptance import truncated_random_template
 
@@ -224,52 +224,75 @@ class _Recorder:
         return self.engine.query(i, tau, j)
 
 
-def _three_way(tpl, p):
+def _three_way(tpl, p, monkeypatch):
     """Checks that the default projection of tpl at p equals the cone
     engine's, and that WalkerReach, the cone engine and walk weights at the
-    cutoff depth agree on every query the projection asks; returns their
-    answers."""
+    cutoff depth agree on every query the projection asks.  Then, with the
+    limits patched so that a WalkerReach searches only to R = K and its tail
+    answers every larger lag, checks that it agrees with an uncapped one
+    (limits patched high, the tail's independent reference) on the asked
+    queries and on every query up to lag p + K.  Returns (answer, whether
+    the tail answered) per query checked."""
     ctpl = canonical_ts_dag(tpl)
-    walker = _Recorder(WalkerReach(ctpl, p + max_lag(ctpl)))
+    k, reach = max_lag(ctpl), p + max_lag(ctpl)
+    with monkeypatch.context() as m:
+        m.setattr(ancestor_query, "_MAX_WALKER_STATES", 10**12)
+        m.setattr(ancestor_query, "_MAX_WALKER_STEPS", 10**12)
+        walker = _Recorder(WalkerReach(ctpl, reach))
+        m.setattr(ancestor_query, "_MAX_WALKER_STATES", len(ctpl.variables) ** 2 * (2 * k + 1))
+        tail = WalkerReach(ctpl, reach)
     cone = CommonAncestorEngine(ctpl)
     mine = marginal_ts_admg(tpl, tpl.variables, p)
     assert mine == marginal_ts_admg(tpl, tpl.variables, p, cone)
     assert mine == marginal_ts_admg(tpl, tpl.variables, p, walker)
-    if not walker.asked:
-        return []
-    walks = cutoff_walk_weights(ctpl, max(tau for _, tau, _ in walker.asked))
     answers = []
-    for i, tau, j in sorted(walker.asked):
-        answer = walker.engine.query(i, tau, j)
-        assert answer == cone.query(i, tau, j) == walks.query(i, tau, j), (i, tau, j)
-        answers.append(answer)
+    if walker.asked:
+        depth = max(tau for _, tau, _ in walker.asked)
+        walks = WalkWeights(ctpl, cutoff_bound(ctpl, depth).p_cut + depth)
+        for i, tau, j in sorted(walker.asked):
+            answer = walker.engine.query(i, tau, j)
+            assert answer == tail.query(i, tau, j), (i, tau, j)
+            assert answer == cone.query(i, tau, j) == walks.query(i, tau, j), (i, tau, j)
+            answers.append((answer, False))
+    for i in ctpl.variables:
+        for j in ctpl.variables:
+            for tau in range(k + 1, reach + 1):
+                answer = walker.engine.query(i, tau, j)
+                assert answer == tail.query(i, tau, j), (i, tau, j)
+                answers.append((answer, True))
     return answers
 
 
 class TestDefaultEngine:
-    """Without an engine, a projection asks a WalkerReach when its search
-    fits the state and step limits, and the cone engine otherwise."""
+    """A WalkerReach answers every lag up to the depth when its search fits
+    the state and step limits at R = K and its tail is within the
+    walk-weight depth limit; the cone engine answers otherwise.  A
+    projection asks for depth K."""
 
-    def test_three_engines_agree_on_the_criterion_3_corpus(self):
-        """Every query that a criterion-3 projection at p = 0-2 asks."""
+    def test_three_engines_agree_on_the_criterion_3_corpus(self, monkeypatch):
+        """Every query that a criterion-3 projection at p = 0-2 asks, and the
+        tail at every lag up to p + K."""
         rng = random.Random(20240823)
         answers = []
         for n in range(200):
             tpl = truncated_random_template(n, rng)
             for p in (0, 1, 2):
-                answers += _three_way(tpl, p)
-        assert answers.count(True) > 500 and answers.count(False) > 500
+                answers += _three_way(tpl, p, monkeypatch)
+        for in_tail in (False, True):
+            assert answers.count((True, in_tail)) > 500 and answers.count((False, in_tail)) > 500
 
-    def test_three_engines_agree_on_the_dense_grid(self):
+    def test_three_engines_agree_on_the_dense_grid(self, monkeypatch):
         """Every query that a p = 1 projection of the 108 dense-grid cases of
-        test_cone_engine_matches_walk_weights_on_dense_grid asks."""
+        test_cone_engine_matches_walk_weights_on_dense_grid asks, and the
+        tail at lag K + 1."""
         grid = [(seed, 5) for seed in range(30)] + [(seed, 6) for seed in range(24)]
         answers = []
         for seed, n_vars in grid:
             for density in (0.25, 0.3):
                 tpl = random_template(seed, n_vars=n_vars, max_lag=2, edge_density=density)
-                answers += _three_way(tpl, 1)
-        assert answers.count(True) > 1000 and answers.count(False) > 0
+                answers += _three_way(tpl, 1, monkeypatch)
+        assert answers.count((True, False)) > 1000 and answers.count((False, False)) > 0
+        assert answers.count((True, True)) > 1000 and answers.count((False, True)) > 0
 
     @pytest.mark.parametrize(
         "case", [(4, 7, 2, 0.3), (4, 8, 2, 0.3), (5, 8, 2, 0.3), (0, 16, 1, 0.1), (1, 16, 1, 0.12)]
@@ -278,29 +301,34 @@ class TestDefaultEngine:
         """Templates the cone engine takes from 5 s to more than 30 s to
         project at p = 1; walk weights at the cutoff depth take under 1 s."""
         tpl = random_template(*case)
-        assert isinstance(_default_engine(tpl, 1), WalkerReach)
-        walks = cutoff_walk_weights(tpl, 1)
+        assert isinstance(_default_engine(tpl, max_lag(tpl)), WalkerReach)
+        walks = WalkWeights(tpl, cutoff_bound(tpl, 1).p_cut + 1)
         assert marginal_ts_admg(tpl, tpl.variables, 1) == marginal_ts_admg(
             tpl, tpl.variables, 1, walks
         )
 
     def test_walker_reach_up_to_the_state_limit(self):
-        """Two variables and p = 1 make 4 (2 (1 + K) + 1) states."""
+        """Two variables make 4 (2 K + 1) states at R = K, whatever the depth
+        up to the walk-weight limit: K for a projection, or tau."""
         assert _MAX_WALKER_STATES == 2 * 10**5
-        for lag, engine in ((24_998, WalkerReach), (24_999, CommonAncestorEngine)):
+        for lag, engine in ((24_999, WalkerReach), (25_000, CommonAncestorEngine)):
             tpl = make_template(["X", "Y"], directed=[("X", lag, "Y")])
-            assert type(_default_engine(tpl, 1)) is engine
+            for depth in (0, lag, 10**6):
+                assert type(_default_engine(tpl, depth)) is engine
+            assert type(_default_engine(tpl, _MAX_WALK_DEPTH + 1)) is CommonAncestorEngine
 
     def test_walker_reach_up_to_the_step_limit(self):
-        """X -> Y at lags 1..m, p = 1: 4 (2 m + 3) m steps, only 4 (2 m + 3)
-        states."""
+        """X -> Y at lags 1..m: 4 (2 m + 1) m steps at R = K = m, only
+        4 (2 m + 1) states, whatever the depth."""
         assert _MAX_WALKER_STEPS == 4 * 10**6
         for m, engine in ((706, WalkerReach), (707, CommonAncestorEngine)):
             tpl = make_template(["X", "Y"], directed=[("X", lag, "Y") for lag in range(1, m + 1)])
-            assert type(_default_engine(tpl, 1)) is engine
+            for depth in (m, 10**6):
+                assert type(_default_engine(tpl, depth)) is engine
 
     def test_over_the_limit_goes_to_the_cone_engine(self, monkeypatch):
-        """The lag-100000 template of test_cli.py has 9 x 200,003 states."""
+        """The lag-100000 template of test_cli.py has 9 x 200,001 states at
+        R = K."""
         tpl = make_template(
             ["X", "Y", "Z"], directed=[("X", 1, "Y"), ("Y", 2, "X"), ("X", 100_000, "Z")]
         )
@@ -308,7 +336,7 @@ class TestDefaultEngine:
         def refuse(tpl, reach):
             raise AssertionError("WalkerReach over the state limit")
 
-        monkeypatch.setattr(ts_projection, "WalkerReach", refuse)
+        monkeypatch.setattr(ancestor_query, "WalkerReach", refuse)
         marg = marginal_ts_admg(tpl, ["X", "Z"], 1)
         assert has_bidirected(marg, "X", 1, "Z", 0)
 
@@ -415,8 +443,8 @@ class TestCutoffBound:
     def test_walk_weights_at_a_large_lag_match_the_cone_engine(self):
         """Single queries at tau 5000 and 50,000 on a dense template, where
         the two-walker search is over its state limit: walk weights to the
-        cutoff depth (0.45 M and 4.2 M steps) agree with the cone engine,
-        True and False alike."""
+        cutoff depth (0.45 M and 4.2 M steps) and the default engine, whose
+        tail answers, agree with the cone engine, True and False alike."""
         tpl = canonical_ts_dag(random_template(0, 16, 1, 0.1))
         engine = CommonAncestorEngine(tpl)
         pairs = [("X1", "X16"), ("X16", "X1"), ("X12", "X1"), ("X12", "X4"),
@@ -424,10 +452,14 @@ class TestCutoffBound:
         answers = []
         for tau in (5000, 50_000):
             assert len(tpl.variables) ** 2 * (2 * tau + 1) > _MAX_WALKER_STATES
-            walks = cutoff_walk_weights(tpl, tau)
+            walks = WalkWeights(tpl, cutoff_bound(tpl, tau).p_cut + tau)
+            default = _default_engine(tpl, tau)
+            assert isinstance(default, WalkerReach)
             for i, j in pairs:
                 answers.append(engine.query(i, tau, j))
-                assert answers[-1] == walks.query(i, tau, j), (i, tau, j)
+                assert answers[-1] == walks.query(i, tau, j) == default.query(i, tau, j), (
+                    i, tau, j,
+                )
         assert answers.count(False) == 2
 
 
