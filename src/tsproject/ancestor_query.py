@@ -62,6 +62,7 @@ from .summary_mwdg import (
     enumerate_cycle_classes,
     get_monoid,
     path_weightset,
+    require_ts_dag,
     tuple_sets,
 )
 
@@ -263,14 +264,15 @@ class WalkerReach:
     u -> a of lag L takes (u, b, d) to (a, b, d + L) when d + L >= 0 (A, the
     later walker, stepped), and an edge w -> b takes (a, w, d) to
     (a, b, d - L) when d - L <= 0.  Each state enters the worklist once, so
-    the search costs one pass over the states and their steps.  A ts-ADMG is
-    rejected in :func:`~tsproject.summary_mwdg.build_mw_summary`.
+    the search costs one pass over the states and their steps.  The steps
+    are the template's directed entries, whose checks the template has run;
+    a ts-ADMG is rejected by :func:`~tsproject.summary_mwdg.require_ts_dag`.
     """
 
     def __init__(self, tpl: TsGraphTemplate, reach: int):
         if reach < 0:
             raise ValidationError("reach must be non-negative")
-        summary = build_mw_summary(tpl)
+        require_ts_dag(tpl)
         self.tpl = tpl
         self.reach = max(reach, max_lag(tpl))
         self._r = r = max(max_lag(tpl), min(reach, _largest_reach(tpl)))
@@ -280,11 +282,10 @@ class WalkerReach:
         # per edge tail, (lag, the change of that number) for each walker
         steps_a: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         steps_b: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (src, dst), lags in summary.edges.items():
+        for src, lag, dst in tpl.directed_t:
             u, a = idx[src], idx[dst]
-            for lag in lags:
-                steps_a[u].append((lag, (a - u) * n * width + lag))
-                steps_b[u].append((lag, (a - u) * width - lag))
+            steps_a[u].append((lag, (a - u) * n * width + lag))
+            steps_b[u].append((lag, (a - u) * width - lag))
         for steps in steps_a + steps_b:
             steps.sort()
         seen = bytearray(n * n * width)

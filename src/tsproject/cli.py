@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import oracle_testkit
 from .ancestor_query import CommonAncestorEngine, _default_engine, lag1_shortcut
 from .diophantine import solvable
 from .finite_projection import m_separated
@@ -175,6 +174,8 @@ _VERIFY_MAX_WINDOW = 400
 
 
 def _cmd_verify(args) -> int:
+    from . import oracle_testkit  # here, so that the other subcommands do not load it
+
     seed = args.seed
     failures = []
 
@@ -208,12 +209,13 @@ def _cmd_verify(args) -> int:
             skipped += 1
         else:
             engine = CommonAncestorEngine(tpl)
+            defaults = [_default_engine(tpl, tau) for tau in range(3)]  # what ancestor runs
             for i in tpl.variables:
                 for j in tpl.variables:
                     for tau in range(3):
-                        if engine.query(i, tau, j) != oracle_testkit.window_common_ancestor(
-                            tpl, i, tau, j, w
-                        ):
+                        expected = oracle_testkit.window_common_ancestor(tpl, i, tau, j, w)
+                        if (engine.query(i, tau, j) != expected
+                                or defaults[tau].query(i, tau, j) != expected):
                             ok = False
         base = oracle_testkit.random_template(
             seed * 3000 + n, n_vars=3, max_lag=2, edge_density=0.2

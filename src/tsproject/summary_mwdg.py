@@ -303,13 +303,19 @@ def _minkowski(a: Iterable[int], b: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted({x + y for x in a for y in b}))
 
 
-def build_mw_summary(tpl: TsGraphTemplate) -> MwSummaryGraph:
-    """Summary graph of a time-series DAG: edge (i, j) with weight set = set of
-    lags.  The only check that rejects a ts-ADMG; the engines rely on it."""
+def require_ts_dag(tpl: TsGraphTemplate) -> None:
+    """The check that rejects a ts-ADMG, which the summary graph, the engines
+    and :func:`~tsproject.ts_projection.simple_marginal_ts_admg` rely on."""
     if tpl.bidirected_t:
         raise ValidationError(
             "summary graph is defined for ts-DAGs; canonicalize bidirected edges first"
         )
+
+
+def build_mw_summary(tpl: TsGraphTemplate) -> MwSummaryGraph:
+    """Summary graph of a time-series DAG: edge (i, j) with weight set = set of
+    lags; a ts-ADMG is rejected by :func:`require_ts_dag`."""
+    require_ts_dag(tpl)
     edges: dict[tuple[str, str], set[int]] = {}
     for src, lag, dst in tpl.directed_t:
         edges.setdefault((src, dst), set()).add(lag)

@@ -1,22 +1,33 @@
 """End-to-end projections of infinite time-series graphs onto finite windows.
 
-The pipeline for a template with bidirected edges is: replace bidirected
-entries by auxiliary latent variables (canonical ts-DAG), compute the marginal
-over all variables on the window via common-ancestor queries against the
-infinite past, then apply the finite ADMG latent projection to the requested
-observed variables.  The DMAG variant projects that marginal ADMG onto its
-maximal ancestral graph.
+The window marginal has the template's own variables at every time step of
+the window [t-p, t].  Its directed edges are the window segment of the
+directed entries, and a bidirected entry (a, lag, b) becomes the edges
+(a, off + lag) <-> (b, off).  The common-ancestor queries run on the
+canonical ts-DAG (:func:`canonical_ts_dag`), which replaces the entry by an
+auxiliary latent L with the children (a, s) and (b, s - lag).  A copy of L
+inside the window has no parents and no siblings, so its ADMG latent
+projection is exactly the sibling edge between its two children (Richardson,
+"Markov properties for acyclic directed mixed graphs", Scand. J. Statist.
+2003), and latent projections compose, so the window never holds the
+auxiliaries: they live only in the engine and in the parent lists of the
+lag pairs.  The finite ADMG latent projection onto the observed variables
+follows; the DMAG variant projects that marginal ADMG onto its maximal
+ancestral graph.
 
 The window marginal asks one question per lag pair: do some parent of i at
 lag lag_i and some parent of j at lag lag_j, d = dt + lag_i - lag_j steps
 apart, share a common ancestor?  It asks only when both parents lie before
 the window at some offset up to p - dt, which needs lag_i >= 1 and
-lag_j >= dt + 1, so |d| <= K - 1 for the largest lag K, whatever p is.
-Without an engine, :func:`~tsproject.ancestor_query._default_engine` picks
-one for depth K, by the rule that ``ancestor`` applies at depth tau: a
-:class:`WalkerReach` when its n^2 (2 K + 1) states and 2 n (2 K + 1) |E|
-steps fit its limits, the cone engine otherwise.  The rule reads only the
-input, and both engines are exact, so the output does not depend on it.
+lag_j >= dt + 1, so dt stays below the largest lag into j and |d| <= K - 1
+for the largest lag K, whatever p is.  Without an engine,
+:func:`~tsproject.ancestor_query._default_engine` picks one for depth K, by
+the rule that ``ancestor`` applies at depth tau: a :class:`WalkerReach` when
+its n^2 (2 K + 1) states and 2 n (2 K + 1) |E| steps fit its limits, the
+cone engine otherwise.  The rule reads only the input, and both engines are
+exact, so the output does not depend on it.  It is built at the first lag
+pair that a shared parent does not settle, so a projection that asks
+nothing builds no engine.
 
 The pipeline carries one mask graph (:class:`finite_projection._Index`)
 from start to finish: the window marginal is written as masks straight from
@@ -41,9 +52,10 @@ from .graph_model import (
     make_template,
     max_lag,
 )
-from .summary_mwdg import build_mw_summary, enumerate_cycle_classes
+from .summary_mwdg import build_mw_summary, enumerate_cycle_classes, require_ts_dag
 
-_MAX_WINDOW_VERTICES = 10**5  # n * (p + 1); one mask of that many bits per vertex
+# n * (p + 1) for the template's own n variables; one mask of that many bits per vertex
+_MAX_WINDOW_VERTICES = 10**5
 
 
 def canonical_ts_dag(tpl: TsGraphTemplate) -> TsGraphTemplate:
@@ -88,9 +100,11 @@ def simple_marginal_ts_admg(
 
     ``engine`` answers the common-ancestor queries and must be built on
     ``tpl``; without one, the rule of the module docstring picks a
-    :class:`WalkerReach` or a :class:`CommonAncestorEngine`.  Every engine
-    rejects a ts-ADMG in its ``build_mw_summary``.
+    :class:`WalkerReach` or a :class:`CommonAncestorEngine` at the first
+    query.  A ts-ADMG is rejected, whether or not a query is asked; its
+    auxiliaries are window vertices of ``canonical_ts_dag(tpl)``.
     """
+    require_ts_dag(tpl)
     return _window_marginal(tpl, p, engine).graph()
 
 
@@ -99,9 +113,15 @@ def _window_marginal(
     p: int,
     engine: Optional[CommonAncestorEngine | WalkerReach | WalkWeights],
 ) -> _Index:
-    """:func:`simple_marginal_ts_admg` as masks: (v, off) is bit
-    n * (p + 1) + off for the n-th variable in sorted order, the vertex
-    order of :class:`_Index`."""
+    """The window marginal of ``tpl``, a ts-DAG or a ts-ADMG, over its own
+    variables, as masks: (v, off) is bit n * (p + 1) + off for the n-th
+    variable in sorted order, the vertex order of :class:`_Index`.
+
+    A bidirected entry is written as its sibling edges (module docstring);
+    the lag pairs are those of :func:`simple_marginal_ts_admg` on
+    ``canonical_ts_dag(tpl)``, whose auxiliaries appear only as parents.
+    ``engine`` must be built on that canonical ts-DAG; without one, one is
+    built at the first query."""
     if p < 0:
         raise ValidationError("window length must be non-negative")
     width = p + 1
@@ -110,25 +130,35 @@ def _window_marginal(
         raise ValidationError(
             f"{len(names)} x {width} window vertices exceed the limit of {_MAX_WINDOW_VERTICES}"
         )
-    engine = engine or _default_engine(tpl, max_lag(tpl))
-    if engine.tpl != tpl:
+    ctpl = canonical_ts_dag(tpl)
+    if engine is not None and engine.tpl != ctpl:
         raise ValidationError("the engine was built on another template")
     first = {v: n * width for n, v in enumerate(names)}
     parents = [0] * (len(names) * width)
     siblings = [0] * len(parents)
 
-    by_lag: dict[str, dict[int, list[str]]] = {v: {} for v in tpl.variables}
-    for src, lag, dst in sorted(tpl.directed_t):
-        by_lag[dst].setdefault(lag, []).append(src)
+    def link(i: str, j: str, dt: int, start: int) -> None:
+        """The edges (i, off + dt) <-> (j, off) for every off from start to p - dt."""
+        for off in range(start, width - dt):
+            u, v = first[i] + off + dt, first[j] + off
+            siblings[u] |= 1 << v
+            siblings[v] |= 1 << u
+
+    for src, lag, dst in tpl.directed_t:
         for off in range(width - lag):
             parents[first[dst] + off] |= 1 << (first[src] + off + lag)
+    for a, lag, b in tpl.bidirected_t:
+        link(a, b, lag, 0)
 
-    # a variable without parents (every auxiliary latent) has no lag pairs
+    # an auxiliary is never a child, so every parent list belongs to an own variable
+    by_lag: dict[str, dict[int, list[str]]] = {v: {} for v in tpl.variables}
+    for src, lag, dst in sorted(ctpl.directed_t):
+        by_lag[dst].setdefault(lag, []).append(src)
     idx = {v: n for n, v in enumerate(tpl.variables)}
     fed = [v for v in tpl.variables if by_lag[v]]
     for i in fed:
         for j in fed:
-            for dt in range(0 if idx[i] < idx[j] else 1, width):
+            for dt in range(0 if idx[i] < idx[j] else 1, min(width, max(by_lag[j]))):
                 last = p - dt
                 for start, li, lj in sorted(
                     (max(0, width - dt - li, width - lj), li, lj)
@@ -138,16 +168,16 @@ def _window_marginal(
                     if start > last:
                         break
                     ks, d, ls = by_lag[i][li], dt + li - lj, by_lag[j][lj]
-                    if (d == 0 and not set(ks).isdisjoint(ls)) or any(
-                        engine.query(k, d, l) if d >= 0 else engine.query(l, -d, k)
-                        for k in ks
-                        for l in ls
-                    ):
-                        for off in range(start, last + 1):
-                            u, v = first[i] + off + dt, first[j] + off
-                            siblings[u] |= 1 << v
-                            siblings[v] |= 1 << u
-                        break
+                    if d != 0 or set(ks).isdisjoint(ls):
+                        engine = engine or _default_engine(ctpl, max_lag(ctpl))
+                        if not any(
+                            engine.query(k, d, l) if d >= 0 else engine.query(l, -d, k)
+                            for k in ks
+                            for l in ls
+                        ):
+                            continue
+                    link(i, j, dt, start)
+                    break
     vertices = [TsVertex(v, off) for v in names for off in range(width)]
     return _Index(vertices, parents, siblings, tpl.variables)
 
@@ -164,9 +194,12 @@ def _marginal(
         raise ValidationError("observed variable set must be non-empty")
     for v in observed_vars:
         tpl.index(v)
-    ctpl = canonical_ts_dag(tpl)
-    full = _window_marginal(ctpl, p, engine)
-    keep = full.mask(TsVertex(var, off) for var in observed_vars for off in range(p + 1))
+    full = _window_marginal(tpl, p, engine)
+    # the window rows of the observed variables, in the order of _window_marginal
+    width, names = p + 1, sorted(tpl.variables)
+    keep = 0
+    for v in observed_vars:
+        keep |= ((1 << width) - 1) << (names.index(v) * width)
     return _latent_project(full, keep)
 
 

@@ -225,6 +225,38 @@ def test_projections_never_load_networkx(data_dir, tmp_path):
     assert done.stdout == "False\nTrue\n"
 
 
+_NO_ORACLES = """
+import contextlib, io, sys
+import tsproject.cli
+
+data = sys.argv[1]
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert tsproject.cli.run(list(argv)) == 0, argv
+
+for command in ("project-admg", "project-dmag"):
+    run(command, "--graph", f"{data}/fig3.json", "--observed", "X1,X3", "--window", "2")
+run("ancestor", "--graph", f"{data}/running.json", "--i", "X", "--tau", "0", "--j", "Z")
+print("tsproject.oracle_testkit" in sys.modules)
+run("verify", "--templates", "0", "--queries", "0")
+print("tsproject.oracle_testkit" in sys.modules)
+"""
+
+
+def test_only_verify_loads_the_oracles(data_dir):
+    """The projections and the ancestor query leave oracle_testkit
+    unloaded; verify loads it.  A fresh interpreter, since the test session
+    has loaded it."""
+    src = str(Path(tsproject.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_ORACLES, str(data_dir)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "False\nTrue\n"
+
+
 def test_the_default_projection_of_wide30_lists_no_simple_paths(data_dir):
     """The default projection of wide30.json asks the two-walker search,
     which never lists simple paths, so it answers in the same 1.5 GB address
@@ -730,6 +762,25 @@ def test_verify_subcommand_reports(capsys):
     out = capsys.readouterr().out
     assert "marginal-vs-window-oracle: PASS" in out
     assert "ancestor-vs-window-oracle: PASS" in out
+
+
+def test_verify_checks_the_engine_that_ancestor_runs(monkeypatch, capsys):
+    """A default engine that answers every query wrong fails the ancestor
+    suite, though the cone engine is right."""
+    default = cli._default_engine
+
+    class Wrong:
+        def __init__(self, tpl, tau):
+            self.engine = default(tpl, tau)
+
+        def query(self, i, tau, j):
+            return not self.engine.query(i, tau, j)
+
+    monkeypatch.setattr(cli, "_default_engine", Wrong)
+    assert run(["verify", "--seed", "3", "--templates", "0", "--queries", "1"]) == 1
+    assert capsys.readouterr().out == (
+        "marginal-vs-window-oracle: PASS\nancestor-vs-window-oracle: FAIL (1 of 1 templates)\n"
+    )
 
 
 def test_verify_counts_the_templates_it_skips(monkeypatch, capsys):

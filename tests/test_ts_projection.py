@@ -14,6 +14,7 @@ from tsproject import (
     admg_latent_project,
     canonical_ts_dag,
     cutoff_bound,
+    dmag_project,
     make_template,
     marginal_ts_admg,
     marginal_ts_dmag,
@@ -21,7 +22,7 @@ from tsproject import (
     simple_marginal_ts_admg,
     unroll_window,
 )
-from tsproject import ancestor_query
+from tsproject import ancestor_query, ts_projection
 from tsproject.ancestor_query import (
     _MAX_WALK_DEPTH,
     _MAX_WALKER_STATES,
@@ -178,12 +179,13 @@ class TestMarginalTsAdmg:
             marginal_ts_admg(fig3_tpl, ["X1"], 1, WalkWeights(b1_tpl, 9))
 
     def test_rejects_a_window_over_the_vertex_limit(self, fig3_tpl):
-        """fig3 has 3 variables and 4 after canonicalization; at p = 25,000
-        only the canonical count, 100,004 window vertices, is over the limit."""
+        """The window holds fig3's own 3 variables, not the auxiliary of its
+        bidirected entry; p = 33,333 is the first window over the limit, with
+        100,002 window vertices."""
         assert _MAX_WINDOW_VERTICES == 10**5
         for project in (marginal_ts_admg, marginal_ts_dmag):
-            with pytest.raises(ValidationError, match="4 x 25001 window vertices exceed the limit"):
-                project(fig3_tpl, ["X1"], 25_000)
+            with pytest.raises(ValidationError, match="3 x 33334 window vertices exceed the limit"):
+                project(fig3_tpl, ["X1"], 33_333)
 
     def test_admg_input_goes_through_canonicalization(self, fig3_tpl):
         marg = marginal_ts_admg(fig3_tpl, ["X1", "X2", "X3"], 1)
@@ -468,3 +470,100 @@ def test_project_arbitrary_subset(b1_tpl):
     keep = {TsVertex("X", 0), TsVertex("Y", 2)}
     small = admg_latent_project(marg, keep)
     assert small.vertices == frozenset(keep)
+
+
+def _random_ts_admg(seed):
+    """A random_template ts-DAG of 2 to 4 variables with 1 to 4 bidirected
+    entries, lagged or at lag 0, in either direction, self-entries included."""
+    rng = random.Random(seed)
+    base = random_template(seed, n_vars=rng.randint(2, 4), max_lag=2, edge_density=0.25)
+    bidirected = []
+    for _ in range(rng.randint(1, 4)):
+        a, b = rng.choice(base.variables), rng.choice(base.variables)
+        bidirected.append((a, rng.randint(int(a == b), 2), b))
+    return make_template(base.variables, directed=base.directed_t, bidirected=bidirected)
+
+
+def test_projections_match_the_route_through_the_canonical_window():
+    """The window over the template's own variables, with each bidirected
+    entry written as sibling edges, gives the same marginal and DMAG as the
+    window over the canonical ts-DAG, auxiliaries included, projected onto
+    the observed window vertices with the public finite projections."""
+    checked, lags = 0, set()
+    for seed in range(40):
+        tpl = _random_ts_admg(seed)
+        lags |= {lag > 0 for _, lag, _ in tpl.bidirected_t}
+        ctpl = canonical_ts_dag(tpl)
+        rng = random.Random(-seed)
+        for p in range(5):
+            full = simple_marginal_ts_admg(ctpl, p)
+            proper = rng.sample(tpl.variables, rng.randint(1, len(tpl.variables) - 1))
+            for observed in (tpl.variables, proper):
+                window = [TsVertex(v, off) for v in observed for off in range(p + 1)]
+                admg = admg_latent_project(full, window)
+                mine = marginal_ts_admg(tpl, observed, p)
+                assert (mine, mine.to_json()) == (admg, admg.to_json()), (seed, observed, p)
+                assert marginal_ts_dmag(tpl, observed, p) == dmag_project(admg, window), (
+                    seed, observed, p,
+                )
+                checked += 1
+    assert checked == 400 and lags == {False, True}
+
+
+class TestEngineOnDemand:
+    """The window marginal builds its engine at the first lag pair that a
+    shared parent does not settle."""
+
+    @staticmethod
+    def _refuse(monkeypatch):
+        def refuse(tpl, depth):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(ts_projection, "_default_engine", refuse)
+
+    def test_a_projection_that_asks_nothing_builds_no_engine(self, monkeypatch):
+        """Y and Z share their only parent before the window, X at lag 1, and
+        no variable has a parent at a lag above 1, so every lag pair is
+        settled without a query, also with the bidirected entry's auxiliary
+        among Z's parents."""
+        tpl = make_template(
+            ["X", "Y", "Z"], directed=[("X", 1, "Y"), ("X", 1, "Z")], bidirected=[("Y", 1, "Z")]
+        )
+        expected = {
+            (observed, p): (marginal_ts_admg(tpl, observed, p), marginal_ts_dmag(tpl, observed, p))
+            for observed in (tpl.variables, ("Y", "Z"))
+            for p in range(4)
+        }
+        self._refuse(monkeypatch)
+        for (observed, p), (admg, dmag) in expected.items():
+            assert marginal_ts_admg(tpl, observed, p) == admg
+            assert marginal_ts_dmag(tpl, observed, p) == dmag
+        admg = expected[("Y", "Z"), 3][0]
+        assert has_bidirected(admg, "Y", 3, "Z", 2)
+        assert has_bidirected(admg, "Y", 1, "Z", 1)  # the shared parent (X, 2)
+
+    @pytest.mark.parametrize("project", [marginal_ts_admg, marginal_ts_dmag])
+    @pytest.mark.parametrize("name, distinct", [("running", 7), ("fig3", 1)])
+    def test_a_projection_that_asks_builds_one_engine(
+        self, monkeypatch, request, project, name, distinct
+    ):
+        """running asks 7 distinct queries at p = 2, fig3 one, about its
+        auxiliary; one engine answers them all."""
+        tpl = request.getfixturevalue(f"{name}_tpl")
+        default = ts_projection._default_engine
+        built = []
+
+        def counted(tpl, depth):
+            built.append(_Recorder(default(tpl, depth)))
+            return built[-1]
+
+        monkeypatch.setattr(ts_projection, "_default_engine", counted)
+        project(tpl, tpl.variables, 2)
+        assert len(built) == 1 and len(built[0].asked) == distinct
+
+    def test_the_simple_marginal_refuses_a_ts_admg_before_any_query(
+        self, monkeypatch, fig3_tpl
+    ):
+        self._refuse(monkeypatch)
+        with pytest.raises(ValidationError, match="canonicalize bidirected edges first"):
+            simple_marginal_ts_admg(fig3_tpl, 0)
