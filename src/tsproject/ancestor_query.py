@@ -15,33 +15,34 @@ window.
 states of two walkers (path search in a 1-dimensional periodic graph; Orlin,
 "Some problems on dynamic/periodic graphs", 1984; Iwano & Steiglitz, STOC
 1987).  Walker A starts at (i, t-tau) and walker B at (j, t); a state
-(a, b, delta) records their variables and delta = time(A) - time(B).  The
-later walker steps back along one template edge, either walker when
-delta = 0, and a common ancestor exists iff a meeting state (x, x, 0) is
-reachable:
+(a, b, delta) records their variables and delta = time(A) - time(B).  A step
+moves either walker back along one template edge, and a common ancestor
+exists iff a meeting state (x, x, 0) is reachable in the band |delta| <= R,
+for any R at least tau and the largest lag K:
 
-- soundness: every state reached is a pair of ancestors of the two start
-  vertices, and a meeting state is one vertex;
-- completeness: take walks from a common ancestor to both vertices; their
-  time sequences merge in this order, since the walker whose walk is done
-  sits at the ancestor's time, which is never later than the other walker;
-- finiteness: a step from |delta| <= R leaves |delta| <= R whenever R is at
-  least the largest lag K (the later walker moves back at most K past the
-  other), so the states with |delta| <= R close under steps.
+- soundness: every step moves a walker to an ancestor, so every state
+  reached is a pair of ancestors of the two start vertices, and a meeting
+  state is one vertex;
+- completeness: take walks from a common ancestor to both vertices and let
+  the later walker step (either one when delta = 0); their time sequences
+  merge in this order, since the walker whose walk is done sits at the
+  ancestor's time, never later than the other walker, and the later walker
+  moves back at most K <= R past the other, so these walks stay in the band;
+- finiteness: the band holds n^2 (2 R + 1) states.
 
-One backward search from every meeting state over the n^2 (2 R + 1) states
-answers every query with tau <= R at once (a projection asks only lags
-below K; see :mod:`tsproject.ts_projection`).  The tail answers tau > R:
-(i, t-tau) and (j, t) have a common ancestor iff some b and some s in
-[tau - R, tau] have (b, t-s) an ancestor of (j, t), bit s of
+One backward search from every meeting state over the band answers every
+query with tau <= R at once (a projection asks only lags below K; see
+:mod:`tsproject.ts_projection`).  The tail answers tau > R: (i, t-tau) and
+(j, t) have a common ancestor iff some b and some s in [tau - R, tau + R]
+have (b, t-s) an ancestor of (j, t), bit s of the walk weights into j,
 ``WalkWeights(tpl, tau).anc[j][b]``, and the state (i, b, s - tau) reached.
 Soundness: the two conditions chain an ancestor of (j, t) and a common
 ancestor of (i, t-tau) and (b, t-s).  Completeness: in the merged walks of
 a common ancestor, B is the later walker and steps alone while delta < -R,
 and each step raises delta by at most K <= R, so the walks pass through a
 state (i, b, s - tau) with s - tau in [-R, 0) before they meet; B's walk so
-far sets bit s, and the rest stays within |delta| <= R, where the search
-reached the state.
+far sets bit s, and the rest stays in the band, where the search reached
+the state.
 """
 
 from __future__ import annotations
@@ -68,9 +69,8 @@ from .summary_mwdg import (
 
 
 _MAX_WALK_DEPTH = 10**7  # deepest WalkWeights search; a bitset that deep is 1.25 MB
-_MAX_WALKER_STATES = 2 * 10**5  # n^2 (2 R + 1); a byte per state
-_MAX_WALKER_STEPS = 4 * 10**6  # 2 n (2 R + 1) |E|; the search takes under 1 s at both
-_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_MAX_WALKER_STATES = 2 * 10**5  # n^2 (2 R + 1); a bit per state
+_MAX_WALKER_STEPS = 4 * 10**6  # 2 n (2 R + 1) |E|; the search takes seconds at most at both
 
 
 def summary_prefilter(s: MwSummaryGraph, i: str, j: str) -> bool:
@@ -173,14 +173,16 @@ class WalkWeights:
     theorem.  A ``depth`` above ``_MAX_WALK_DEPTH`` raises ``ValidationError``,
     and so does a ts-ADMG, in :func:`~tsproject.summary_mwdg.build_mw_summary`.
 
-    The bitsets are the fixpoint of a worklist over the edges between
-    distinct nodes.  Each time a node's bitset is taken from the worklist, it
-    is first closed, by doubling, under the weights of every cycle class
-    through that node (self-loops included).  Such a weight is the weight of
-    a closed walk at that node, so the closure adds only true ancestors, and
-    a cycle that spans several nodes is crossed in a few rounds instead of
-    one round per trip around it.  A weight that is a multiple of a smaller
-    kept weight adds nothing and is dropped.
+    ``anc[x]`` is searched on its first read, so a query searches its two
+    targets only, and the tail of :class:`WalkerReach` j alone.  The bitsets
+    are the fixpoint of a worklist over the edges between distinct nodes.
+    Each time a node's bitset is taken from the worklist, it is first closed,
+    by doubling, under the weights of every cycle class through that node
+    (self-loops included).  Such a weight is the weight of a closed walk at
+    that node, so the closure adds only true ancestors, and a cycle that
+    spans several nodes is crossed in a few rounds instead of one round per
+    trip around it.  A weight that is a multiple of a smaller kept weight
+    adds nothing and is dropped.
     """
 
     def __init__(self, tpl: TsGraphTemplate, depth: int):
@@ -193,49 +195,50 @@ class WalkWeights:
         classes = enumerate_cycle_classes(build_mw_summary(tpl))
         self.tpl = tpl
         self.depth = depth
-        mask = (1 << (depth + 1)) - 1
-        in_edges: dict[str, list[tuple[str, int]]] = {v: [] for v in tpl.variables}
+        self._in_edges: dict[str, list[tuple[str, int]]] = {v: [] for v in tpl.variables}
         for src, lag, dst in tpl.directed_t:
             if src != dst:
-                in_edges[dst].append((src, lag))
+                self._in_edges[dst].append((src, lag))
         cycle_weights: dict[str, set[int]] = {v: set() for v in tpl.variables}
         for c in classes:
             for v in c.node_set:
                 cycle_weights[v].update(c.weights)
-        closing: dict[str, list[int]] = {}
+        self._closing: dict[str, list[int]] = {}
         for v, weights in cycle_weights.items():
             kept: list[int] = []
             for w in sorted(weights):
                 if all(w % k for k in kept):
                     kept.append(w)
-            closing[v] = kept
-        self.anc: dict[str, dict[str, int]] = {}
-        for x in tpl.variables:
-            bits = {x: 1}
-            work = {x}
-            while work:
-                y = work.pop()
-                # close under each cycle weight by doubling: after the shifts
-                # w, 2 w, ..., 2^n w, every multiple of w up to (2^(n+1) - 1) w
-                # has been added; a shift that adds nothing means the bitset
-                # is closed under every multiple of w already
-                for w in closing[y]:
-                    closed = bits[y]
-                    shift = w
-                    while shift <= depth:
-                        grown = closed | ((closed << shift) & mask)
-                        if grown == closed:
-                            break
-                        closed = grown
-                        shift *= 2
-                    bits[y] = closed
-                for u, lag in in_edges[y]:
-                    old = bits.get(u, 0)
-                    new = old | ((bits[y] << lag) & mask)
-                    if new != old:
-                        bits[u] = new
-                        work.add(u)
-            self.anc[x] = bits
+            self._closing[v] = kept
+        self.anc: dict[str, dict[str, int]] = _OnFirstRead(self._walks_into)
+
+    def _walks_into(self, x: str) -> dict[str, int]:
+        depth, mask = self.depth, (1 << (self.depth + 1)) - 1
+        bits = {x: 1}
+        work = {x}
+        while work:
+            y = work.pop()
+            # close under each cycle weight by doubling: after the shifts
+            # w, 2 w, ..., 2^n w, every multiple of w up to (2^(n+1) - 1) w
+            # has been added; a shift that adds nothing means the bitset
+            # is closed under every multiple of w already
+            for w in self._closing[y]:
+                closed = bits[y]
+                shift = w
+                while shift <= depth:
+                    grown = closed | ((closed << shift) & mask)
+                    if grown == closed:
+                        break
+                    closed = grown
+                    shift *= 2
+                bits[y] = closed
+            for u, lag in self._in_edges[y]:
+                old = bits.get(u, 0)
+                new = old | ((bits[y] << lag) & mask)
+                if new != old:
+                    bits[u] = new
+                    work.add(u)
+        return bits
 
     def query(self, i: str, tau: int, j: str) -> bool:
         """Whether (i, t-tau) and (j, t) have a common ancestor at most depth
@@ -249,22 +252,35 @@ class WalkWeights:
         return any((bits << tau) & anc_j.get(u, 0) for u, bits in self.anc[i].items())
 
 
+class _OnFirstRead(dict):
+    """A dict whose missing keys are filled by ``fill(key)`` when first read."""
+
+    def __init__(self, fill):
+        self._fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self._fill(key)
+        return value
+
+
 class WalkerReach:
     """Exact common-ancestor queries on a ts-DAG for tau up to ``reach``,
     raised to the largest lag K if below it.
 
-    A backward search over the two-walker states (a, b, delta) of the module
-    docstring with |delta| <= R answers tau <= R by whether it reached
-    (i, j, -tau).  R is the largest value in [K, reach] whose states and
-    steps fit ``_MAX_WALKER_STATES`` and ``_MAX_WALKER_STEPS``, or K if none
-    does; the module docstring's tail, from ``WalkWeights(tpl, reach)``,
-    answers tau in (R, reach].
+    A backward search over the band |delta| <= R of the two-walker states
+    (a, b, delta) of the module docstring answers tau <= R by whether it
+    reached (i, j, -tau).  R is the largest value in [K, reach] whose states
+    and steps fit ``_MAX_WALKER_STATES`` and ``_MAX_WALKER_STEPS``, or K if
+    none does; the tail answers tau in (R, reach] from the pairs (i, b) and
+    the walk weights into j of ``WalkWeights(tpl, reach)``.
 
-    From every meeting state (x, x, 0) the search takes steps back: an edge
-    u -> a of lag L takes (u, b, d) to (a, b, d + L) when d + L >= 0 (A, the
-    later walker, stepped), and an edge w -> b takes (a, w, d) to
-    (a, b, d - L) when d - L <= 0.  Each state enters the worklist once, so
-    the search costs one pass over the states and their steps.  The steps
+    The states of a walker pair (a, b) are one int, whose bit delta + R is
+    set iff (a, b, delta) was reached.  From the meeting states the search
+    moves a pair's new bits at once: an edge a -> u of lag L shifts them
+    left by L into (u, b) (A stepped), and an edge b -> w shifts them right
+    by L into (a, w) (B stepped), keeping only the band.  A self-loop of lag
+    L also steps L 2^k, 2^k L <= R, as a walk round it 2^k times, so its
+    pairs fill the band in log(R / L) rounds instead of R / L.  The steps
     are the template's directed entries, whose checks the template has run;
     a ts-ADMG is rejected by :func:`~tsproject.summary_mwdg.require_ts_dag`.
     """
@@ -276,54 +292,29 @@ class WalkerReach:
         self.tpl = tpl
         self.reach = max(reach, max_lag(tpl))
         self._r = r = max(max_lag(tpl), min(reach, _largest_reach(tpl)))
-        n, width = len(tpl.variables), 2 * r + 1
-        idx = {v: k for k, v in enumerate(tpl.variables)}
-        # state (a, b, delta) is number (a * n + b) * width + delta + r;
-        # per edge tail, (lag, the change of that number) for each walker
-        steps_a: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        steps_b: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        n, band = len(tpl.variables), (1 << (2 * r + 1)) - 1
+        # the pair (a, b) is number a * n + b; per edge tail, (A's shift left,
+        # B's shift right, the change of that number) for each walker
+        steps_a: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        steps_b: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         for src, lag, dst in tpl.directed_t:
-            u, a = idx[src], idx[dst]
-            steps_a[u].append((lag, (a - u) * n * width + lag))
-            steps_b[u].append((lag, (a - u) * width - lag))
-        for steps in steps_a + steps_b:
-            steps.sort()
-        seen = bytearray(n * n * width)
-        work = [(x * n + x) * width + r for x in range(n)]
-        for s in work:
-            seen[s] = 1
-        while work:
-            s = work.pop()
-            pair, e = divmod(s, width)  # e = delta + r
+            u, a = tpl.index(src), tpl.index(dst)
+            for shift in [lag << k for k in range((r // lag).bit_length())] if u == a else [lag]:
+                steps_a[u].append((shift, 0, (a - u) * n))
+                steps_b[u].append((0, shift, a - u))
+        self._pairs = pairs = [1 << r if a == b else 0 for a in range(n) for b in range(n)]
+        pending = {pair: bits for pair, bits in enumerate(pairs) if bits}
+        while pending:
+            pair, bits = pending.popitem()
             a, b = divmod(pair, n)
-            low = r - e  # A's lag keeps delta + lag in [0, r]
-            high = low + r
-            for lag, step in steps_a[a]:
-                if lag > high:
-                    break
-                if lag >= low:
-                    t = s + step
-                    if not seen[t]:
-                        seen[t] = 1
-                        work.append(t)
-            low = e - r  # B's lag keeps delta - lag in [-r, 0]
-            for lag, step in steps_b[b]:
-                if lag > e:
-                    break
-                if lag >= low:
-                    t = s + step
-                    if not seen[t]:
-                        seen[t] = 1
-                        work.append(t)
-        self._seen = seen
+            for up, down, step in steps_a[a] + steps_b[b]:
+                t = pair + step
+                new = bits << up >> down & band & ~pairs[t]
+                if new:
+                    pairs[t] |= new
+                    pending[t] = pending.get(t, 0) | new
         if self.reach > r:
             self._walks = WalkWeights(tpl, self.reach)
-            # bit k of _rows[a][b]: the state (a, b, k - r) was reached
-            self._rows = {
-                a: {b: int(seen[s : s + r + 1].translate(_BIT_DIGITS)[::-1], 2)
-                    for b, s in zip(tpl.variables, range(x * n * width, len(seen), width))}
-                for x, a in enumerate(tpl.variables)
-            }
 
     def query(self, i: str, tau: int, j: str) -> bool:
         """Whether (i, t-tau) and (j, t) have a common ancestor."""
@@ -331,11 +322,12 @@ class WalkerReach:
             raise ValidationError("tau must be non-negative")
         if tau > self.reach:
             raise ValidationError("tau must not exceed the reach")
-        pair = self.tpl.index(i) * len(self.tpl.variables) + self.tpl.index(j)
+        row, col = self.tpl.index(i) * len(self.tpl.variables), self.tpl.index(j)
         if tau <= self._r:
-            return bool(self._seen[pair * (2 * self._r + 1) + self._r - tau])
-        rows, shift = self._rows[i], tau - self._r
-        return any(bits >> shift & rows[b] for b, bits in self._walks.anc[j].items())
+            return bool(self._pairs[row + col] >> self._r - tau & 1)
+        shift = tau - self._r
+        return any(bits >> shift & self._pairs[row + self.tpl.index(b)]
+                   for b, bits in self._walks.anc[j].items())
 
 
 def _largest_reach(tpl: TsGraphTemplate) -> int:

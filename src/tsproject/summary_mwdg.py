@@ -50,6 +50,7 @@ Term = tuple[tuple[int, ...], tuple[int, ...]]  # (w(S), the weights of cl(S)) o
 
 _MAX_GENERATING_PATHS = 10**6  # only --explain lists M_pi; its paths grow exponentially
 _MAX_SIMPLE_PATHS = 10**6  # about 200 MB of paths; their number grows exponentially
+_MAX_CONE_TERMS = 10**6  # sets kept by one cone-term search; their number grows exponentially
 
 
 @dataclass
@@ -233,7 +234,8 @@ class GraphOfCycles:
         minimal iff some class y of t leaves t - y in M with f(y) inside the
         union of f over t - y (which then holds y too).  So a grown set
         t = s | x carries its closure cl(s) | f(x) and its weight sum
-        w(s) + w(x) forward from s."""
+        w(s) + w(x) forward from s.  Over ``_MAX_CONE_TERMS`` kept sets raise
+        ValidationError before the next level is grown."""
         if touch not in self._terms:
             pairs, points = self.accessors(touch)
             single = dict.fromkeys(bits(points), 0)
@@ -278,6 +280,11 @@ class GraphOfCycles:
                                 sums_t = _minkowski(sums, self.classes[x].weights)
                                 grown[t] = cl | single[x], sums_t
                 kept.update(grown.values())
+                if len(kept) > _MAX_CONE_TERMS:
+                    raise ValidationError(
+                        f"the cone search keeps more than {_MAX_CONE_TERMS} sets; "
+                        "it is too large to search"
+                    )
                 level = grown
             self._terms[touch] = frozenset(
                 (sums, tuple(w for k in bits(cl | touch) for w in self.classes[k].weights))

@@ -13,7 +13,7 @@ from tsproject import (
     max_lag,
     summary_prefilter,
 )
-from tsproject import ancestor_query
+from tsproject import ancestor_query, summary_mwdg
 from tsproject.ancestor_query import _MAX_WALK_DEPTH
 from tsproject.oracle_testkit import (
     random_template,
@@ -206,6 +206,17 @@ def test_canonicalized_admg_queries(fig3_tpl):
     assert engine.query("X1", 1, "X2")  # via the auxiliary latent at lag 1
 
 
+def test_the_cone_search_stops_at_its_limit(monkeypatch):
+    """random_template(5, 4, 2, 0.3) keeps up to 20 sets in one cone search,
+    that of the trivial path at X4; with the limit patched to 10, X1 -> X1
+    meets a search past it and is refused."""
+    tpl = random_template(5, 4, 2, 0.3)
+    assert CommonAncestorEngine(tpl).query("X1", 0, "X1")
+    monkeypatch.setattr(summary_mwdg, "_MAX_CONE_TERMS", 10)
+    with pytest.raises(ValidationError, match="the cone search keeps more than 10 sets"):
+        CommonAncestorEngine(tpl).query("X1", 0, "X1")
+
+
 class TestWalkWeights:
     def test_rejects_bidirected_template(self, fig3_tpl):
         with pytest.raises(ValidationError):
@@ -336,8 +347,9 @@ class TestWalkerReach:
             engine.query("Q", 0, "X")
 
     def test_walker_reach_steps_either_walker_at_equal_times(self):
-        """X -> Y at lag 0: (Y, t) and (X, t) meet only if A, at Y, steps at
-        delta = 0, and (X, t) and (Y, t) only if B does."""
+        """X -> Y at lag 0: (Y, t) and (X, t) meet at (X, t) only by a step
+        of A from Y at delta = 0, and (X, t) and (Y, t) only by one of B; the
+        search steps either walker at every delta."""
         engine = WalkerReach(make_template(["X", "Y"], directed=[("X", 0, "Y")]), 2)
         assert engine.query("Y", 0, "X")
         assert engine.query("X", 0, "Y")
@@ -345,10 +357,12 @@ class TestWalkerReach:
 
     def test_walker_reach_steps_only_the_later_walker(self):
         """X -> Y at lag 1 and X -> X at lag 2.  (X, t-1) and (Y, t) meet
-        only if the later walker, B, steps: A has no parent at X.  (Y, t-1)
-        and (X, t) meet at (X, t-2): B steps to it first, then A; had the
-        earlier walker stepped, A would reach (X, t-2) and go on to (X, t-4)
-        while B waited at (X, t)."""
+        only by a step of the later walker, B: A has no parent at X.
+        (Y, t-1) and (X, t) meet at (X, t-2), where the later-walker walks of
+        the completeness proof step B first, then A; the search, which steps
+        either walker within the band, reaches it too.  (X, t) and (Y, t)
+        share none: X is an ancestor of X[t] at even offsets only, and of
+        Y[t] at odd ones."""
         tpl = make_template(["X", "Y"], directed=[("X", 1, "Y"), ("X", 2, "X")])
         engine = WalkerReach(tpl, 4)
         assert engine.query("X", 1, "Y")

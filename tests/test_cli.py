@@ -28,6 +28,7 @@ from tsproject import (
     parse_mixed_graph,
     parse_template,
     serialize_template,
+    summary_mwdg,
 )
 from tsproject.ancestor_query import _default_engine
 from tsproject.cli import run
@@ -90,12 +91,12 @@ def test_a_failed_dot_write_leaves_no_json(b1_path, tmp_path, capsys):
     assert not out.exists()
 
 
-def _run_in_1536_mb(argv):
-    """The CLI in a subprocess whose address space is limited to 1.5 GB."""
+def _run_in_mb(argv, mb=1536):
+    """The CLI in a subprocess whose address space is limited to ``mb`` MB."""
     src = str(Path(tsproject.__file__).parents[1])
 
     def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+        resource.setrlimit(resource.RLIMIT_AS, (mb << 20, mb << 20))
 
     return subprocess.run([sys.executable, "-m", "tsproject.cli", *argv],
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True,
@@ -110,8 +111,8 @@ def test_a_window_over_the_vertex_limit_is_refused_before_allocating(
     600,003 vertices, whose masks would take terabytes and gigabytes.  Both
     methods refuse the window before building one, well inside a 1.5 GB
     address space."""
-    done = _run_in_1536_mb(["project-admg", "--graph", running_path, "--observed", "X,Y,Z",
-                            "--window", window, "--method", method])
+    done = _run_in_mb(["project-admg", "--graph", running_path, "--observed", "X,Y,Z",
+                       "--window", window, "--method", method])
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == (
         f"error: 3 x {int(window) + 1} window vertices exceed the limit of 100000\n"
@@ -135,7 +136,7 @@ def test_a_summary_graph_with_too_many_simple_paths_is_refused(data_dir, argv):
     overrun.  The two-walker search of wide30.json stops at R = 110, so the
     walk weights of its tail read the cycle classes at tau 1000, and
     --explain builds the cone engine; --method selects nothing."""
-    done = _run_in_1536_mb([argv[0], "--graph", str(data_dir / "wide30.json"), *argv[1:]])
+    done = _run_in_mb([argv[0], "--graph", str(data_dir / "wide30.json"), *argv[1:]])
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == (
         "error: the summary graph has more than 1000000 simple paths; it is too large to search\n"
@@ -146,8 +147,8 @@ def test_a_summary_graph_with_too_many_simple_paths_is_refused(data_dir, argv):
 def test_an_unknown_observed_variable_is_named_before_any_engine_is_built(data_dir, method):
     """An unknown --observed name is reported before any engine is built,
     with either --method value."""
-    done = _run_in_1536_mb(["project-admg", "--graph", str(data_dir / "wide30.json"),
-                            "--observed", "Q", "--window", "1", "--method", method])
+    done = _run_in_mb(["project-admg", "--graph", str(data_dir / "wide30.json"),
+                       "--observed", "Q", "--window", "1", "--method", method])
     assert (done.returncode, done.stdout) == (1, "")
     assert "Q" in done.stderr and "Traceback" not in done.stderr
     assert done.stderr == "error: unknown variable 'Q'\n"
@@ -158,8 +159,8 @@ def test_an_unknown_observed_variable_is_named_before_any_engine_is_built(data_d
 def test_an_empty_observed_set_is_refused_before_any_engine_is_built(data_dir, method, observed):
     """An empty --observed list is reported before any engine is built,
     with either --method value."""
-    done = _run_in_1536_mb(["project-admg", "--graph", str(data_dir / "wide30.json"),
-                            "--observed", observed, "--window", "1", "--method", method])
+    done = _run_in_mb(["project-admg", "--graph", str(data_dir / "wide30.json"),
+                       "--observed", observed, "--window", "1", "--method", method])
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == "error: observed variable set must be non-empty\n"
 
@@ -170,9 +171,9 @@ def test_ancestor_names_an_unknown_variable_before_any_engine_is_built(data_dir,
     """The cone engine of wide30.json is refused at its simple-path limit;
     an unknown --i or --j is reported before any engine is built."""
     names = {"--i": "X1", "--j": "X1", side: "Q"}
-    done = _run_in_1536_mb(["ancestor", "--graph", str(data_dir / "wide30.json"),
-                            "--i", names["--i"], "--tau", "1", "--j", names["--j"],
-                            "--method", method])
+    done = _run_in_mb(["ancestor", "--graph", str(data_dir / "wide30.json"),
+                       "--i", names["--i"], "--tau", "1", "--j", names["--j"],
+                       "--method", method])
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == "error: unknown variable 'Q'\n"
 
@@ -263,8 +264,8 @@ def test_the_default_projection_of_wide30_lists_no_simple_paths(data_dir):
     space.  ``cutoff`` is refused there, so there is no p_cut oracle; a window
     of 150 steps can only lose bidirected edges, never add one."""
     wide30 = data_dir / "wide30.json"
-    done = _run_in_1536_mb(["project-admg", "--graph", str(wide30), "--observed", "X1",
-                            "--window", "1"])
+    done = _run_in_mb(["project-admg", "--graph", str(wide30), "--observed", "X1",
+                       "--window", "1"])
     assert (done.returncode, done.stderr) == (0, "")
     tpl = parse_template(wide30.read_text())
     truncated = window_marginal(tpl, ["X1"], 1, 150)
@@ -275,9 +276,35 @@ def test_the_default_projection_of_wide30_lists_no_simple_paths(data_dir):
 def test_the_default_ancestor_query_of_wide30_lists_no_simple_paths(data_dir):
     """X1 -> X2 at tau 1 on wide30.json is answered from the two-walker
     states, which need no simple path, in the same 1.5 GB address space."""
-    done = _run_in_1536_mb(["ancestor", "--graph", str(data_dir / "wide30.json"),
-                            "--i", "X1", "--tau", "1", "--j", "X2"])
+    done = _run_in_mb(["ancestor", "--graph", str(data_dir / "wide30.json"),
+                       "--i", "X1", "--tau", "1", "--j", "X2"])
     assert (done.returncode, done.stdout, done.stderr) == (0, "true\n", "")
+
+
+def test_the_tail_at_tau_ten_million_searches_only_the_walks_into_j(data_dir):
+    """walk16.json is random_template(0, 16, 1, 0.1).  At tau 10^7 its
+    two-walker search stops at R = 390 and the tail answers from the walk
+    weights into X12 alone, at most 16 bitsets of 10^7 bits, inside a 256 MB
+    address space, which those into every variable, 1.25 MB per pair of a
+    variable and an ancestor, would overrun."""
+    done = _run_in_mb(["ancestor", "--graph", str(data_dir / "walk16.json"), "--i", "X4",
+                       "--tau", "10000000", "--j", "X12"], mb=256)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "false\n", "")
+
+
+def test_ancestor_explain_stops_at_the_cone_search_limit(tmp_path, capsys, monkeypatch):
+    """random_template(5, 4, 2, 0.3) keeps 20 sets in one cone search; with
+    the limit patched to 10, --explain reports it instead of a traceback."""
+    graph = tmp_path / "t.json"
+    graph.write_text(serialize_template(random_template(5, 4, 2, 0.3)))
+    monkeypatch.setattr(summary_mwdg, "_MAX_CONE_TERMS", 10)
+    argv = ["ancestor", "--graph", str(graph), "--i", "X2", "--tau", "0", "--j", "X2",
+            "--explain"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: the cone search keeps more than 10 sets; it is too large to search\n"
+    )
 
 
 def test_ancestor_past_the_walk_weight_depth_limit_asks_the_cone_engine(running_path, capsys):
