@@ -71,6 +71,7 @@ from .summary_mwdg import (
 _MAX_WALK_DEPTH = 10**7  # deepest WalkWeights search; a bitset that deep is 1.25 MB
 _MAX_WALKER_STATES = 2 * 10**5  # n^2 (2 R + 1); a bit per state
 _MAX_WALKER_STEPS = 4 * 10**6  # 2 n (2 R + 1) |E|; the search takes seconds at most at both
+_MAX_CONE_PAIRS = 10**6  # per cone-engine query; a path pair's are counted before they are tried
 
 
 def summary_prefilter(s: MwSummaryGraph, i: str, j: str) -> bool:
@@ -142,15 +143,23 @@ class CommonAncestorEngine:
     def _decide(self, i: str, tau: int, j: str) -> bool:
         """Whether some root k has paths pi: k -> i and pj: k -> j whose cones,
         the one of pi shifted by tau, meet; each distinct
-        (a0 + tau - b0, coeffs, coeffs') is solved once."""
+        (a0 + tau - b0, coeffs, coeffs') is solved once.  Past
+        ``_MAX_CONE_PAIRS`` cone pairs raise ``ValidationError``."""
         if not summary_prefilter(self.summary, i, j):
             return False
         seen = set()
+        tried = 0
         for k in self.summary.nodes:
             for pi in self.paths(k, i):
                 lhs = self.cones(pi)
                 for pj in self.paths(k, j):
                     rhs = self.cones(pj)
+                    tried += len(lhs) * len(rhs)
+                    if tried > _MAX_CONE_PAIRS:
+                        raise ValidationError(
+                            f"the common-ancestor search tries more than {_MAX_CONE_PAIRS} "
+                            "cone pairs; it is too large to search"
+                        )
                     for a0, lhs_coeffs in lhs:
                         c = a0 + tau
                         for b0, rhs_coeffs in rhs:
@@ -342,8 +351,9 @@ def _default_engine(tpl: TsGraphTemplate, depth: int) -> CommonAncestorEngine | 
     its search fits the limits at R = K and its tail, if depth > R, is within
     ``_MAX_WALK_DEPTH``; the cone engine otherwise.  The rule reads only the
     input, and both engines are exact."""
-    fit = _largest_reach(tpl)
-    if max_lag(tpl) <= fit and depth <= max(fit, _MAX_WALK_DEPTH):
+    # R <= (_MAX_WALKER_STATES - 1) // 2 = 99,999 < _MAX_WALK_DEPTH, so a depth
+    # the search alone covers is within the tail's limit too
+    if max_lag(tpl) <= _largest_reach(tpl) and depth <= _MAX_WALK_DEPTH:
         return WalkerReach(tpl, depth)
     return CommonAncestorEngine(tpl)
 

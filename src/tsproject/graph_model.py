@@ -105,13 +105,15 @@ class TsGraphTemplate:
     variables: tuple[str, ...]
     directed_t: frozenset[DirectedEntry] = frozenset()
     bidirected_t: frozenset[BidirectedEntry] = frozenset()
+    _position: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.variables:
             raise ValidationError("template needs at least one variable")
-        if len(set(self.variables)) != len(self.variables):
-            raise ValidationError("duplicate variable names")
         index = {v: n for n, v in enumerate(self.variables)}
+        if len(index) != len(self.variables):
+            raise ValidationError("duplicate variable names")
+        object.__setattr__(self, "_position", index)
         for src, lag, dst in self.directed_t | self.bidirected_t:
             if src not in index or dst not in index:
                 raise ValidationError(f"unknown variable in edge ({src}, {lag}, {dst})")
@@ -135,8 +137,8 @@ class TsGraphTemplate:
 
     def index(self, var: str) -> int:
         try:
-            return self.variables.index(var)
-        except ValueError:
+            return self._position[var]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise ValidationError(f"unknown variable {var!r}") from None
 
 

@@ -11,9 +11,7 @@ projection is exactly the sibling edge between its two children (Richardson,
 "Markov properties for acyclic directed mixed graphs", Scand. J. Statist.
 2003), and latent projections compose, so the window never holds the
 auxiliaries: they live only in the engine and in the parent lists of the
-lag pairs.  The finite ADMG latent projection onto the observed variables
-follows; the DMAG variant projects that marginal ADMG onto its maximal
-ancestral graph.
+lag pairs.
 
 The window marginal asks one question per lag pair: do some parent of i at
 lag lag_i and some parent of j at lag lag_j, d = dt + lag_i - lag_j steps
@@ -30,11 +28,15 @@ pair that a shared parent does not settle, so a projection that asks
 nothing builds no engine.
 
 The pipeline carries one mask graph (:class:`finite_projection._Index`)
-from start to finish: the window marginal is written as masks straight from
-the template entries and the engine's answers, the latent projection and the
-DMAG are mask kernels on it, and one :class:`FiniteMixedGraph`, the result,
-is built at the end, so its checks run once.  The oracles' windows run to the
-cutoff p_cut + p, so :func:`graph_model.unroll_window` stays on vertex sets.
+from start to finish.  The window marginal is written as masks straight from
+the template entries and the engine's answers: (v, off) is bit
+n (p + 1) + off for the n-th variable v in sorted order, the vertex order of
+``_Index``.  Its ADMG latent projection onto the observed variables keeps
+their rows, bits n (p + 1) to n (p + 1) + p, and the DMAG variant projects
+that marginal ADMG onto its maximal ancestral graph; both are mask kernels.
+One :class:`FiniteMixedGraph`, the result, is built at the end, so its checks
+run once.  The oracles' windows run to the cutoff p_cut + p, so
+:func:`graph_model.unroll_window` stays on vertex sets.
 """
 
 from __future__ import annotations
@@ -64,13 +66,12 @@ def canonical_ts_dag(tpl: TsGraphTemplate) -> TsGraphTemplate:
     inputs are returned unchanged."""
     if tpl.is_ts_dag:
         return tpl
-    idx = {v: n for n, v in enumerate(tpl.variables)}
-    entries = sorted(tpl.bidirected_t, key=lambda e: (idx[e[0]], idx[e[2]], e[1]))
+    entries = sorted(tpl.bidirected_t, key=lambda e: (tpl.index(e[0]), tpl.index(e[2]), e[1]))
     aux_vars = []
     directed = set(tpl.directed_t)
     for a, lag, b in entries:
         aux = f"L({a},{b},{lag})"
-        if aux in idx or aux in aux_vars:
+        if aux in tpl.variables or aux in aux_vars:
             raise ValidationError(f"auxiliary variable name collision: {aux}")
         aux_vars.append(aux)
         directed.add((aux, lag, b))
@@ -105,23 +106,27 @@ def simple_marginal_ts_admg(
     auxiliaries are window vertices of ``canonical_ts_dag(tpl)``.
     """
     require_ts_dag(tpl)
-    return _window_marginal(tpl, p, engine).graph()
+    return _window_marginal(tpl, tpl.variables, p, engine).graph()
 
 
 def _window_marginal(
     tpl: TsGraphTemplate,
+    observed_vars: Iterable[str],
     p: int,
     engine: Optional[CommonAncestorEngine | WalkerReach | WalkWeights],
 ) -> _Index:
-    """The window marginal of ``tpl``, a ts-DAG or a ts-ADMG, over its own
-    variables, as masks: (v, off) is bit n * (p + 1) + off for the n-th
-    variable in sorted order, the vertex order of :class:`_Index`.
+    """:func:`marginal_ts_admg` of ``tpl``, a ts-DAG or a ts-ADMG, as masks
+    numbered as in the module docstring, the observed names checked first.
 
-    A bidirected entry is written as its sibling edges (module docstring);
-    the lag pairs are those of :func:`simple_marginal_ts_admg` on
-    ``canonical_ts_dag(tpl)``, whose auxiliaries appear only as parents.
-    ``engine`` must be built on that canonical ts-DAG; without one, one is
-    built at the first query."""
+    A bidirected entry is written as its sibling edges; the lag pairs are
+    those of :func:`simple_marginal_ts_admg` on ``canonical_ts_dag(tpl)``,
+    whose auxiliaries appear only as parents.  ``engine`` must be built on
+    that canonical ts-DAG; without one, one is built at the first query."""
+    observed_vars = tuple(observed_vars)
+    if not observed_vars:
+        raise ValidationError("observed variable set must be non-empty")
+    for v in observed_vars:
+        tpl.index(v)
     if p < 0:
         raise ValidationError("window length must be non-negative")
     width = p + 1
@@ -154,11 +159,10 @@ def _window_marginal(
     by_lag: dict[str, dict[int, list[str]]] = {v: {} for v in tpl.variables}
     for src, lag, dst in sorted(ctpl.directed_t):
         by_lag[dst].setdefault(lag, []).append(src)
-    idx = {v: n for n, v in enumerate(tpl.variables)}
     fed = [v for v in tpl.variables if by_lag[v]]
     for i in fed:
         for j in fed:
-            for dt in range(0 if idx[i] < idx[j] else 1, min(width, max(by_lag[j]))):
+            for dt in range(0 if tpl.index(i) < tpl.index(j) else 1, min(width, max(by_lag[j]))):
                 last = p - dt
                 for start, li, lj in sorted(
                     (max(0, width - dt - li, width - lj), li, lj)
@@ -178,29 +182,9 @@ def _window_marginal(
                             continue
                     link(i, j, dt, start)
                     break
+    keep = sum(((1 << width) - 1) << first[v] for v in set(observed_vars))  # observed rows
     vertices = [TsVertex(v, off) for v in names for off in range(width)]
-    return _Index(vertices, parents, siblings, tpl.variables)
-
-
-def _marginal(
-    tpl: TsGraphTemplate,
-    observed_vars: Iterable[str],
-    p: int,
-    engine: Optional[CommonAncestorEngine | WalkerReach | WalkWeights],
-) -> _Index:
-    """:func:`marginal_ts_admg` as masks."""
-    observed_vars = tuple(dict.fromkeys(observed_vars))
-    if not observed_vars:
-        raise ValidationError("observed variable set must be non-empty")
-    for v in observed_vars:
-        tpl.index(v)
-    full = _window_marginal(tpl, p, engine)
-    # the window rows of the observed variables, in the order of _window_marginal
-    width, names = p + 1, sorted(tpl.variables)
-    keep = 0
-    for v in observed_vars:
-        keep |= ((1 << width) - 1) << (names.index(v) * width)
-    return _latent_project(full, keep)
+    return _latent_project(_Index(vertices, parents, siblings, tpl.variables), keep)
 
 
 def marginal_ts_admg(
@@ -214,7 +198,7 @@ def marginal_ts_admg(
     ``engine``, if given, answers the common-ancestor queries and must be
     built on ``canonical_ts_dag(tpl)``.
     """
-    return _marginal(tpl, observed_vars, p, engine).graph()
+    return _window_marginal(tpl, observed_vars, p, engine).graph()
 
 
 def marginal_ts_dmag(
@@ -224,7 +208,7 @@ def marginal_ts_dmag(
     engine: Optional[CommonAncestorEngine | WalkerReach | WalkWeights] = None,
 ) -> FiniteMixedGraph:
     """Marginal ts-DMAG: the DMAG of the marginal ts-ADMG, with the same ``engine``."""
-    return _dmag(_marginal(tpl, observed_vars, p, engine)).graph()
+    return _dmag(_window_marginal(tpl, observed_vars, p, engine)).graph()
 
 
 @dataclass(frozen=True)

@@ -217,6 +217,16 @@ def test_the_cone_search_stops_at_its_limit(monkeypatch):
         CommonAncestorEngine(tpl).query("X1", 0, "X1")
 
 
+def test_the_cone_pair_search_stops_at_its_limit(monkeypatch):
+    """On random_template(5, 4, 2, 0.3), X1 -> X1 at tau 0 tries 196 cone
+    pairs before a solvable one; with the limit patched to 100 it is refused."""
+    tpl = random_template(5, 4, 2, 0.3)
+    assert CommonAncestorEngine(tpl).query("X1", 0, "X1")
+    monkeypatch.setattr(ancestor_query, "_MAX_CONE_PAIRS", 100)
+    with pytest.raises(ValidationError, match="tries more than 100 cone pairs"):
+        CommonAncestorEngine(tpl).query("X1", 0, "X1")
+
+
 class TestWalkWeights:
     def test_rejects_bidirected_template(self, fig3_tpl):
         with pytest.raises(ValidationError):

@@ -15,6 +15,7 @@ from tsproject import (
     CommonAncestorEngine,
     TsVertex,
     WalkWeights,
+    ancestor_query,
     build_graph_of_cycles,
     build_mw_summary,
     canonical_ts_dag,
@@ -307,6 +308,19 @@ def test_ancestor_explain_stops_at_the_cone_search_limit(tmp_path, capsys, monke
     )
 
 
+def test_ancestor_explain_stops_at_the_cone_pair_search_limit(running_path, capsys, monkeypatch):
+    """Z -> Z at tau 0 on running.json tries 4 cone pairs; with the limit
+    patched to 3, --explain reports it instead of a traceback."""
+    monkeypatch.setattr(ancestor_query, "_MAX_CONE_PAIRS", 3)
+    argv = ["ancestor", "--graph", running_path, "--i", "Z", "--tau", "0", "--j", "Z", "--explain"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: the common-ancestor search tries more than 3 cone pairs; "
+        "it is too large to search\n"
+    )
+
+
 def test_ancestor_past_the_walk_weight_depth_limit_asks_the_cone_engine(running_path, capsys):
     """At tau 2 * 10^7 the tail would search past 10^7 steps, so the cone
     engine answers."""
@@ -472,9 +486,14 @@ def test_project_admg_is_deterministic(b1_path, tmp_path, capsys):
     assert open(out1).read() == open(out2).read()
 
 
-_OBSERVED = {"running": "X,Y,Z", "b1": "X,Y", "fig3": "X1,X2,X3"}
+# unsorted.json lists its variables out of sorted order, Z, X, Y
+_OBSERVED = {"running": "X,Y,Z", "b1": "X,Y", "fig3": "X1,X2,X3", "unsorted": "Z,X,Y"}
 # pinned projections onto a proper subset: case name -> (template, observed)
-_SUBSETS = {"running_XZ": ("running", "X,Z"), "fig3_X1X3": ("fig3", "X1,X3")}
+_SUBSETS = {
+    "running_XZ": ("running", "X,Z"),
+    "fig3_X1X3": ("fig3", "X1,X3"),
+    "unsorted_YZY": ("unsorted", "Y,Z,Y"),  # out of order, with a duplicate
+}
 
 
 @pytest.mark.parametrize("p", [0, 1, 2])

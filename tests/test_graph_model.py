@@ -60,6 +60,12 @@ def test_template_rejects_unknown_variable():
         make_template(["X"], directed=[("X", 1, "Q")])
 
 
+@pytest.mark.parametrize("name", ["Q", ["X"]])
+def test_template_index_names_an_unknown_or_unhashable_variable(name):
+    with pytest.raises(ValidationError, match=re.escape(f"unknown variable {name!r}")):
+        make_template(["Z", "X", "Y"]).index(name)
+
+
 def test_template_rejects_negative_lag():
     with pytest.raises(ValidationError):
         make_template(["X", "Y"], directed=[("X", -1, "Y")])

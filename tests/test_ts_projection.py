@@ -99,6 +99,8 @@ class TestMarginalTsAdmg:
     def test_rejects_unknown_observed(self, b1_tpl):
         with pytest.raises(ValidationError):
             marginal_ts_admg(b1_tpl, ["X", "Q"], 1)
+        with pytest.raises(ValidationError, match="unknown variable"):
+            marginal_ts_admg(b1_tpl, ["X", ["Y"]], 1)  # unhashable
 
     def test_matches_window_oracle_on_small_templates(self):
         for seed in range(8):
