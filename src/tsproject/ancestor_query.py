@@ -47,7 +47,7 @@ the state.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from .diophantine import solvable
 from .graph_model import TsGraphTemplate, ValidationError, max_lag
@@ -183,15 +183,9 @@ class WalkWeights:
     and so does a ts-ADMG, in :func:`~tsproject.summary_mwdg.build_mw_summary`.
 
     ``anc[x]`` is searched on its first read, so a query searches its two
-    targets only, and the tail of :class:`WalkerReach` j alone.  The bitsets
-    are the fixpoint of a worklist over the edges between distinct nodes.
-    Each time a node's bitset is taken from the worklist, it is first closed,
-    by doubling, under the weights of every cycle class through that node
-    (self-loops included).  Such a weight is the weight of a closed walk at
-    that node, so the closure adds only true ancestors, and a cycle that
-    spans several nodes is crossed in a few rounds instead of one round per
-    trip around it.  A weight that is a multiple of a smaller kept weight
-    adds nothing and is dropped.
+    targets only, and the tail of :class:`WalkerReach` j alone: the
+    :func:`_fixpoint` from bit 0 of x over the edges between distinct
+    variables and the weights of the cycle classes through each variable.
     """
 
     def __init__(self, tpl: TsGraphTemplate, depth: int):
@@ -204,50 +198,19 @@ class WalkWeights:
         classes = enumerate_cycle_classes(build_mw_summary(tpl))
         self.tpl = tpl
         self.depth = depth
-        self._in_edges: dict[str, list[tuple[str, int]]] = {v: [] for v in tpl.variables}
+        weights = [[w for c in classes if v in c.node_set for w in c.weights] for v in tpl.variables]
+        self._moves = [[(w, 0, 0) for w in _closing_weights(ws)] for ws in weights]
         for src, lag, dst in tpl.directed_t:
-            if src != dst:
-                self._in_edges[dst].append((src, lag))
-        cycle_weights: dict[str, set[int]] = {v: set() for v in tpl.variables}
-        for c in classes:
-            for v in c.node_set:
-                cycle_weights[v].update(c.weights)
-        self._closing: dict[str, list[int]] = {}
-        for v, weights in cycle_weights.items():
-            kept: list[int] = []
-            for w in sorted(weights):
-                if all(w % k for k in kept):
-                    kept.append(w)
-            self._closing[v] = kept
+            u, y = tpl.index(src), tpl.index(dst)
+            if u != y:
+                self._moves[y].append((lag, 0, u - y))
         self.anc: dict[str, dict[str, int]] = _OnFirstRead(self._walks_into)
 
     def _walks_into(self, x: str) -> dict[str, int]:
-        depth, mask = self.depth, (1 << (self.depth + 1)) - 1
-        bits = {x: 1}
-        work = {x}
-        while work:
-            y = work.pop()
-            # close under each cycle weight by doubling: after the shifts
-            # w, 2 w, ..., 2^n w, every multiple of w up to (2^(n+1) - 1) w
-            # has been added; a shift that adds nothing means the bitset
-            # is closed under every multiple of w already
-            for w in self._closing[y]:
-                closed = bits[y]
-                shift = w
-                while shift <= depth:
-                    grown = closed | ((closed << shift) & mask)
-                    if grown == closed:
-                        break
-                    closed = grown
-                    shift *= 2
-                bits[y] = closed
-            for u, lag in self._in_edges[y]:
-                old = bits.get(u, 0)
-                new = old | ((bits[y] << lag) & mask)
-                if new != old:
-                    bits[u] = new
-                    work.add(u)
-        return bits
+        bits = [0] * len(self.tpl.variables)
+        bits[self.tpl.index(x)] = 1
+        _fixpoint(bits, self._moves.__getitem__, (1 << (self.depth + 1)) - 1)
+        return {v: b for v, b in zip(self.tpl.variables, bits) if b}
 
     def query(self, i: str, tau: int, j: str) -> bool:
         """Whether (i, t-tau) and (j, t) have a common ancestor at most depth
@@ -279,49 +242,46 @@ class WalkerReach:
     A backward search over the band |delta| <= R of the two-walker states
     (a, b, delta) of the module docstring answers tau <= R by whether it
     reached (i, j, -tau).  R is the largest value in [K, reach] whose states
-    and steps fit ``_MAX_WALKER_STATES`` and ``_MAX_WALKER_STEPS``, or K if
-    none does; the tail answers tau in (R, reach] from the pairs (i, b) and
-    the walk weights into j of ``WalkWeights(tpl, reach)``.
+    and steps fit ``_MAX_WALKER_STATES`` and ``_MAX_WALKER_STEPS``; a
+    template where even R = K does not fit raises ``ValidationError``.  The
+    tail answers tau in (R, reach] from the pairs (i, b) and the walk
+    weights into j of ``WalkWeights(tpl, reach)``.
 
     The states of a walker pair (a, b) are one int, whose bit delta + R is
-    set iff (a, b, delta) was reached.  From the meeting states the search
-    moves a pair's new bits at once: an edge a -> u of lag L shifts them
-    left by L into (u, b) (A stepped), and an edge b -> w shifts them right
-    by L into (a, w) (B stepped), keeping only the band.  A self-loop of lag
-    L also steps L 2^k, 2^k L <= R, as a walk round it 2^k times, so its
-    pairs fill the band in log(R / L) rounds instead of R / L.  The steps
-    are the template's directed entries, whose checks the template has run;
-    a ts-ADMG is rejected by :func:`~tsproject.summary_mwdg.require_ts_dag`.
+    set iff (a, b, delta) was reached: the :func:`_fixpoint` from the meeting
+    states, where an edge a -> u of lag L shifts the bits left by L into
+    (u, b) (A stepped), an edge b -> w shifts them right by L into (a, w)
+    (B stepped), and a self-loop is a closed walk.  The steps are the
+    template's directed entries, whose checks the template has run; a ts-ADMG
+    is rejected by :func:`~tsproject.summary_mwdg.require_ts_dag`.
     """
 
     def __init__(self, tpl: TsGraphTemplate, reach: int):
         if reach < 0:
             raise ValidationError("reach must be non-negative")
         require_ts_dag(tpl)
+        k, largest = max_lag(tpl), _largest_reach(tpl)
+        if k > largest:
+            raise ValidationError(
+                f"the two-walker search at the largest lag {k} exceeds the limits of "
+                f"{_MAX_WALKER_STATES} states and {_MAX_WALKER_STEPS} steps"
+            )
         self.tpl = tpl
-        self.reach = max(reach, max_lag(tpl))
-        self._r = r = max(max_lag(tpl), min(reach, _largest_reach(tpl)))
-        n, band = len(tpl.variables), (1 << (2 * r + 1)) - 1
-        # the pair (a, b) is number a * n + b; per edge tail, (A's shift left,
-        # B's shift right, the change of that number) for each walker
+        self.reach = max(reach, k)
+        self._r = r = min(self.reach, largest)
+        n = len(tpl.variables)
+        # the pair (a, b) is number a * n + b; per edge tail, the moves of
+        # each walker, as (shift left, shift right, change of that number)
         steps_a: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         steps_b: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         for src, lag, dst in tpl.directed_t:
             u, a = tpl.index(src), tpl.index(dst)
-            for shift in [lag << k for k in range((r // lag).bit_length())] if u == a else [lag]:
-                steps_a[u].append((shift, 0, (a - u) * n))
-                steps_b[u].append((0, shift, a - u))
-        self._pairs = pairs = [1 << r if a == b else 0 for a in range(n) for b in range(n)]
-        pending = {pair: bits for pair, bits in enumerate(pairs) if bits}
-        while pending:
-            pair, bits = pending.popitem()
-            a, b = divmod(pair, n)
-            for up, down, step in steps_a[a] + steps_b[b]:
-                t = pair + step
-                new = bits << up >> down & band & ~pairs[t]
-                if new:
-                    pairs[t] |= new
-                    pending[t] = pending.get(t, 0) | new
+            if u != a or lag in _closing_weights(w for v, w, x in tpl.directed_t if v == x == src):
+                steps_a[u].append((lag, 0, (a - u) * n))
+                steps_b[u].append((0, lag, a - u))
+        self._pairs = [1 << r if a == b else 0 for a in range(n) for b in range(n)]
+        _fixpoint(self._pairs, lambda pair: steps_a[pair // n] + steps_b[pair % n],
+                  (1 << (2 * r + 1)) - 1)
         if self.reach > r:
             self._walks = WalkWeights(tpl, self.reach)
 
@@ -337,6 +297,48 @@ class WalkerReach:
         shift = tau - self._r
         return any(bits >> shift & self._pairs[row + self.tpl.index(b)]
                    for b, bits in self._walks.anc[j].items())
+
+
+def _closing_weights(weights: Iterable[int]) -> list[int]:
+    """Closed-walk weights, ascending, less each multiple of a smaller kept
+    weight, which closing under that weight covers."""
+    kept: list[int] = []
+    for w in sorted(set(weights)):
+        if all(w % k for k in kept):
+            kept.append(w)
+    return kept
+
+
+def _fixpoint(bits: list[int], moves, mask: int) -> None:
+    """Grow ``bits`` in place to the least superset closed under the moves
+    within ``mask``.  A move ``(left, right, dz)`` in ``moves(y)`` ORs
+    ``bits[y] << left >> right & mask`` into ``bits[y + dz]``; the worklist
+    holds the indices to move from: the non-zero ones, then each one that
+    grows.  A move with ``dz == 0`` is a closed walk; once it adds a bit it
+    is applied with both shifts doubled until a shift adds nothing, so a
+    walk of weight w crosses D bits in log(D / w) shifts, not D / w rounds.
+
+    - sound: a bit added is one template edge, or a closed walk repeated
+      2^k times, from a bit already set;
+    - complete: every template edge is a move, or a closed walk whose weight
+      is a multiple of a move's, and the fixpoint is closed under every move;
+    - terminates: each queued index and each doubling adds a bit in the mask.
+    """
+    work = {y for y, b in enumerate(bits) if b}
+    while work:
+        y = work.pop()
+        for left, right, dz in moves(y):
+            t = y + dz
+            new = bits[t] | bits[y] << left >> right & mask
+            if new != bits[t]:
+                while dz == 0:  # repeat the closed walk 2^k times
+                    left, right = 2 * left, 2 * right
+                    grown = new | new << left >> right & mask
+                    if grown == new:
+                        break
+                    new = grown
+                bits[t] = new
+                work.add(t)
 
 
 def _largest_reach(tpl: TsGraphTemplate) -> int:

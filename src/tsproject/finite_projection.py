@@ -28,7 +28,10 @@ steps name the candidate j's, and one masked reachability per candidate
 checks the ancestor condition.
 
 An index takes memory quadratic in its vertex count, one n-bit mask per
-vertex, so :mod:`tsproject.ts_projection` bounds the window it builds.
+vertex, so it holds at most ``_MAX_INDEX_VERTICES`` vertices: a graph over
+the limit is refused before any mask is built, and
+:mod:`tsproject.ts_projection` bounds the window it builds by the same
+constant.
 :func:`ancestors` stays on vertex sets, as does
 :func:`graph_model.unroll_window`: the oracles unroll windows of thousands of
 steps.
@@ -41,6 +44,8 @@ from functools import cached_property
 from typing import Iterable
 
 from .graph_model import FiniteMixedGraph, TsVertex, ValidationError, bits, encode, reach
+
+_MAX_INDEX_VERTICES = 10**5  # one mask of that many bits per vertex; over 1 GB at the limit
 
 
 def ancestors(g: FiniteMixedGraph, seeds: Iterable[TsVertex]) -> frozenset[TsVertex]:
@@ -77,6 +82,10 @@ class _Index:
 
     @classmethod
     def of(cls, g: FiniteMixedGraph) -> _Index:
+        if len(g.vertices) > _MAX_INDEX_VERTICES:
+            raise ValidationError(
+                f"{len(g.vertices)} vertices exceed the limit of {_MAX_INDEX_VERTICES}"
+            )
         vertices = sorted(g.vertices)
         pos = {v: n for n, v in enumerate(vertices)}
         parents = [0] * len(vertices)

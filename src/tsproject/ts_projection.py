@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .ancestor_query import CommonAncestorEngine, WalkerReach, WalkWeights, _default_engine
-from .finite_projection import _dmag, _Index, _latent_project
+from .finite_projection import _MAX_INDEX_VERTICES, _dmag, _Index, _latent_project
 from .graph_model import (
     FiniteMixedGraph,
     TsGraphTemplate,
@@ -55,9 +55,6 @@ from .graph_model import (
     max_lag,
 )
 from .summary_mwdg import build_mw_summary, enumerate_cycle_classes, require_ts_dag
-
-# n * (p + 1) for the template's own n variables; one mask of that many bits per vertex
-_MAX_WINDOW_VERTICES = 10**5
 
 
 def canonical_ts_dag(tpl: TsGraphTemplate) -> TsGraphTemplate:
@@ -131,9 +128,9 @@ def _window_marginal(
         raise ValidationError("window length must be non-negative")
     width = p + 1
     names = sorted(tpl.variables)
-    if len(names) * width > _MAX_WINDOW_VERTICES:
+    if len(names) * width > _MAX_INDEX_VERTICES:  # n (p + 1), n the template's own variables
         raise ValidationError(
-            f"{len(names)} x {width} window vertices exceed the limit of {_MAX_WINDOW_VERTICES}"
+            f"{len(names)} x {width} window vertices exceed the limit of {_MAX_INDEX_VERTICES}"
         )
     ctpl = canonical_ts_dag(tpl)
     if engine is not None and engine.tpl != ctpl:

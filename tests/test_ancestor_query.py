@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tsproject import (
@@ -404,3 +406,46 @@ class TestWalkerReach:
                     for tau in (k + 1, 2 * k + 1, 60):
                         assert exact.query(i, tau, j) == cone.query(i, tau, j), (seed, i, tau, j)
         assert answers.count(True) > 20_000 and answers.count(False) > 10_000
+
+    def test_refuses_a_largest_lag_past_its_limits(self, monkeypatch):
+        """A ring of 40 variables at lag 1 plus X0 -> X1 at lag 200,000: the
+        limits fit R = 62 at most, far below K, so the band search is
+        refused before it starts, which would otherwise run for minutes."""
+        names = [f"X{k}" for k in range(40)]
+        ring = [(names[k], 1, names[(k + 1) % 40]) for k in range(40)]
+        tpl = make_template(names, directed=ring + [("X0", 200_000, "X1")])
+        assert ancestor_query._largest_reach(tpl) == 62
+
+        def search(*args):
+            raise AssertionError("the band search started")
+
+        monkeypatch.setattr(ancestor_query, "_fixpoint", search)
+        with pytest.raises(
+            ValidationError,
+            match="the two-walker search at the largest lag 200000 exceeds the limits",
+        ):
+            WalkerReach(tpl, 0)
+
+    def test_a_band_of_ten_thousand_steps_matches_the_cone_engine(self):
+        """At reach 10^4 these templates search the band to R = 10^4 (the
+        limits fit R >= 11,110), far past K = 2 or 5; the cone engine checks
+        25 sampled lags in (K, 10^4] per pair of variables.  X1 -> X2 -> X1
+        at lags 0 and 1 plus X3's self-loops, X1 -> X2 -> X1 at lags 1 and 2
+        with no self-loop, and X's self-loops of lags 3 and 5, which both
+        walkers close along.  About 0.6 s on 2 vCPUs."""
+        templates = [
+            random_template(11, 3, 2, 0.3),
+            random_template(10, 2, 2, 0.3),
+            make_template(["X"], directed=[("X", 3, "X"), ("X", 5, "X")]),
+        ]
+        rng = random.Random(0)
+        answers = []
+        for tpl in templates:
+            engine, cone, k = WalkerReach(tpl, 10**4), CommonAncestorEngine(tpl), max_lag(tpl)
+            assert engine._r == 10**4
+            for i in tpl.variables:
+                for j in tpl.variables:
+                    for tau in rng.sample(range(k + 1, 10**4 + 1), 25):
+                        answers.append(engine.query(i, tau, j))
+                        assert answers[-1] == cone.query(i, tau, j), (tpl, i, tau, j)
+        assert answers.count(True) > 200 and answers.count(False) > 50

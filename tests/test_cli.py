@@ -22,6 +22,7 @@ from tsproject import (
     cli,
     cutoff_bound,
     enumerate_cycle_classes,
+    finite_projection,
     get_monoid,
     m_separated,
     marginal_ts_admg,
@@ -30,6 +31,7 @@ from tsproject import (
     parse_template,
     serialize_template,
     summary_mwdg,
+    unroll_window,
 )
 from tsproject.ancestor_query import _default_engine
 from tsproject.cli import run
@@ -656,6 +658,31 @@ def test_msep_subcommand(b1_path, tmp_path, capsys):
     assert run(["msep", "--marginal", marginal, "--x", "X:1", "--y", "Y:0", "--z", "X:0"]) == 0
     assert capsys.readouterr().out == "false\n"
     assert run(["msep", "--marginal", marginal, "--x", "bad-token", "--y", "Y:0"]) == 1
+
+
+def test_msep_refuses_a_graph_over_the_mask_limit(b1_path, tmp_path, capsys, monkeypatch):
+    """The b1 marginal at p = 1 has 4 vertices; with the limit patched to 3,
+    msep reports it in one line."""
+    marginal = str(tmp_path / "m.json")
+    run(["project-admg", "--graph", b1_path, "--observed", "X,Y",
+         "--window", "1", "--out", marginal])
+    monkeypatch.setattr(finite_projection, "_MAX_INDEX_VERTICES", 3)
+    assert run(["msep", "--marginal", marginal, "--x", "X:1", "--y", "Y:0"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: 4 vertices exceed the limit of 3\n")
+
+
+def test_msep_refuses_a_graph_over_the_mask_limit_before_allocating(b1_path, tmp_path):
+    """b1 unrolled over 50,002 steps has 100,004 vertices, 18.5 MB of JSON
+    that parses to about 170 MB; their masks would take 1.25 GB.  msep
+    refuses the graph before building one, inside a 512 MB address space,
+    where building them ended in a MemoryError traceback."""
+    marginal = tmp_path / "big.json"
+    marginal.write_text(unroll_window(parse_template(Path(b1_path).read_text()), 50_001).to_json())
+    done = _run_in_mb(["msep", "--marginal", str(marginal), "--x", "X:0", "--y", "Y:0"], mb=512)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", "error: 100004 vertices exceed the limit of 100000\n"
+    )
 
 
 def test_msep_names_variables_that_contain_a_colon(tmp_path, capsys):

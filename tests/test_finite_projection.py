@@ -16,6 +16,7 @@ from tsproject import (
     marginal_ts_admg,
     unroll_window,
 )
+from tsproject import finite_projection
 from tsproject.oracle_testkit import (
     _reference_latent_project,
     dmag_by_subset_enumeration,
@@ -94,6 +95,14 @@ class TestAdmgLatentProjection:
         g = FiniteMixedGraph(frozenset({a, b, l}), directed=frozenset({(a, l), (b, l)}))
         proj = admg_latent_project(g, {a, b})
         assert not proj.bidirected and not proj.directed
+
+    def test_refuses_a_graph_over_the_mask_limit(self, monkeypatch):
+        """One mask per vertex: with the limit patched to 2, a graph of 3
+        vertices is refused before any mask is built."""
+        monkeypatch.setattr(finite_projection, "_MAX_INDEX_VERTICES", 2)
+        assert admg_latent_project(chain("A", "B"), {v("A")}) == chain("A")
+        with pytest.raises(ValidationError, match="^3 vertices exceed the limit of 2$"):
+            admg_latent_project(chain("A", "L", "B"), {v("A"), v("B")})
 
     def test_projection_onto_all_vertices_is_identity(self, running_tpl):
         g = unroll_window(running_tpl, 4)

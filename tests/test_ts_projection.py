@@ -29,8 +29,7 @@ from tsproject.ancestor_query import (
     _MAX_WALKER_STEPS,
     _default_engine,
 )
-from tsproject.finite_projection import canonical_dag
-from tsproject.ts_projection import _MAX_WINDOW_VERTICES
+from tsproject.finite_projection import _MAX_INDEX_VERTICES, canonical_dag
 from tsproject.oracle_testkit import dmag_by_subset_enumeration, random_template, window_marginal
 from test_acceptance import truncated_random_template
 
@@ -184,7 +183,7 @@ class TestMarginalTsAdmg:
         """The window holds fig3's own 3 variables, not the auxiliary of its
         bidirected entry; p = 33,333 is the first window over the limit, with
         100,002 window vertices."""
-        assert _MAX_WINDOW_VERTICES == 10**5
+        assert _MAX_INDEX_VERTICES == 10**5
         for project in (marginal_ts_admg, marginal_ts_dmag):
             with pytest.raises(ValidationError, match="3 x 33334 window vertices exceed the limit"):
                 project(fig3_tpl, ["X1"], 33_333)
