@@ -271,14 +271,23 @@ class WalkerReach:
         self._r = r = min(self.reach, largest)
         n = len(tpl.variables)
         # the pair (a, b) is number a * n + b; per edge tail, the moves of
-        # each walker, as (shift left, shift right, change of that number)
+        # each walker, as (shift left, shift right, change of that number):
+        # the closed walks of its self-loops first, then its other edges
         steps_a: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         steps_b: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        loops: list[list[int]] = [[] for _ in range(n)]
         for src, lag, dst in tpl.directed_t:
             u, a = tpl.index(src), tpl.index(dst)
-            if u != a or lag in _closing_weights(w for v, w, x in tpl.directed_t if v == x == src):
+            if u == a:
+                loops[u].append(lag)
+            else:
                 steps_a[u].append((lag, 0, (a - u) * n))
                 steps_b[u].append((0, lag, a - u))
+        for u, lags in enumerate(loops):
+            if lags:
+                closing = _closing_weights(lags)
+                steps_a[u][:0] = [(lag, 0, 0) for lag in closing]
+                steps_b[u][:0] = [(0, lag, 0) for lag in closing]
         self._pairs = [1 << r if a == b else 0 for a in range(n) for b in range(n)]
         _fixpoint(self._pairs, lambda pair: steps_a[pair // n] + steps_b[pair % n],
                   (1 << (2 * r + 1)) - 1)
@@ -314,9 +323,12 @@ def _fixpoint(bits: list[int], moves, mask: int) -> None:
     within ``mask``.  A move ``(left, right, dz)`` in ``moves(y)`` ORs
     ``bits[y] << left >> right & mask`` into ``bits[y + dz]``; the worklist
     holds the indices to move from: the non-zero ones, then each one that
-    grows.  A move with ``dz == 0`` is a closed walk; once it adds a bit it
-    is applied with both shifts doubled until a shift adds nothing, so a
-    walk of weight w crosses D bits in log(D / w) shifts, not D / w rounds.
+    grows.  A move with ``dz == 0`` is a closed walk, and ``moves(y)`` lists
+    those first; once one adds a bit it is applied with both shifts doubled
+    until a shift adds nothing, so a walk of weight w crosses D bits in
+    log(D / w) shifts, not D / w rounds.  Every later move of y then reads
+    the grown bits, so y is queued again only when a closed walk after the
+    first grows it: the earlier ones read the old bits.
 
     - sound: a bit added is one template edge, or a closed walk repeated
       2^k times, from a bit already set;
@@ -327,10 +339,15 @@ def _fixpoint(bits: list[int], moves, mask: int) -> None:
     work = {y for y, b in enumerate(bits) if b}
     while work:
         y = work.pop()
-        for left, right, dz in moves(y):
+        ys = moves(y)
+        for left, right, dz in ys:
             t = y + dz
             new = bits[t] | bits[y] << left >> right & mask
             if new != bits[t]:
+                if dz:
+                    work.add(t)
+                elif ys[0] != (left, right, 0):  # an earlier closed walk read the old bits
+                    work.add(y)
                 while dz == 0:  # repeat the closed walk 2^k times
                     left, right = 2 * left, 2 * right
                     grown = new | new << left >> right & mask
@@ -338,7 +355,6 @@ def _fixpoint(bits: list[int], moves, mask: int) -> None:
                         break
                     new = grown
                 bits[t] = new
-                work.add(t)
 
 
 def _largest_reach(tpl: TsGraphTemplate) -> int:

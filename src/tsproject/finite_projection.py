@@ -4,13 +4,18 @@ Implements the ADMG latent projection, the canonical-DAG construction,
 m-separation, inducing paths, and the DMAG latent projection of an ADMG.
 
 The projections and separation queries work on :class:`_Index`, a graph as
-int masks: the vertices numbered in sorted order (bit n stands for the n-th
-vertex), with one parent, child and sibling mask per vertex.  The latent
-projection and the DMAG are kernels from one index to the next
-(:func:`_latent_project`, :func:`_dmag`), so a pipeline of them, here or in
-:mod:`tsproject.ts_projection`, builds one :class:`FiniteMixedGraph` and
-runs its checks once, at the end.  Plain reachability, such as the ancestors
-of Z, is :func:`graph_model.reach` on the parent or child masks.
+int masks: the vertices numbered (bit n stands for the n-th vertex), with
+one parent, child and sibling mask per vertex and one topological order,
+parents first, from Kahn's algorithm on the masks.  The latent projection
+and the DMAG are kernels from one index to the next (:func:`_latent_project`,
+:func:`_dmag`) that keep the relative order, so a pipeline of them, here or
+in :mod:`tsproject.ts_projection`, builds one :class:`FiniteMixedGraph` and
+runs its checks once, at the end, or writes its JSON straight from the masks
+(:meth:`_Index.to_json`) when the vertices are numbered in serialization
+order.  The topological order replaces a search per vertex: the latent
+projection is one sweep down it and one up it, and the DMAG's ancestor masks
+are one pass along it.  Plain reachability, such as the ancestors of Z, is
+:func:`graph_model.reach` on the parent or child masks.
 
 m-separation (:func:`m_separated`) and inducing paths
 (:func:`has_inducing_path`) are decided by one two-mark walk: reachability
@@ -43,7 +48,16 @@ from collections import deque
 from functools import cached_property
 from typing import Iterable
 
-from .graph_model import FiniteMixedGraph, TsVertex, ValidationError, bits, encode, reach
+from .graph_model import (
+    FiniteMixedGraph,
+    TsVertex,
+    ValidationError,
+    _check_vertices,
+    _json_document,
+    bits,
+    encode,
+    reach,
+)
 
 _MAX_INDEX_VERTICES = 10**5  # one mask of that many bits per vertex; over 1 GB at the limit
 
@@ -68,10 +82,11 @@ def ancestors(g: FiniteMixedGraph, seeds: Iterable[TsVertex]) -> frozenset[TsVer
 
 
 class _Index:
-    """A finite mixed graph as int masks: its vertices in sorted order, bit n
+    """A finite mixed graph as int masks: its vertices in some order, bit n
     standing for ``vertices[n]``, with one parent and one sibling
-    (bidirected neighbour) mask per vertex, the child masks derived from the
-    parents on first use, and the ``var_order`` of :meth:`graph`."""
+    (bidirected neighbour) mask per vertex, the child masks and a
+    topological order derived from the parents on first use, and the
+    ``var_order`` of :meth:`graph`."""
 
     def __init__(self, vertices: list[TsVertex], parents: list[int], siblings: list[int],
                  var_order: tuple[str, ...]):
@@ -82,6 +97,7 @@ class _Index:
 
     @classmethod
     def of(cls, g: FiniteMixedGraph) -> _Index:
+        """The masks of ``g``, its vertices numbered in sorted order."""
         if len(g.vertices) > _MAX_INDEX_VERTICES:
             raise ValidationError(
                 f"{len(g.vertices)} vertices exceed the limit of {_MAX_INDEX_VERTICES}"
@@ -105,6 +121,22 @@ class _Index:
                 children[u] |= 1 << v
         return children
 
+    @cached_property
+    def order(self) -> list[int]:
+        """The vertex numbers with every parent before its children (Kahn's
+        algorithm on the masks); a directed cycle raises ``ValidationError``."""
+        children = self.children
+        indegree = [mask.bit_count() for mask in self.parents]
+        order = [v for v, d in enumerate(indegree) if not d]
+        for u in order:  # the list grows as it is read
+            for v in bits(children[u]):
+                indegree[v] -= 1
+                if not indegree[v]:
+                    order.append(v)
+        if len(order) < len(indegree):
+            raise ValidationError("directed part is cyclic")
+        return order
+
     def mask(self, vertices: Iterable[TsVertex]) -> int:
         return encode(vertices, {v: n for n, v in enumerate(self.vertices)})
 
@@ -119,58 +151,124 @@ class _Index:
             frozenset(vs), frozenset(directed), frozenset(bidirected), var_order=self.var_order
         )
 
+    def to_json(self) -> str:
+        """The bytes of ``self.graph().to_json()``, written from the masks.
+
+        The checks of the graph's constructor run on the masks first, in its
+        order: every vertex a :class:`TsVertex` with a str name and an int
+        offset >= 0 (no bool); no self edge and no edge to a bit past the
+        vertices; an acyclic directed part (:attr:`order`).  The vertices
+        must then be numbered in serialization order, by ``var_order`` and
+        offset, which is checked and not assumed, so that each mask's bits,
+        lowest first, are the edges in output order: no sort runs."""
+        vs, n = self.vertices, len(self.vertices)
+        _check_vertices(vs)
+        ends = 0
+        for k, (p, s) in enumerate(zip(self.parents, self.siblings)):
+            mask = p | s
+            if mask >> k & 1:
+                raise ValidationError(f"self edge at {vs[k].var}:{vs[k].offset}")
+            ends |= mask
+        if ends < 0 or ends >> n:
+            raise ValidationError(f"an edge endpoint is not one of the {n} vertices")
+        self.order  # raises on a directed cycle
+        position: dict[str, int] = {}
+        for k, var in enumerate(self.var_order):
+            position.setdefault(var, k)
+        keys = []
+        for v in vs:
+            if v.var not in position:
+                raise ValidationError(f"vertex variable {v.var!r} missing from var_order")
+            keys.append((position[v.var], v.offset))
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ValidationError("the vertices are not numbered in serialization order")
+        children, siblings = self.children, self.siblings
+        return _json_document(
+            vs,
+            ((u, v) for u in range(n) for v in bits(children[u])),
+            (
+                (u, v) if vs[u] <= vs[v] else (v, u)  # as the graph stores it
+                for u in range(n)
+                for v in bits(siblings[u] & -(2 << u))
+            ),
+            (),
+        )
+
 
 def _latent_project(index: _Index, keep: int) -> _Index:
     """The ADMG latent projection of ``index`` onto the vertices of the mask
-    ``keep``, numbered in the same order (see :func:`admg_latent_project`)."""
+    ``keep``, numbered in the same order (see :func:`admg_latent_project`).
+
+    Two sweeps over the topological order replace a search per observed
+    vertex.  Backward, children first: ``sink[v]`` is v itself when v is
+    observed, else the OR of its children's; so it holds every observed i
+    that v reaches by a directed path with latent middle vertices (v lies in
+    the sources of i).  Forward, parents first, from each latent parent u of
+    v: ``up[v] = parents[v] | up[u]`` (v's parents through latent chains),
+    ``common[v] |= sink[u] | common[u]`` (every i that shares a latent
+    source with v) and ``bridged[v] = OR(sink[x] for siblings x) |
+    bridged[u]`` (every i with a source joined by a bidirected edge to a
+    source of v).  An observed i then has the parents ``up[i] & keep`` and
+    the siblings ``(common[i] | bridged[i]) & ~bit i``."""
     n = len(index.vertices)
     if keep == (1 << n) - 1:  # nothing is latent
         return index
-    parents, siblings = index.parents, index.siblings
+    parents, children, siblings, order = index.parents, index.children, index.siblings, index.order
     latents = ((1 << n) - 1) & ~keep
-    obs = list(bits(keep))
-    rank = dict(zip(obs, range(len(obs))))
+    sink = [0] * n
+    for v in reversed(order):
+        if keep >> v & 1:
+            sink[v] = 1 << v
+        else:
+            s = 0
+            for c in bits(children[v]):
+                s |= sink[c]
+            sink[v] = s
+    up, common, bridged = list(parents), [0] * n, [0] * n
+    for v in order:
+        b = 0
+        for x in bits(siblings[v]):
+            b |= sink[x]
+        p, c = up[v], 0
+        for u in bits(parents[v] & latents):
+            p |= up[u]
+            c |= sink[u] | common[u]
+            b |= bridged[u]
+        up[v], common[v], bridged[v] = p, c, b
+    # keep's runs of consecutive bits as (lowest bit, run mask, new lowest bit)
+    runs, rest, width = [], keep, 0
+    while rest:
+        low = (rest & -rest).bit_length() - 1
+        above = rest >> low
+        length = (~above & (above + 1)).bit_length() - 1
+        runs.append((low, (1 << length) - 1, width))
+        width += length
+        rest = above >> length << low + length
 
     def renumber(mask: int) -> int:
-        out = 0
-        for x in bits(mask):
-            out |= 1 << rank[x]
-        return out
+        return sum((mask >> low & ones) << to for low, ones, to in runs)
 
-    # src: per observed i, i itself plus every latent x with a directed path
-    # x -> ... -> i through latent intermediates; i's parents in the
-    # projection are the observed parents of src.  sib: every vertex with a
-    # bidirected edge to a member of src; sinks[x]: every observed i with x
-    # in its src.
-    src, up, sib = [], [], []
-    sinks = [0] * n
-    for i in obs:
-        source = reach(parents, 1 << i, latents)
-        p = b = 0
-        for x in bits(source):
-            p |= parents[x]
-            b |= siblings[x]
-            sinks[x] |= 1 << i
-        src.append(source)
-        up.append(renumber(p & keep))
-        sib.append(b)
-    # i <-> j iff src[j] meets src[i] - i (a latent common source) or sib[i];
-    # the relation is symmetric, so each side finds the other
-    side = []
-    for r, i in enumerate(obs):
-        partners = 0
-        for x in bits((src[r] & ~(1 << i)) | sib[r]):
-            partners |= sinks[x]
-        side.append(renumber(partners & ~(1 << i)))
-    return _Index([index.vertices[i] for i in obs], up, side, index.var_order)
+    obs = list(bits(keep))
+    return _Index(
+        [index.vertices[i] for i in obs],
+        [renumber(up[i] & keep) for i in obs],
+        [renumber((common[i] | bridged[i]) & ~(1 << i)) for i in obs],
+        index.var_order,
+    )
 
 
 def _dmag(index: _Index) -> _Index:
     """The DMAG of the ADMG ``index`` over all its vertices (see
-    :func:`dmag_project`)."""
+    :func:`dmag_project`); the ancestor masks come from one pass over the
+    topological order."""
     parents, children, siblings = index.parents, index.children, index.siblings
     n = len(index.vertices)
-    anc = [reach(parents, 1 << k, -1) for k in range(n)]
+    anc = [0] * n
+    for v in index.order:
+        a = 1 << v
+        for u in bits(parents[v]):
+            a |= anc[u]
+        anc[v] = a
     mag_parents = [0] * n
     mag_siblings = [0] * n
     for i in range(n):

@@ -217,6 +217,29 @@ def max_lag(tpl: TsGraphTemplate) -> int:
     return max(lags, default=0)
 
 
+def _check_vertices(items: Iterable) -> None:
+    """Raise ``ValidationError`` unless every item is a :class:`TsVertex`
+    with a str name and an int offset >= 0.  A plain (var, offset) tuple
+    equals its TsVertex, and TsVertex('X', True) equals TsVertex('X', 1), so
+    neither would fail a later check."""
+    bad = [
+        v
+        for v in items
+        if not isinstance(v, TsVertex)
+        or not isinstance(v.var, str)
+        or type(v.offset) is not int  # bool is an int subclass
+        or v.offset < 0
+    ]
+    if bad:
+        v = min(bad, key=repr)  # so that the message does not follow set order
+        if not isinstance(v, TsVertex):
+            raise ValidationError(f"{v!r} is not a TsVertex")
+        name = f"{v.var}:{v.offset}"
+        if not isinstance(v.var, str):
+            raise ValidationError(f"variable name of vertex {name} must be a string")
+        raise ValidationError(f"offset of vertex {name} must be a non-negative integer")
+
+
 @dataclass(frozen=True)
 class FiniteMixedGraph:
     """Finite ADMG over :class:`TsVertex` vertices.
@@ -233,25 +256,10 @@ class FiniteMixedGraph:
     var_order: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
-        # a plain (var, offset) tuple equals its TsVertex and would pass the
-        # checks below, and TsVertex('X', True) equals TsVertex('X', 1)
-        bad = [
-            v
-            for group in (self.vertices, self.latent, *self.directed, *self.bidirected)
+        _check_vertices(
+            v for group in (self.vertices, self.latent, *self.directed, *self.bidirected)
             for v in group
-            if not isinstance(v, TsVertex)
-            or not isinstance(v.var, str)
-            or type(v.offset) is not int  # bool is an int subclass
-            or v.offset < 0
-        ]
-        if bad:
-            v = min(bad, key=repr)  # so that the message does not follow set order
-            if not isinstance(v, TsVertex):
-                raise ValidationError(f"{v!r} is not a TsVertex")
-            name = f"{v.var}:{v.offset}"
-            if not isinstance(v.var, str):
-                raise ValidationError(f"variable name of vertex {name} must be a string")
-            raise ValidationError(f"offset of vertex {name} must be a non-negative integer")
+        )
         object.__setattr__(
             self, "bidirected", frozenset((u, v) if u <= v else (v, u) for u, v in self.bidirected)
         )
@@ -295,25 +303,33 @@ class FiniteMixedGraph:
 
     def to_json(self) -> str:
         """The bytes of ``json.dumps(doc, indent=2) + "\\n"`` for the document
-        with the keys ``vertices``, ``directed``, ``bidirected`` and ``latent``,
-        written directly: with an indent, ``json.dumps`` runs its pure-Python
-        encoder."""
-        directed, bidirected = self._sorted_edges()
-        # each vertex as a list item (indent 4) and as an edge end (indent 6)
-        at_4: dict[TsVertex, str] = {}
-        at_6: dict[TsVertex, str] = {}
-        for v in self.vertices:
-            fields = (encode_basestring_ascii(v.var), str(v.offset))
-            at_4[v] = _json_array(fields, "    ")
-            at_6[v] = _json_array(fields, "      ")
-        lists = (
-            ("vertices", [at_4[v] for v in self.sorted_vertices()]),
-            ("directed", [_json_array((at_6[u], at_6[v]), "    ") for u, v in directed]),
-            ("bidirected", [_json_array((at_6[u], at_6[v]), "    ") for u, v in bidirected]),
-            ("latent", [at_4[v] for v in sorted(self.latent, key=self.vertex_key)]),
+        with the keys ``vertices``, ``directed``, ``bidirected`` and ``latent``
+        in the order of :meth:`_sorted_edges`, written by :func:`_json_document`.
+
+        Each vertex is ranked once; a directed edge sorts on the int
+        rank_u * n + rank_v, a bidirected edge on its (min, max) rank pair
+        with one low bit that keeps its stored orientation."""
+        vs = self.sorted_vertices()
+        n = len(vs)
+        rank = {v: k for k, v in enumerate(vs)}
+        directed = sorted([rank[u] * n + rank[v] for u, v in self.directed])
+        keys = []
+        for u, v in self.bidirected:
+            a, b = rank[u], rank[v]
+            keys.append((a * n + b) << 1 if a < b else (b * n + a) << 1 | 1)
+        keys.sort()
+
+        def bidirected() -> Iterator[tuple[int, int]]:
+            for key in keys:
+                a, b = divmod(key >> 1, n)
+                yield (b, a) if key & 1 else (a, b)
+
+        return _json_document(
+            vs,
+            (divmod(key, n) for key in directed),
+            bidirected(),
+            sorted(rank[v] for v in self.latent),
         )
-        body = ",\n".join(f'  "{key}": {_json_array(items, "  ")}' for key, items in lists)
-        return "{\n" + body + "\n}\n"
 
     def to_dot(self) -> str:
         """DOT export: bidirected edges are rendered with ``dir=both``."""
@@ -332,7 +348,35 @@ def _json_array(items: Sequence[str], pad: str) -> str:
     if not items:
         return "[]"
     inner = "\n" + pad + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+    return f"[{inner}{(',' + inner).join(items)}\n{pad}]"
+
+
+def _json_document(
+    vertices: Sequence[TsVertex],
+    directed: Iterable[tuple[int, int]],
+    bidirected: Iterable[tuple[int, int]],
+    latent: Iterable[int],
+) -> str:
+    """The bytes of ``json.dumps(doc, indent=2) + "\\n"`` for the graph
+    document of :meth:`FiniteMixedGraph.to_json`, written directly: with an
+    indent, ``json.dumps`` runs its pure-Python encoder.  ``vertices`` are
+    listed in the given order; each edge is a pair of positions in it, and
+    each latent one position, all in output order."""
+    at_4, head, tail = [], [], []  # a vertex as a list item, and as an edge's first and last end
+    for var, offset in vertices:
+        name = encode_basestring_ascii(var)
+        at_4.append(f"[\n      {name},\n      {offset}\n    ]")
+        head.append(f"[\n      [\n        {name},\n        {offset}\n      ],\n      ")
+        tail.append(f"[\n        {name},\n        {offset}\n      ]\n    ]")
+    # each list is joined as soon as it is written, so that one list of edge
+    # strings is held at a time
+    directed = _json_array([head[u] + tail[v] for u, v in directed], "  ")
+    bidirected = _json_array([head[u] + tail[v] for u, v in bidirected], "  ")
+    latent = _json_array([at_4[k] for k in latent], "  ")
+    return (
+        f'{{\n  "vertices": {_json_array(at_4, "  ")},\n  "directed": {directed},\n'
+        f'  "bidirected": {bidirected},\n  "latent": {latent}\n}}\n'
+    )
 
 
 def _dot_id(v: TsVertex) -> str:

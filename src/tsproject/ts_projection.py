@@ -30,12 +30,15 @@ nothing builds no engine.
 The pipeline carries one mask graph (:class:`finite_projection._Index`)
 from start to finish.  The window marginal is written as masks straight from
 the template entries and the engine's answers: (v, off) is bit
-n (p + 1) + off for the n-th variable v in sorted order, the vertex order of
-``_Index``.  Its ADMG latent projection onto the observed variables keeps
-their rows, bits n (p + 1) to n (p + 1) + p, and the DMAG variant projects
-that marginal ADMG onto its maximal ancestral graph; both are mask kernels.
-One :class:`FiniteMixedGraph`, the result, is built at the end, so its checks
-run once.  The oracles' windows run to the cutoff p_cut + p, so
+n (p + 1) + off for the n-th variable v of the template, so the bits run in
+serialization order, by template variable and then offset.  Its ADMG latent
+projection onto the observed variables keeps their rows, bits n (p + 1) to
+n (p + 1) + p, and the DMAG variant projects that marginal ADMG onto its
+maximal ancestral graph; both are mask kernels that keep the relative order.
+The library functions build one :class:`FiniteMixedGraph`, the result, at
+the end, so its checks run once; the CLI builds none and writes the JSON
+from the masks (``_Index.to_json``), which runs the same checks on them.
+The oracles' windows run to the cutoff p_cut + p, so
 :func:`graph_model.unroll_window` stays on vertex sets.
 """
 
@@ -127,16 +130,16 @@ def _window_marginal(
     if p < 0:
         raise ValidationError("window length must be non-negative")
     width = p + 1
-    names = sorted(tpl.variables)
-    if len(names) * width > _MAX_INDEX_VERTICES:  # n (p + 1), n the template's own variables
+    if len(tpl.variables) * width > _MAX_INDEX_VERTICES:  # n (p + 1), n the own variables
         raise ValidationError(
-            f"{len(names)} x {width} window vertices exceed the limit of {_MAX_INDEX_VERTICES}"
+            f"{len(tpl.variables)} x {width} window vertices exceed the limit of "
+            f"{_MAX_INDEX_VERTICES}"
         )
     ctpl = canonical_ts_dag(tpl)
     if engine is not None and engine.tpl != ctpl:
         raise ValidationError("the engine was built on another template")
-    first = {v: n * width for n, v in enumerate(names)}
-    parents = [0] * (len(names) * width)
+    first = {v: n * width for n, v in enumerate(tpl.variables)}
+    parents = [0] * (len(tpl.variables) * width)
     siblings = [0] * len(parents)
 
     def link(i: str, j: str, dt: int, start: int) -> None:
@@ -155,21 +158,26 @@ def _window_marginal(
     # an auxiliary is never a child, so every parent list belongs to an own variable
     by_lag: dict[str, dict[int, list[str]]] = {v: {} for v in tpl.variables}
     for src, lag, dst in sorted(ctpl.directed_t):
-        by_lag[dst].setdefault(lag, []).append(src)
-    fed = [v for v in tpl.variables if by_lag[v]]
-    for i in fed:
-        for j in fed:
+        if lag:
+            by_lag[dst].setdefault(lag, []).append(src)
+    # per variable with a parent at some lag >= 1: (lag, parents, their set) per lag
+    groups = {v: [(lag, ks, set(ks)) for lag, ks in g.items()] for v, g in by_lag.items() if g}
+    for i, into_i in groups.items():
+        for j, into_j in groups.items():
             for dt in range(0 if tpl.index(i) < tpl.index(j) else 1, min(width, max(by_lag[j]))):
                 last = p - dt
-                for start, li, lj in sorted(
-                    (max(0, width - dt - li, width - lj), li, lj)
-                    for li in by_lag[i]
-                    for lj in by_lag[j]
+                # (start, lag_i, lag_j) is unique, so the sort compares nothing
+                # after it; a lag_j <= dt puts j's parent in the window at every offset
+                for start, li, lj, ks, k_set, ls, l_set in sorted(
+                    (max(0, width - dt - li, width - lj), li, lj, ks, k_set, ls, l_set)
+                    for li, ks, k_set in into_i
+                    for lj, ls, l_set in into_j
+                    if lj > dt
                 ):
                     if start > last:
                         break
-                    ks, d, ls = by_lag[i][li], dt + li - lj, by_lag[j][lj]
-                    if d != 0 or set(ks).isdisjoint(ls):
+                    d = dt + li - lj
+                    if d != 0 or k_set.isdisjoint(l_set):
                         engine = engine or _default_engine(ctpl, max_lag(ctpl))
                         if not any(
                             engine.query(k, d, l) if d >= 0 else engine.query(l, -d, k)
@@ -180,7 +188,7 @@ def _window_marginal(
                     link(i, j, dt, start)
                     break
     keep = sum(((1 << width) - 1) << first[v] for v in set(observed_vars))  # observed rows
-    vertices = [TsVertex(v, off) for v in names for off in range(width)]
+    vertices = [TsVertex(v, off) for v in tpl.variables for off in range(width)]
     return _latent_project(_Index(vertices, parents, siblings, tpl.variables), keep)
 
 

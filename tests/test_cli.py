@@ -511,6 +511,21 @@ def test_projection_output_is_pinned(data_dir, name, command, p, capsys):
     assert capsys.readouterr().out == pinned.read_text()
 
 
+@pytest.mark.parametrize("command", ["admg", "dmag"])
+@pytest.mark.parametrize("name", sorted(_OBSERVED))
+def test_projection_bytes_equal_the_library_graph(data_dir, name, command, capsys):
+    """The CLI writes the window masks straight to JSON; the library builds
+    one checked FiniteMixedGraph.  Both give the same bytes."""
+    path = data_dir / f"{name}.json"
+    project = marginal_ts_dmag if command == "dmag" else marginal_ts_admg
+    for p in range(4):
+        argv = [f"project-{command}", "--graph", str(path), "--observed", _OBSERVED[name],
+                "--window", str(p)]
+        assert run(argv) == 0
+        graph = project(parse_template(path.read_text()), _OBSERVED[name].split(","), p)
+        assert capsys.readouterr().out == graph.to_json(), p
+
+
 @pytest.mark.parametrize("p", [6, 9, 12])
 @pytest.mark.parametrize("name", sorted(_OBSERVED))
 def test_wide_dmag_output_is_pinned(data_dir, name, p, capsys):

@@ -13,10 +13,12 @@ from tsproject import (
     dmag_project,
     has_inducing_path,
     m_separated,
+    make_template,
     marginal_ts_admg,
     unroll_window,
 )
-from tsproject import finite_projection
+from tsproject import finite_projection, ts_projection
+from tsproject.finite_projection import _dmag, _Index, _latent_project
 from tsproject.oracle_testkit import (
     _reference_latent_project,
     dmag_by_subset_enumeration,
@@ -432,3 +434,120 @@ class TestDmagProjection:
         mag = dmag_project(dag, observed)
         assert (min(i, j), max(i, j)) in mag.bidirected
         assert mag == dmag_by_subset_enumeration(dag, observed)
+
+
+def _against_the_order(seed, n_vars, bidirected_density):
+    """``random_template(seed, n_vars, 2, 0.35, ...)`` with its variables
+    listed sinks first, so that every lag-0 edge runs from a later variable
+    to an earlier one."""
+    tpl = random_template(seed, n_vars, 2, 0.35, bidirected_density=bidirected_density)
+    lag0 = {(src, dst) for src, lag, dst in tpl.directed_t if lag == 0}
+    rest, order = list(tpl.variables), []
+    while rest:
+        sink = next(x for x in rest if not any((x, y) in lag0 for y in rest))
+        rest.remove(sink)
+        order.append(sink)
+    return make_template(order, tpl.directed_t, tpl.bidirected_t)
+
+
+def _neither_index_order_is_topological(index):
+    """Whether some vertex has a parent numbered above it and some vertex
+    one numbered below it."""
+    above = any(mask >> v for v, mask in enumerate(index.parents))
+    below = any(mask & ((1 << v) - 1) for v, mask in enumerate(index.parents))
+    return above and below
+
+
+class TestTopologicalSweeps:
+    """The kernels that sweep ``_Index.order`` on window marginals numbered
+    in serialization order, whose lag-0 edges run against the template's
+    variable order: neither the index order nor its reverse lists every
+    parent before its children."""
+
+    def test_the_latent_sweep_matches_the_reference(self):
+        unordered = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            tpl = _against_the_order(seed, rng.randint(2, 4), rng.choice([0.0, 0.1]))
+            index = ts_projection._window_marginal(tpl, tpl.variables, rng.randint(0, 20), None)
+            hidden = set(rng.sample(tpl.variables, rng.randint(1, len(tpl.variables) - 1)))
+            keep = sum(
+                1 << k
+                for k, u in enumerate(index.vertices)
+                if u.var not in hidden and rng.random() < 0.8
+            )
+            observed = frozenset(u for k, u in enumerate(index.vertices) if keep >> k & 1)
+            expected = _reference_latent_project(index.graph(), observed).to_json()
+            assert _latent_project(index, keep).to_json() == expected, seed
+            unordered += _neither_index_order_is_topological(index)
+        assert unordered >= 30
+
+    def test_the_dmag_matches_inducing_paths(self):
+        unordered = 0
+        for seed in range(24):
+            rng = random.Random(seed)
+            tpl = _against_the_order(seed, rng.randint(2, 3), rng.choice([0.0, 0.1]))
+            observed = rng.sample(tpl.variables, rng.randint(2, len(tpl.variables)))
+            index = ts_projection._window_marginal(tpl, observed, rng.randint(0, 20), None)
+            expected = _dmag_by_inducing_paths(canonical_dag(index.graph()))
+            assert _dmag(index).to_json() == expected.to_json(), seed
+            unordered += _neither_index_order_is_topological(index)
+        assert unordered >= 15
+
+
+A0, A1, B0 = TsVertex("A", 0), TsVertex("A", 1), TsVertex("B", 0)
+
+
+class TestIndexToJson:
+    def test_writes_the_bytes_of_its_graph(self):
+        """Random graphs over names that sort otherwise than in var_order,
+        so that many bidirected edges are stored against it."""
+        names = ["b", "A", "a", 'q"', "é"]
+        for seed in range(60):
+            rng = random.Random(seed)
+            var_order = tuple(rng.sample(names, rng.randint(1, 4)))
+            vertices = [TsVertex(x, off) for x in var_order for off in range(rng.randint(1, 4))]
+            density = rng.choice([0.0, 0.2, 0.5])
+            parents, siblings = [0] * len(vertices), [0] * len(vertices)
+            rank = list(range(len(vertices)))
+            rng.shuffle(rank)  # a topological order
+            for u, w in itertools.combinations(range(len(vertices)), 2):
+                if rng.random() < density:
+                    parents[w if rank[u] < rank[w] else u] |= 1 << (u if rank[u] < rank[w] else w)
+                if rng.random() < density / 2:
+                    siblings[u] |= 1 << w
+                    siblings[w] |= 1 << u
+            index = _Index(vertices, parents, siblings, var_order)
+            assert index.to_json() == index.graph().to_json(), seed
+
+    @pytest.mark.parametrize(
+        "vertices, parents, siblings, message",
+        [
+            ([A0, A1], [0b10, 0b01], [0, 0], "directed part is cyclic"),
+            ([A0, A1], [0b01, 0], [0, 0], "self edge at A:0"),
+            ([("A", 0)], [0], [0], r"\('A', 0\) is not a TsVertex"),
+            ([TsVertex("A", True)], [0], [0], "offset of vertex A:True must be a non-negative .*"),
+            ([TsVertex("A", -1)], [0], [0], "offset of vertex A:-1 must be a non-negative integer"),
+            ([TsVertex(1, 0)], [0], [0], "variable name of vertex 1:0 must be a string"),
+        ],
+    )
+    def test_the_checks_of_the_graph_fire_on_the_masks(self, vertices, parents, siblings, message):
+        index = _Index(vertices, parents, siblings, ("A",))
+        for write in (index.to_json, lambda: index.graph().to_json()):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                write()
+
+    @pytest.mark.parametrize(
+        "vertices, parents, siblings, message",
+        [
+            ([A0, A1], [0, 0], [0b10, 0b11], "self edge at A:1"),
+            ([A0], [0b10], [0], "an edge endpoint is not one of the 1 vertices"),
+            ([A0], [0], [-2], "an edge endpoint is not one of the 1 vertices"),
+            ([A1, A0], [0, 0], [0, 0], "the vertices are not numbered in serialization order"),
+            ([A0, A0], [0, 0], [0, 0], "the vertices are not numbered in serialization order"),
+            ([B0, A0], [0, 0], [0, 0], "the vertices are not numbered in serialization order"),
+        ],
+    )
+    def test_masks_the_graph_would_not_read_are_refused(self, vertices, parents, siblings, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            _Index(vertices, parents, siblings, ("A", "B")).to_json()

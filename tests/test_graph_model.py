@@ -23,6 +23,7 @@ from tsproject import (
     serialize_template,
     unroll_window,
 )
+from tsproject.finite_projection import _Index
 from tsproject.graph_model import bits, encode, is_acyclic, reach
 
 
@@ -335,6 +336,15 @@ def test_to_json_writes_the_bytes_of_json_dumps():
     assert min(empty.values()) >= 30
     empty_graph = FiniteMixedGraph(frozenset())
     assert empty_graph.to_json() == _to_json_by_json_dumps(empty_graph)
+
+
+def test_both_writers_name_a_variable_missing_from_var_order():
+    a, b = TsVertex("A", 0), TsVertex("B", 0)
+    g = FiniteMixedGraph(frozenset({a, b}), directed=frozenset({(a, b)}), var_order=("A",))
+    index = _Index([a, b], [0, 0b01], [0, 0], ("A",))
+    for write in (g.to_json, index.to_json):
+        with pytest.raises(ValidationError, match=r"^vertex variable 'B' missing from var_order$"):
+            write()
 
 
 def test_to_dot_marks_bidirected_edges(fig3_tpl):
