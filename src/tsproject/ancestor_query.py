@@ -30,6 +30,10 @@ for any R at least tau and the largest lag K:
   moves back at most K <= R past the other, so these walks stay in the band;
 - finiteness: the band holds n^2 (2 R + 1) states.
 
+Both searches move by the same moves, read from the template alone: every
+directed entry, self-loops included, and per variable x one closing move,
+the weight of x's shortest closed walk through another variable.
+
 One backward search from every meeting state over the band answers every
 query with tau <= R at once (a projection asks only lags below K; see
 :mod:`tsproject.ts_projection`).  The tail answers tau > R: (i, t-tau) and
@@ -47,7 +51,8 @@ the state.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+import heapq
+from typing import Optional
 
 from .diophantine import solvable
 from .graph_model import TsGraphTemplate, ValidationError, max_lag
@@ -180,12 +185,13 @@ class WalkWeights:
     intersection in the unrolled window [t-depth, t]; with depth p_cut + p
     from ``cutoff_bound`` it is exact for the window [t-p, t] by the cutoff
     theorem.  A ``depth`` above ``_MAX_WALK_DEPTH`` raises ``ValidationError``,
-    and so does a ts-ADMG, in :func:`~tsproject.summary_mwdg.build_mw_summary`.
+    and so does a ts-ADMG, in :func:`~tsproject.summary_mwdg.require_ts_dag`.
 
     ``anc[x]`` is searched on its first read, so a query searches its two
     targets only, and the tail of :class:`WalkerReach` j alone: the
-    :func:`_fixpoint` from bit 0 of x over the edges between distinct
-    variables and the weights of the cycle classes through each variable.
+    :func:`_fixpoint` from bit 0 of x over the :func:`_walk_moves`, where a move
+    u -> y of weight L shifts the bits of y left by L into u.  No cycle class
+    is listed.
     """
 
     def __init__(self, tpl: TsGraphTemplate, depth: int):
@@ -195,15 +201,12 @@ class WalkWeights:
             raise ValidationError(
                 f"search depth {depth} exceeds the walk-weight limit of {_MAX_WALK_DEPTH}"
             )
-        classes = enumerate_cycle_classes(build_mw_summary(tpl))
+        require_ts_dag(tpl)
         self.tpl = tpl
         self.depth = depth
-        weights = [[w for c in classes if v in c.node_set for w in c.weights] for v in tpl.variables]
-        self._moves = [[(w, 0, 0) for w in _closing_weights(ws)] for ws in weights]
-        for src, lag, dst in tpl.directed_t:
-            u, y = tpl.index(src), tpl.index(dst)
-            if u != y:
-                self._moves[y].append((lag, 0, u - y))
+        self._moves: list[list[tuple[int, int, int]]] = [[] for _ in tpl.variables]
+        for u, lag, y in _walk_moves(tpl):
+            self._moves[y].append((lag, 0, u - y))
         self.anc: dict[str, dict[str, int]] = _OnFirstRead(self._walks_into)
 
     def _walks_into(self, x: str) -> dict[str, int]:
@@ -249,11 +252,17 @@ class WalkerReach:
 
     The states of a walker pair (a, b) are one int, whose bit delta + R is
     set iff (a, b, delta) was reached: the :func:`_fixpoint` from the meeting
-    states, where an edge a -> u of lag L shifts the bits left by L into
-    (u, b) (A stepped), an edge b -> w shifts them right by L into (a, w)
-    (B stepped), and a self-loop is a closed walk.  The steps are the
-    template's directed entries, whose checks the template has run; a ts-ADMG
-    is rejected by :func:`~tsproject.summary_mwdg.require_ts_dag`.
+    states, where a move a -> u of weight L shifts the bits left by L into
+    (u, b) (A stepped), and a move b -> w shifts them right by L into (a, w)
+    (B stepped).  The moves are the :func:`_walk_moves`: the template's
+    directed entries, whose checks the template has run, and the closing
+    moves; a ts-ADMG is rejected by :func:`~tsproject.summary_mwdg.require_ts_dag`.
+
+    The limits count 2 n (2 R + 1) |E| steps: a pair is moved from again
+    only when it grows, at most 2 R + 1 times, along the edges out of either
+    variable.  Its two closing moves add at most two shifts per pop, 2 n^2
+    (2 R + 1) <= 2 ``_MAX_WALKER_STATES`` in all, and each doubled shift
+    follows one that added a state.
     """
 
     def __init__(self, tpl: TsGraphTemplate, reach: int):
@@ -270,24 +279,13 @@ class WalkerReach:
         self.reach = max(reach, k)
         self._r = r = min(self.reach, largest)
         n = len(tpl.variables)
-        # the pair (a, b) is number a * n + b; per edge tail, the moves of
-        # each walker, as (shift left, shift right, change of that number):
-        # the closed walks of its self-loops first, then its other edges
+        # the pair (a, b) is number a * n + b; per move tail, the moves of
+        # each walker, as (shift left, shift right, change of that number)
         steps_a: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         steps_b: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        loops: list[list[int]] = [[] for _ in range(n)]
-        for src, lag, dst in tpl.directed_t:
-            u, a = tpl.index(src), tpl.index(dst)
-            if u == a:
-                loops[u].append(lag)
-            else:
-                steps_a[u].append((lag, 0, (a - u) * n))
-                steps_b[u].append((0, lag, a - u))
-        for u, lags in enumerate(loops):
-            if lags:
-                closing = _closing_weights(lags)
-                steps_a[u][:0] = [(lag, 0, 0) for lag in closing]
-                steps_b[u][:0] = [(0, lag, 0) for lag in closing]
+        for u, lag, a in _walk_moves(tpl):
+            steps_a[u].append((lag, 0, (a - u) * n))
+            steps_b[u].append((0, lag, a - u))
         self._pairs = [1 << r if a == b else 0 for a in range(n) for b in range(n)]
         _fixpoint(self._pairs, lambda pair: steps_a[pair // n] + steps_b[pair % n],
                   (1 << (2 * r + 1)) - 1)
@@ -308,14 +306,32 @@ class WalkerReach:
                    for b, bits in self._walks.anc[j].items())
 
 
-def _closing_weights(weights: Iterable[int]) -> list[int]:
-    """Closed-walk weights, ascending, less each multiple of a smaller kept
-    weight, which closing under that weight covers."""
-    kept: list[int] = []
-    for w in sorted(set(weights)):
-        if all(w % k for k in kept):
-            kept.append(w)
-    return kept
+def _walk_moves(tpl: TsGraphTemplate) -> list[tuple[int, int, int]]:
+    """The moves of both walk searches, as (u, weight, y) by variable
+    position: (x, w, x) for the weight w of each variable x's shortest closed
+    walk through another variable, then every directed entry u -> y of lag
+    w, self-loops included.  Each closed walk is found by one Dijkstra from
+    x over the entries between distinct variables, for each x with one in."""
+    index = tpl.index
+    edges = [(index(src), lag, index(dst)) for src, lag, dst in tpl.directed_t]
+    out: list[list[tuple[int, int]]] = [[] for _ in tpl.variables]
+    into = set()
+    for u, lag, y in edges:
+        if u != y:
+            out[u].append((lag, y))
+            into.add(y)
+    closing = []
+    for x in into:
+        heap, done = sorted(out[x]), set()  # x is reached only by closing a walk
+        while heap and heap[0][1] != x:
+            w, u = heapq.heappop(heap)
+            if u not in done:
+                done.add(u)
+                for lag, y in out[u]:
+                    heapq.heappush(heap, (w + lag, y))
+        if heap:
+            closing.append((x, heap[0][0], x))
+    return closing + edges
 
 
 def _fixpoint(bits: list[int], moves, mask: int) -> None:
@@ -323,17 +339,18 @@ def _fixpoint(bits: list[int], moves, mask: int) -> None:
     within ``mask``.  A move ``(left, right, dz)`` in ``moves(y)`` ORs
     ``bits[y] << left >> right & mask`` into ``bits[y + dz]``; the worklist
     holds the indices to move from: the non-zero ones, then each one that
-    grows.  A move with ``dz == 0`` is a closed walk, and ``moves(y)`` lists
-    those first; once one adds a bit it is applied with both shifts doubled
-    until a shift adds nothing, so a walk of weight w crosses D bits in
-    log(D / w) shifts, not D / w rounds.  Every later move of y then reads
-    the grown bits, so y is queued again only when a closed walk after the
-    first grows it: the earlier ones read the old bits.
+    grows.  A move with ``dz == 0`` is a closed walk; once one adds a bit it
+    is applied with both shifts doubled until a shift adds nothing, so a walk
+    of weight w crosses D bits in log(D / w) shifts, not D / w rounds.  Every
+    later move of y then reads the grown bits, so y is queued again when a
+    closed walk grows it, unless that walk is the first move of y: the
+    earlier ones read the old bits.
 
     - sound: a bit added is one template edge, or a closed walk repeated
-      2^k times, from a bit already set;
-    - complete: every template edge is a move, or a closed walk whose weight
-      is a multiple of a move's, and the fixpoint is closed under every move;
+      2^k times, from a bit already set; a closing move of
+      :func:`_walk_moves` is a closed walk at its variable;
+    - complete: every template edge is a move, and the fixpoint is closed
+      under every move; the closing moves change only the number of rounds;
     - terminates: each queued index and each doubling adds a bit in the mask.
     """
     work = {y for y, b in enumerate(bits) if b}

@@ -266,7 +266,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p.add_argument("--i", required=True)
     p.add_argument("--tau", required=True, type=int)
     p.add_argument("--j", required=True)
-    p.add_argument("--method", choices=["dioph", "window"], help=argparse.SUPPRESS)
     p.add_argument("--explain", action="store_true", help="dump the cone machinery to stderr")
 
     p = sub.add_parser("msep", help="m-separation query on a serialized finite graph")

@@ -10,9 +10,11 @@ from tsproject import (
     build_mw_summary,
     canonical_ts_dag,
     cutoff_bound,
+    enumerate_cycle_classes,
     lag1_shortcut,
     make_template,
     max_lag,
+    parse_template,
     summary_prefilter,
 )
 from tsproject import ancestor_query, summary_mwdg
@@ -22,6 +24,7 @@ from tsproject.oracle_testkit import (
     walk_weight_enumeration,
     window_common_ancestor,
 )
+from test_acceptance import truncated_random_template
 
 
 def test_running_example_query(running_tpl):
@@ -449,3 +452,105 @@ class TestWalkerReach:
                         answers.append(engine.query(i, tau, j))
                         assert answers[-1] == cone.query(i, tau, j), (tpl, i, tau, j)
         assert answers.count(True) > 200 and answers.count(False) > 50
+
+
+def _closing_moves(tpl):
+    """Variable -> the weight of its closing move; _walk_moves lists those
+    before the template's entries."""
+    moves = ancestor_query._walk_moves(tpl)
+    return {tpl.variables[x]: w for x, w, _ in moves[: len(moves) - len(tpl.directed_t)]}
+
+
+def _walk_moves_corpus(name):
+    if name == "crit3":
+        rng = random.Random(20240823)
+        return [canonical_ts_dag(truncated_random_template(n, rng)) for n in range(200)]
+    if name == "small":
+        return [random_template(s, 1 + s % 4, 1 + s % 3, 0.3) for s in range(96)]
+    lag0 = [random_template(s, 4 + s % 3, 2, 0.3) for s in range(60)]
+    return [tpl for tpl in lag0 if any(lag == 0 for _, lag, _ in tpl.directed_t)]
+
+
+class TestWalkMoves:
+    def test_closing_moves_come_first_then_every_entry(self):
+        """X -> Y -> X weighs 5 and Y -> Z -> Y weighs 1 (lag 0 and 1), so
+        X closes at 5 and Y and Z at 1; X's self-loop is an entry."""
+        tpl = make_template(
+            ["X", "Y", "Z"],
+            directed=[("X", 2, "Y"), ("Y", 3, "X"), ("Y", 0, "Z"), ("Z", 1, "Y"), ("X", 4, "X")],
+        )
+        moves = ancestor_query._walk_moves(tpl)
+        assert sorted(moves[:3]) == [(0, 5, 0), (1, 1, 1), (2, 1, 2)]
+        assert sorted(moves[3:]) == [(0, 2, 1), (0, 4, 0), (1, 0, 2), (1, 3, 0), (2, 1, 1)]
+
+    @pytest.mark.parametrize("corpus", ["crit3", "small", "lag0"])
+    def test_the_closing_move_is_the_lightest_cycle_class_through_the_variable(self, corpus):
+        """The weight of each variable's closing move equals the least weight
+        of a cycle class of two or more variables through it, and a variable
+        on no such class has none: on the 200 criterion-3 templates
+        (canonicalized), on the 96 random_template(s, 1 + s % 4, 1 + s % 3,
+        0.3), and on those of random_template(s, 4 + s % 3, 2, 0.3), s < 60,
+        with a lag-0 edge."""
+        templates = _walk_moves_corpus(corpus)
+        assert len(templates) > 50
+        closing = 0
+        for tpl in templates:
+            expected = {}
+            for c in enumerate_cycle_classes(build_mw_summary(tpl)):
+                for v in c.node_set if len(c.node_set) > 1 else ():
+                    expected[v] = min(expected.get(v, c.weights[0]), c.weights[0])
+            assert _closing_moves(tpl) == expected, tpl
+            closing += len(expected)
+        assert closing > 50
+
+    def test_the_band_search_keeps_its_shift_accounting(self, data_dir, monkeypatch):
+        """A pair is moved from at most 2 R + 1 times, each time along the
+        entries out of either variable and its two closing moves, so the
+        search applies at most 2 n (2 R + 1) |E| + 2 n^2 (2 R + 1) shifts
+        besides the doubled ones: cycles3.json at reach 10^6 (R = 11,110) and
+        the 96 small templates at reach 10^4."""
+        shifts = []
+        fixpoint = ancestor_query._fixpoint
+
+        def counting(bits, moves, mask):
+            def counted(y):
+                ys = moves(y)
+                shifts[-1] += len(ys)
+                return ys
+
+            fixpoint(bits, counted, mask)
+
+        monkeypatch.setattr(ancestor_query, "_fixpoint", counting)
+        cycles3 = parse_template((data_dir / "cycles3.json").read_text())
+        for tpl, reach in [(cycles3, 10**6)] + [(t, 10**4) for t in _walk_moves_corpus("small")]:
+            shifts.append(0)
+            engine = WalkerReach(tpl, reach)
+            n, span = len(tpl.variables), 2 * engine._r + 1
+            assert shifts[-1] <= 2 * n * span * len(tpl.directed_t) + 2 * n * n * span, tpl
+        assert max(shifts) > 100
+
+    def test_the_walk_searches_list_no_cycle_class(self, data_dir, monkeypatch):
+        """WalkWeights, and a WalkerReach whose reach exceeds R so that its
+        tail answers, build and answer with the summary graph and its cycle
+        classes out of reach; the window oracle and the cone engine, built
+        after, check the answers.  cycles3.json searches the band to
+        R = 11,110 at reach 10^6."""
+        def refuse(*args):
+            raise AssertionError("a walk search read the summary graph")
+
+        tpl = parse_template((data_dir / "cycles3.json").read_text())
+        pairs = [(i, j) for i in tpl.variables for j in tpl.variables]
+        monkeypatch.setattr(ancestor_query, "build_mw_summary", refuse)
+        monkeypatch.setattr(ancestor_query, "enumerate_cycle_classes", refuse)
+        walks = WalkWeights(tpl, 60)
+        shallow = {(i, tau, j): walks.query(i, tau, j) for i, j in pairs for tau in (0, 30, 60)}
+        engine = WalkerReach(tpl, 10**6)
+        assert engine._r == 11_110 < engine.reach
+        deep = {(i, tau, j): engine.query(i, tau, j) for i, j in pairs for tau in (11_111, 10**6)}
+        monkeypatch.undo()
+        assert shallow == {
+            (i, tau, j): window_common_ancestor(tpl, i, tau, j, 60) for i, tau, j in shallow
+        }
+        assert True in shallow.values() and False in shallow.values()
+        cone = CommonAncestorEngine(tpl)
+        assert deep == {(i, tau, j): cone.query(i, tau, j) for i, tau, j in deep}

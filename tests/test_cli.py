@@ -14,6 +14,7 @@ import tsproject
 from tsproject import (
     CommonAncestorEngine,
     TsVertex,
+    WalkerReach,
     WalkWeights,
     ancestor_query,
     build_graph_of_cycles,
@@ -126,19 +127,16 @@ def test_a_window_over_the_vertex_limit_is_refused_before_allocating(
     "argv",
     [
         ["cutoff", "--window", "1"],
-        ["ancestor", "--i", "X1", "--tau", "1000", "--j", "X2", "--method", "dioph"],
-        ["ancestor", "--i", "X1", "--tau", "1", "--j", "X2", "--method", "window", "--explain"],
+        ["ancestor", "--i", "X1", "--tau", "1", "--j", "X2", "--explain"],
     ],
-    ids=["cutoff", "dioph", "window"],
+    ids=["cutoff", "explain"],
 )
 def test_a_summary_graph_with_too_many_simple_paths_is_refused(data_dir, argv):
     """wide30.json is random_template(0, 30, 1, 0.08), whose summary graph has
     more than 10^6 simple paths.  The cycle classes, the cone engine's paths
     and the cutoff's L all read that table; its search stops at the limit,
     well inside a 1.5 GB address space that listing every path would
-    overrun.  The two-walker search of wide30.json stops at R = 110, so the
-    walk weights of its tail read the cycle classes at tau 1000, and
-    --explain builds the cone engine; --method selects nothing."""
+    overrun.  --explain builds the cone engine, so it reads the table."""
     done = _run_in_mb([argv[0], "--graph", str(data_dir / "wide30.json"), *argv[1:]])
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == (
@@ -168,15 +166,13 @@ def test_an_empty_observed_set_is_refused_before_any_engine_is_built(data_dir, m
     assert done.stderr == "error: observed variable set must be non-empty\n"
 
 
-@pytest.mark.parametrize("method", ["dioph", "window"])
 @pytest.mark.parametrize("side", ["--i", "--j"])
-def test_ancestor_names_an_unknown_variable_before_any_engine_is_built(data_dir, method, side):
+def test_ancestor_names_an_unknown_variable_before_any_engine_is_built(data_dir, side):
     """The cone engine of wide30.json is refused at its simple-path limit;
     an unknown --i or --j is reported before any engine is built."""
     names = {"--i": "X1", "--j": "X1", side: "Q"}
     done = _run_in_mb(["ancestor", "--graph", str(data_dir / "wide30.json"),
-                       "--i", names["--i"], "--tau", "1", "--j", names["--j"],
-                       "--method", method])
+                       "--i", names["--i"], "--tau", "1", "--j", names["--j"]])
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == "error: unknown variable 'Q'\n"
 
@@ -284,6 +280,31 @@ def test_the_default_ancestor_query_of_wide30_lists_no_simple_paths(data_dir):
     assert (done.returncode, done.stdout, done.stderr) == (0, "true\n", "")
 
 
+def test_the_tail_of_wide30_answers_from_the_template_alone(data_dir, capsys, monkeypatch):
+    """The two-walker search of wide30.json stops at R = 110, and the walk
+    weights of its tail move along the template's edges and shortest closed
+    walks, listing no cycle class, so ancestor answers at tau 1000 in the same
+    1.5 GB address space.  A band search with the limits patched to reach
+    R = 1000 is the reference."""
+    wide30 = data_dir / "wide30.json"
+    done = _run_in_mb(["ancestor", "--graph", str(wide30), "--i", "X1", "--tau", "1000",
+                       "--j", "X2"])
+    assert (done.returncode, done.stdout, done.stderr) == (0, "true\n", "")
+    queries = [("X1", 1000, "X2"), ("X2", 1000, "X1"), ("X1", 999, "X2")]
+    answers = []
+    for i, tau, j in queries:
+        assert run(["ancestor", "--graph", str(wide30), "--i", i, "--tau", str(tau),
+                    "--j", j]) == 0
+        answers.append(capsys.readouterr().out)
+    tpl = canonical_ts_dag(parse_template(wide30.read_text()))
+    n = len(tpl.variables)
+    monkeypatch.setattr(ancestor_query, "_MAX_WALKER_STATES", n * n * 2001)
+    monkeypatch.setattr(ancestor_query, "_MAX_WALKER_STEPS", 10**12)
+    band = WalkerReach(tpl, 1000)
+    assert band._r == 1000
+    assert answers == ["true\n" if band.query(i, tau, j) else "false\n" for i, tau, j in queries]
+
+
 def test_the_tail_at_tau_ten_million_searches_only_the_walks_into_j(data_dir):
     """walk16.json is random_template(0, 16, 1, 0.1).  At tau 10^7 its
     two-walker search stops at R = 390 and the tail answers from the walk
@@ -374,17 +395,14 @@ def test_ancestor_true(running_path, capsys):
     assert capsys.readouterr().out == "true\n"
 
 
-@pytest.mark.parametrize("method", ["dioph", "window"])
-def test_ancestor_rejects_negative_tau(running_path, method, capsys):
-    argv = ["ancestor", "--graph", running_path, "--i", "X", "--tau", "-1", "--j", "Z",
-            "--method", method]
+def test_ancestor_rejects_negative_tau(running_path, capsys):
+    argv = ["ancestor", "--graph", running_path, "--i", "X", "--tau", "-1", "--j", "Z"]
     assert run(argv) == 1
     assert capsys.readouterr().err == "error: tau must be non-negative\n"
 
 
-@pytest.mark.parametrize("method", ["dioph", "window"])
 @pytest.mark.parametrize("side", ["--i", "--j"])
-def test_ancestor_rejects_auxiliary_latent_names(tmp_path, method, side, capsys):
+def test_ancestor_rejects_auxiliary_latent_names(tmp_path, side, capsys):
     """The canonical ts-DAG of a template with the bidirected entry
     (X, 0, Y) has an auxiliary latent L(X,Y,0); a query may name only the
     template's own variables."""
@@ -392,7 +410,7 @@ def test_ancestor_rejects_auxiliary_latent_names(tmp_path, method, side, capsys)
     graph.write_text(json.dumps({"variables": ["X", "Y"], "bidirected": [["X", "Y", 0]]}))
     names = {"--i": "X", "--j": "X", side: "L(X,Y,0)"}
     argv = ["ancestor", "--graph", str(graph), "--i", names["--i"], "--tau", "3",
-            "--j", names["--j"], "--method", method]
+            "--j", names["--j"]]
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: unknown variable 'L(X,Y,0)'\n")
@@ -460,11 +478,10 @@ def test_ancestor_explain_stops_on_a_monoid_too_large_to_list(tmp_path, capsys):
     assert "more than 1000000 generating paths" in captured.err
 
 
-@pytest.mark.parametrize("method", ["dioph", "window"])
-def test_ancestor_explain_with_either_method_prints_the_pinned_dump(data_dir, method, capsys):
-    """--method selects nothing: --explain always answers with the cone engine."""
+def test_ancestor_explain_with_either_method_prints_the_pinned_dump(data_dir, capsys):
+    """--explain always answers with the cone engine."""
     argv = ["ancestor", "--graph", str(data_dir / "running.json"), "--i", "X", "--tau", "0",
-            "--j", "Z", "--method", method, "--explain"]
+            "--j", "Z", "--explain"]
     assert run(argv) == 0
     captured = capsys.readouterr()
     assert captured.out == "true\n"
@@ -641,7 +658,7 @@ def test_either_method_answers_past_the_walk_weight_depth_limit(tmp_path, capsys
 
 
 def test_ancestor_methods_agree(running_path, fig3_path, capsys):
-    """Either --method value, walk weights at the cutoff depth and the cone
+    """The default engine, walk weights at the cutoff depth and the cone
     engine give the same answers."""
     for graph, variables in ((running_path, "XYZ"), (fig3_path, ["X1", "X2", "X3"])):
         cone = CommonAncestorEngine(canonical_ts_dag(parse_template(Path(graph).read_text())))
@@ -650,11 +667,10 @@ def test_ancestor_methods_agree(running_path, fig3_path, capsys):
                 for tau in (0, 1, 4):
                     argv = ["ancestor", "--graph", graph, "--i", i, "--tau", str(tau),
                             "--j", j]
-                    dioph_out, window_out = _outputs_per_method(argv, capsys)
+                    assert run(argv) == 0
+                    out = capsys.readouterr().out
                     expected = "true\n" if cone.query(i, tau, j) else "false\n"
-                    assert dioph_out == window_out == _cutoff_walks_output(argv) == expected, (
-                        graph, i, tau, j,
-                    )
+                    assert out == _cutoff_walks_output(argv) == expected, (graph, i, tau, j)
 
 
 def test_project_dmag_writes_dot(fig3_path, tmp_path, capsys):
@@ -839,8 +855,9 @@ def test_msep_rejects_variable_names_that_are_not_strings(tmp_path, capsys, name
 
 
 def test_removed_options_are_usage_errors(running_path):
-    assert run(["ancestor", "--graph", running_path, "--i", "X", "--tau", "0", "--j", "Z",
-                "--method", "auto"]) == 2
+    for method in ("auto", "dioph"):
+        assert run(["ancestor", "--graph", running_path, "--i", "X", "--tau", "0", "--j", "Z",
+                    "--method", method]) == 2
     assert run(["project-admg", "--graph", running_path, "--observed", "X",
                 "--window", "0", "--jobs", "2"]) == 2
 
