@@ -34,19 +34,19 @@ Both searches move by the same moves, read from the template alone: every
 directed entry, self-loops included, and per variable x one closing move,
 the weight of x's shortest closed walk through another variable.
 
-One backward search from every meeting state over the band answers every
-query with tau <= R at once (a projection asks only lags below K; see
-:mod:`tsproject.ts_projection`).  The tail answers tau > R: (i, t-tau) and
-(j, t) have a common ancestor iff some b and some s in [tau - R, tau + R]
+One backward search from every meeting state over the band at R = K answers
+every query with tau <= K at once (a projection asks only lags below K; see
+:mod:`tsproject.ts_projection`).  The tail answers tau > K: (i, t-tau) and
+(j, t) have a common ancestor iff some b and some s in [tau - K, tau + K]
 have (b, t-s) an ancestor of (j, t), bit s of the walk weights into j,
 ``WalkWeights(tpl, tau).anc[j][b]``, and the state (i, b, s - tau) reached.
 Soundness: the two conditions chain an ancestor of (j, t) and a common
 ancestor of (i, t-tau) and (b, t-s).  Completeness: in the merged walks of
-a common ancestor, B is the later walker and steps alone while delta < -R,
-and each step raises delta by at most K <= R, so the walks pass through a
-state (i, b, s - tau) with s - tau in [-R, 0) before they meet; B's walk so
-far sets bit s, and the rest stays in the band, where the search reached
-the state.
+a common ancestor, B is the later walker and steps alone while delta < -K,
+and each step raises delta by at most K, so the walks pass through a state
+(i, b, s - tau) with s - tau in [-K, 0) before they meet; B's walk so far
+sets bit s, and the rest stays in the band, where the search reached the
+state.
 """
 
 from __future__ import annotations
@@ -74,14 +74,16 @@ from .summary_mwdg import (
 
 
 _MAX_WALK_DEPTH = 10**7  # deepest WalkWeights search; a bitset that deep is 1.25 MB
-_MAX_WALKER_STATES = 2 * 10**5  # n^2 (2 R + 1); a bit per state
-_MAX_WALKER_STEPS = 4 * 10**6  # 2 n (2 R + 1) |E|; the search takes seconds at most at both
+_MAX_WALKER_STATES = 2 * 10**5  # n^2 (2 K + 1); a bit per state
+_MAX_WALKER_STEPS = 4 * 10**6  # 2 n (2 K + 1) |E|; the search takes seconds at most at both
 _MAX_CONE_PAIRS = 10**6  # per cone-engine query; a path pair's are counted before they are tried
 
 
 def summary_prefilter(s: MwSummaryGraph, i: str, j: str) -> bool:
     """Necessary condition: i and j have a common ancestor in the unweighted
     summary graph.  False here implies no common ancestor at any lag."""
+    if i not in s.nodes or j not in s.nodes:
+        raise ValidationError(f"unknown node in common-ancestor query ({i}, {j})")
     import networkx as nx  # on first use, so that importing tsproject does not load it
 
     dg = nx.DiGraph()
@@ -242,15 +244,15 @@ class WalkerReach:
     """Exact common-ancestor queries on a ts-DAG for tau up to ``reach``,
     raised to the largest lag K if below it.
 
-    A backward search over the band |delta| <= R of the two-walker states
-    (a, b, delta) of the module docstring answers tau <= R by whether it
-    reached (i, j, -tau).  R is the largest value in [K, reach] whose states
-    and steps fit ``_MAX_WALKER_STATES`` and ``_MAX_WALKER_STEPS``; a
-    template where even R = K does not fit raises ``ValidationError``.  The
-    tail answers tau in (R, reach] from the pairs (i, b) and the walk
+    A backward search over the band |delta| <= K of the two-walker states
+    (a, b, delta) of the module docstring answers tau <= K by whether it
+    reached (i, j, -tau).  The band is the template's alone, whatever the
+    reach; a template whose band does not fit ``_MAX_WALKER_STATES`` and
+    ``_MAX_WALKER_STEPS`` (:func:`_band_fits`) raises ``ValidationError``.
+    The tail answers tau in (K, reach] from the pairs (i, b) and the walk
     weights into j of ``WalkWeights(tpl, reach)``.
 
-    The states of a walker pair (a, b) are one int, whose bit delta + R is
+    The states of a walker pair (a, b) are one int, whose bit delta + K is
     set iff (a, b, delta) was reached: the :func:`_fixpoint` from the meeting
     states, where a move a -> u of weight L shifts the bits left by L into
     (u, b) (A stepped), and a move b -> w shifts them right by L into (a, w)
@@ -258,10 +260,10 @@ class WalkerReach:
     directed entries, whose checks the template has run, and the closing
     moves; a ts-ADMG is rejected by :func:`~tsproject.summary_mwdg.require_ts_dag`.
 
-    The limits count 2 n (2 R + 1) |E| steps: a pair is moved from again
-    only when it grows, at most 2 R + 1 times, along the edges out of either
+    The limits count 2 n (2 K + 1) |E| steps: a pair is moved from again
+    only when it grows, at most 2 K + 1 times, along the edges out of either
     variable.  Its two closing moves add at most two shifts per pop, 2 n^2
-    (2 R + 1) <= 2 ``_MAX_WALKER_STATES`` in all, and each doubled shift
+    (2 K + 1) <= 2 ``_MAX_WALKER_STATES`` in all, and each doubled shift
     follows one that added a state.
     """
 
@@ -269,15 +271,14 @@ class WalkerReach:
         if reach < 0:
             raise ValidationError("reach must be non-negative")
         require_ts_dag(tpl)
-        k, largest = max_lag(tpl), _largest_reach(tpl)
-        if k > largest:
+        self._r = r = max_lag(tpl)
+        if not _band_fits(tpl):
             raise ValidationError(
-                f"the two-walker search at the largest lag {k} exceeds the limits of "
+                f"the two-walker search at the largest lag {r} exceeds the limits of "
                 f"{_MAX_WALKER_STATES} states and {_MAX_WALKER_STEPS} steps"
             )
         self.tpl = tpl
-        self.reach = max(reach, k)
-        self._r = r = min(self.reach, largest)
+        self.reach = max(reach, r)
         n = len(tpl.variables)
         # the pair (a, b) is number a * n + b; per move tail, the moves of
         # each walker, as (shift left, shift right, change of that number)
@@ -374,21 +375,19 @@ def _fixpoint(bits: list[int], moves, mask: int) -> None:
                 bits[t] = new
 
 
-def _largest_reach(tpl: TsGraphTemplate) -> int:
-    """The largest R whose two-walker states and steps fit the limits; -1 if none."""
-    n = len(tpl.variables)
-    span = min(_MAX_WALKER_STATES // n**2, _MAX_WALKER_STEPS // (2 * n * len(tpl.directed_t) or 1))
-    return (span - 1) // 2
+def _band_fits(tpl: TsGraphTemplate) -> bool:
+    """Whether the two-walker band at R = K fits the state and step limits."""
+    n, span = len(tpl.variables), 2 * max_lag(tpl) + 1
+    return (n * n * span <= _MAX_WALKER_STATES
+            and 2 * n * span * len(tpl.directed_t) <= _MAX_WALKER_STEPS)
 
 
 def _default_engine(tpl: TsGraphTemplate, depth: int) -> CommonAncestorEngine | WalkerReach:
     """The engine for every lag up to ``depth``: a :class:`WalkerReach` when
-    its search fits the limits at R = K and its tail, if depth > R, is within
+    its band at R = K fits the limits and its tail, if depth > K, is within
     ``_MAX_WALK_DEPTH``; the cone engine otherwise.  The rule reads only the
     input, and both engines are exact."""
-    # R <= (_MAX_WALKER_STATES - 1) // 2 = 99,999 < _MAX_WALK_DEPTH, so a depth
-    # the search alone covers is within the tail's limit too
-    if max_lag(tpl) <= _largest_reach(tpl) and depth <= _MAX_WALK_DEPTH:
+    if _band_fits(tpl) and depth <= _MAX_WALK_DEPTH:
         return WalkerReach(tpl, depth)
     return CommonAncestorEngine(tpl)
 

@@ -89,8 +89,8 @@ def bounded_representable(c: int, coeffs: Sequence[int]) -> bool:
     are coprime and need no table: c = a*x + b*y with x, y >= 0 iff the least
     x >= 0 with a*x = c (mod b), x = c * a^-1 mod b, has a*x <= c.
     """
-    if c <= 0 or not coeffs:
-        raise ValueError("bounded_representable requires c > 0 and coefficients")
+    if c <= 0 or not coeffs or min(coeffs) < 1:
+        raise ValueError("bounded_representable requires c > 0 and positive coefficients")
     g = math.gcd(*coeffs)
     if c % g:
         return False

@@ -68,6 +68,9 @@ def test_summary_prefilter(running_tpl):
     assert summary_prefilter(s, "Z", "Z")
     s2 = build_mw_summary(make_template(["A", "B"], directed=[("A", 1, "A")]))
     assert not summary_prefilter(s2, "A", "B")
+    for i, j in (("Q", "X"), ("X", "Q")):
+        with pytest.raises(ValidationError, match="unknown node in common-ancestor query"):
+            summary_prefilter(s, i, j)
 
 
 def _reflexive_ancestors(s, v):
@@ -384,40 +387,59 @@ class TestWalkerReach:
         assert engine.query("Y", 1, "X")
         assert not engine.query("X", 0, "Y")
 
-    def test_the_tail_matches_an_uncapped_search(self, monkeypatch):
-        """With the limits patched so that the search stops at R = K, the
-        tail answers every lag in (K, 60].  An uncapped search (limits
-        patched high) is its reference at every lag, the cone engine at
-        three."""
+    def test_the_tail_matches_the_cone_engine(self):
+        """The band stops at R = K and the tail answers every lag in (K, 60];
+        the cone engine is its reference at every one of them."""
         answers = []
         for seed in range(40):
             tpl = canonical_ts_dag(
                 random_template(seed, 2 + seed % 4, 1 + seed % 3, 0.3, bidirected_density=0.05)
             )
-            k, n = max_lag(tpl), len(tpl.variables)
-            monkeypatch.setattr(ancestor_query, "_MAX_WALKER_STATES", 10**12)
-            monkeypatch.setattr(ancestor_query, "_MAX_WALKER_STEPS", 10**12)
-            exact = WalkerReach(tpl, 60)
-            monkeypatch.setattr(ancestor_query, "_MAX_WALKER_STATES", n * n * (2 * k + 1))
-            tail = WalkerReach(tpl, 60)
-            cone = CommonAncestorEngine(tpl)
+            k = max_lag(tpl)
+            tail, cone = WalkerReach(tpl, 60), CommonAncestorEngine(tpl)
             for i in tpl.variables:
                 for j in tpl.variables:
                     for tau in range(k + 1, 61):
-                        answers.append(exact.query(i, tau, j))
-                        assert answers[-1] == tail.query(i, tau, j), (seed, i, tau, j)
-                    for tau in (k + 1, 2 * k + 1, 60):
-                        assert exact.query(i, tau, j) == cone.query(i, tau, j), (seed, i, tau, j)
+                        answers.append(tail.query(i, tau, j))
+                        assert answers[-1] == cone.query(i, tau, j), (seed, i, tau, j)
         assert answers.count(True) > 20_000 and answers.count(False) > 10_000
+
+    @pytest.mark.parametrize("corpus", ["crit3", "small"])
+    def test_the_band_and_the_tail_meet_at_the_largest_lag(self, corpus):
+        """At tau = K, the last lag of the band, and at K + 1, the first of
+        the tail, WalkerReach(tpl, K + 3) matches the cone engine on every
+        pair: the 200 criterion-3 templates (canonicalized) and the 96
+        random_template(s, 1 + s % 4, 1 + s % 3, 0.3)."""
+        answers = []
+        for tpl in _walk_moves_corpus(corpus):
+            k = max_lag(tpl)
+            engine, cone = WalkerReach(tpl, k + 3), CommonAncestorEngine(tpl)
+            for i in tpl.variables:
+                for j in tpl.variables:
+                    for tau in (k, k + 1):
+                        answers.append(engine.query(i, tau, j))
+                        assert answers[-1] == cone.query(i, tau, j), (tpl, i, tau, j)
+        assert answers.count(True) > 200 and answers.count(False) > 200
+
+    def test_the_band_is_fixed_by_the_template(self, data_dir):
+        """cycles3.json at reach 10^6 keeps its band at R = K = 2: every
+        pair's states fit in 2 K + 1 bits."""
+        tpl = parse_template((data_dir / "cycles3.json").read_text())
+        engine, k = WalkerReach(tpl, 10**6), max_lag(tpl)
+        assert k == 2 and engine.reach == 10**6
+        assert len(engine._pairs) == len(tpl.variables) ** 2
+        assert all(0 <= bits < 1 << (2 * k + 1) for bits in engine._pairs)
+        assert any(bits >> 2 * k for bits in engine._pairs)
 
     def test_refuses_a_largest_lag_past_its_limits(self, monkeypatch):
         """A ring of 40 variables at lag 1 plus X0 -> X1 at lag 200,000: the
-        limits fit R = 62 at most, far below K, so the band search is
-        refused before it starts, which would otherwise run for minutes."""
+        band at R = K holds 1600 x 400,001 states, far past the limits, so the
+        band search is refused before it starts, which would otherwise run
+        for minutes."""
         names = [f"X{k}" for k in range(40)]
         ring = [(names[k], 1, names[(k + 1) % 40]) for k in range(40)]
         tpl = make_template(names, directed=ring + [("X0", 200_000, "X1")])
-        assert ancestor_query._largest_reach(tpl) == 62
+        assert not ancestor_query._band_fits(tpl)
 
         def search(*args):
             raise AssertionError("the band search started")
@@ -429,10 +451,10 @@ class TestWalkerReach:
         ):
             WalkerReach(tpl, 0)
 
-    def test_a_band_of_ten_thousand_steps_matches_the_cone_engine(self):
-        """At reach 10^4 these templates search the band to R = 10^4 (the
-        limits fit R >= 11,110), far past K = 2 or 5; the cone engine checks
-        25 sampled lags in (K, 10^4] per pair of variables.  X1 -> X2 -> X1
+    def test_a_tail_of_ten_thousand_steps_matches_the_cone_engine(self):
+        """At reach 10^4 these templates search the band to R = K = 2 or 5
+        and the tail answers every larger lag; the cone engine checks 25
+        sampled lags in (K, 10^4] per pair of variables.  X1 -> X2 -> X1
         at lags 0 and 1 plus X3's self-loops, X1 -> X2 -> X1 at lags 1 and 2
         with no self-loop, and X's self-loops of lags 3 and 5, which both
         walkers close along.  About 0.6 s on 2 vCPUs."""
@@ -445,7 +467,7 @@ class TestWalkerReach:
         answers = []
         for tpl in templates:
             engine, cone, k = WalkerReach(tpl, 10**4), CommonAncestorEngine(tpl), max_lag(tpl)
-            assert engine._r == 10**4
+            assert engine._r == max_lag(tpl)
             for i in tpl.variables:
                 for j in tpl.variables:
                     for tau in rng.sample(range(k + 1, 10**4 + 1), 25):
@@ -507,7 +529,7 @@ class TestWalkMoves:
         """A pair is moved from at most 2 R + 1 times, each time along the
         entries out of either variable and its two closing moves, so the
         search applies at most 2 n (2 R + 1) |E| + 2 n^2 (2 R + 1) shifts
-        besides the doubled ones: cycles3.json at reach 10^6 (R = 11,110) and
+        besides the doubled ones, at R = K: cycles3.json at reach 10^6 and
         the 96 small templates at reach 10^4."""
         shifts = []
         fixpoint = ancestor_query._fixpoint
@@ -534,7 +556,7 @@ class TestWalkMoves:
         tail answers, build and answer with the summary graph and its cycle
         classes out of reach; the window oracle and the cone engine, built
         after, check the answers.  cycles3.json searches the band to
-        R = 11,110 at reach 10^6."""
+        R = K = 2 at reach 10^6."""
         def refuse(*args):
             raise AssertionError("a walk search read the summary graph")
 
@@ -545,7 +567,7 @@ class TestWalkMoves:
         walks = WalkWeights(tpl, 60)
         shallow = {(i, tau, j): walks.query(i, tau, j) for i, j in pairs for tau in (0, 30, 60)}
         engine = WalkerReach(tpl, 10**6)
-        assert engine._r == 11_110 < engine.reach
+        assert engine._r == max_lag(tpl) < engine.reach
         deep = {(i, tau, j): engine.query(i, tau, j) for i, j in pairs for tau in (11_111, 10**6)}
         monkeypatch.undo()
         assert shallow == {

@@ -14,7 +14,6 @@ import tsproject
 from tsproject import (
     CommonAncestorEngine,
     TsVertex,
-    WalkerReach,
     WalkWeights,
     ancestor_query,
     build_graph_of_cycles,
@@ -28,6 +27,7 @@ from tsproject import (
     m_separated,
     marginal_ts_admg,
     marginal_ts_dmag,
+    max_lag,
     parse_mixed_graph,
     parse_template,
     serialize_template,
@@ -280,12 +280,14 @@ def test_the_default_ancestor_query_of_wide30_lists_no_simple_paths(data_dir):
     assert (done.returncode, done.stdout, done.stderr) == (0, "true\n", "")
 
 
-def test_the_tail_of_wide30_answers_from_the_template_alone(data_dir, capsys, monkeypatch):
-    """The two-walker search of wide30.json stops at R = 110, and the walk
+def test_the_tail_of_wide30_answers_from_the_template_alone(data_dir, capsys):
+    """The two-walker band of wide30.json stops at R = K = 1, and the walk
     weights of its tail move along the template's edges and shortest closed
     walks, listing no cycle class, so ancestor answers at tau 1000 in the same
-    1.5 GB address space.  A band search with the limits patched to reach
-    R = 1000 is the reference."""
+    1.5 GB address space.  The cone engine refuses wide30.json, so the answers
+    are pinned, and each is confirmed by ancestor-set intersection in the
+    unrolled window [t-1006, t]: a window can miss a common ancestor, never
+    add one."""
     wide30 = data_dir / "wide30.json"
     done = _run_in_mb(["ancestor", "--graph", str(wide30), "--i", "X1", "--tau", "1000",
                        "--j", "X2"])
@@ -296,13 +298,13 @@ def test_the_tail_of_wide30_answers_from_the_template_alone(data_dir, capsys, mo
         assert run(["ancestor", "--graph", str(wide30), "--i", i, "--tau", str(tau),
                     "--j", j]) == 0
         answers.append(capsys.readouterr().out)
+    assert answers == ["true\n"] * 3
     tpl = canonical_ts_dag(parse_template(wide30.read_text()))
-    n = len(tpl.variables)
-    monkeypatch.setattr(ancestor_query, "_MAX_WALKER_STATES", n * n * 2001)
-    monkeypatch.setattr(ancestor_query, "_MAX_WALKER_STEPS", 10**12)
-    band = WalkerReach(tpl, 1000)
-    assert band._r == 1000
-    assert answers == ["true\n" if band.query(i, tau, j) else "false\n" for i, tau, j in queries]
+    assert max_lag(tpl) == 1
+    window = unroll_window(tpl, 1006)
+    for i, tau, j in queries:
+        ancestors_i = finite_projection.ancestors(window, {TsVertex(i, tau)})
+        assert ancestors_i & finite_projection.ancestors(window, {TsVertex(j, 0)}), (i, tau, j)
 
 
 def test_the_tail_at_tau_ten_million_searches_only_the_walks_into_j(data_dir):
@@ -426,8 +428,14 @@ def test_ancestor_explain_dumps_machinery(running_path, capsys):
 @pytest.mark.parametrize(
     "name, i, tau, j", [("running", "X", "0", "Z"), ("fig3", "X1", "1", "X2")]
 )
-def test_ancestor_explain_output_is_pinned(data_dir, name, i, tau, j, capsys):
-    """The full --explain dump, byte for byte, as recorded in tests/data/explain."""
+def test_ancestor_explain_output_is_pinned(data_dir, name, i, tau, j, capsys, monkeypatch):
+    """The full --explain dump, byte for byte, as recorded in tests/data/explain.
+    --explain answers with the cone engine, so it never asks for the default
+    one."""
+    def refuse(tpl, depth):
+        raise AssertionError("--explain asked for the default engine")
+
+    monkeypatch.setattr(cli, "_default_engine", refuse)
     argv = ["ancestor", "--graph", str(data_dir / f"{name}.json"), "--i", i, "--tau", tau,
             "--j", j, "--explain"]
     assert run(argv) == 0
@@ -476,16 +484,6 @@ def test_ancestor_explain_stops_on_a_monoid_too_large_to_list(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "more than 1000000 generating paths" in captured.err
-
-
-def test_ancestor_explain_with_either_method_prints_the_pinned_dump(data_dir, capsys):
-    """--explain always answers with the cone engine."""
-    argv = ["ancestor", "--graph", str(data_dir / "running.json"), "--i", "X", "--tau", "0",
-            "--j", "Z", "--explain"]
-    assert run(argv) == 0
-    captured = capsys.readouterr()
-    assert captured.out == "true\n"
-    assert captured.err == (data_dir / "explain" / "running_X_0_Z.json").read_text()
 
 
 def test_dioph_subcommand(capsys):

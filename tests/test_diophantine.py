@@ -75,6 +75,14 @@ def test_bounded_representable_small_cases():
     assert not bounded_representable(13, (4,))
 
 
+@pytest.mark.parametrize("c, coeffs", [(5, [0]), (5, [0, 2, 3]), (5, [-2, 3, 4]), (1, [-4, 6, 9])])
+def test_bounded_representable_rejects_a_coefficient_below_one(c, coeffs):
+    """Checked before any arithmetic, which would divide by zero or build an
+    empty residue table."""
+    with pytest.raises(ValueError, match="requires c > 0 and positive coefficients"):
+        bounded_representable(c, coeffs)
+
+
 @pytest.mark.parametrize("a, b", [(8760, 8761), (100000, 100001)])
 def test_sylvester_frobenius_number(a, b):
     """For coprime a, b the largest non-representable integer is ab - a - b."""
