@@ -3,25 +3,24 @@
 Implements the ADMG latent projection, the canonical-DAG construction,
 m-separation, inducing paths, and the DMAG latent projection of an ADMG.
 
-The projections and separation queries work on :class:`_Index`, a graph as
-int masks: the vertices numbered (bit n stands for the n-th vertex), with
-one parent, child and sibling mask per vertex and one topological order,
-parents first, from Kahn's algorithm on the masks.  The latent projection
-and the DMAG are kernels from one index to the next (:func:`_latent_project`,
-:func:`_dmag`) that keep the relative order, so a pipeline of them, here or
-in :mod:`tsproject.ts_projection`, builds one :class:`FiniteMixedGraph` and
-runs its checks once, at the end, or writes its JSON straight from the masks
+The projections work on :class:`_Index`, a graph as int masks: the
+vertices numbered (bit n stands for the n-th vertex), with one parent, child
+and sibling mask per vertex and one topological order, parents first, from
+Kahn's algorithm on the masks.  The latent projection and the DMAG are
+kernels from one index to the next (:func:`_latent_project`, :func:`_dmag`)
+that keep the relative order, so a pipeline of them, here or in
+:mod:`tsproject.ts_projection`, builds one :class:`FiniteMixedGraph` and runs
+its checks once, at the end, or writes its JSON straight from the masks
 (:meth:`_Index.to_json`) when the vertices are numbered in serialization
 order.  The topological order replaces a search per vertex: the latent
 projection is one sweep down it and one up it, and the DMAG's ancestor masks
-are one pass along it.  Plain reachability, such as the ancestors of Z, is
-:func:`graph_model.reach` on the parent or child masks.
+are one pass along it.
 
 m-separation (:func:`m_separated`) and inducing paths
-(:func:`has_inducing_path`) are decided by one two-mark walk: reachability
-over (vertex, entered-with-arrowhead) states, run on one frontier mask per
-arrowhead mark; this is equivalent to the path-based definitions and
-polynomial, instead of path enumeration.
+(:func:`has_inducing_path`) are decided by one two-mark walk on vertex sets
+over the graph's own edges, the Bayes-ball of Shachter (UAI 1998) as van der
+Zander, Liskiewicz & Textor (AIJ 2019) run it on ADMGs: reachability over
+(vertex, entered-with-arrowhead) states, O(V + E) instead of path enumeration.
 
 The DMAG runs no walk per pair.  It works on the ADMG latent projection,
 which keeps m-separation and ancestry among the observed vertices, and uses
@@ -33,18 +32,17 @@ steps name the candidate j's, and one masked reachability per candidate
 checks the ancestor condition.
 
 An index takes memory quadratic in its vertex count, one n-bit mask per
-vertex, so it holds at most ``_MAX_INDEX_VERTICES`` vertices: a graph over
-the limit is refused before any mask is built, and
-:mod:`tsproject.ts_projection` bounds the window it builds by the same
-constant.
-:func:`ancestors` stays on vertex sets, as does
+vertex, so the projection kernels (the window marginal, the latent
+projection, the DMAG and the JSON writer) refuse a graph of more than
+``_MAX_INDEX_VERTICES`` vertices before any mask is built.  Every query on a
+finite graph (:func:`ancestors`, m-separation, inducing paths) stays on
+vertex sets, in memory linear in the graph, as does
 :func:`graph_model.unroll_window`: the oracles unroll windows of thousands of
 steps.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from typing import Iterable
 
@@ -66,14 +64,15 @@ def ancestors(g: FiniteMixedGraph, seeds: Iterable[TsVertex]) -> frozenset[TsVer
     """Reflexive-transitive closure under parent edges (every vertex is its own ancestor)."""
     seeds = set(seeds)
     if not seeds <= g.vertices:
-        raise ValidationError(f"unknown vertices in seed set: {seeds - g.vertices}")
+        unknown = ", ".join(f"{u.var}:{u.offset}" for u in sorted(seeds - g.vertices))
+        raise ValidationError(f"unknown vertices in seed set: {unknown}")
     parents: dict[TsVertex, list[TsVertex]] = {}
     for u, v in g.directed:
         parents.setdefault(v, []).append(u)
     result = set(seeds)
-    frontier = deque(seeds)
+    frontier = list(seeds)
     while frontier:
-        v = frontier.popleft()
+        v = frontier.pop()
         for u in parents.get(v, ()):
             if u not in result:
                 result.add(u)
@@ -338,10 +337,10 @@ def canonical_dag(g: FiniteMixedGraph) -> FiniteMixedGraph:
 
 
 def _walk_reachable(
-    index: _Index, sources: int, targets: int, collider_open: int, noncollider_open: int
+    g: FiniteMixedGraph, sources: frozenset[TsVertex], targets: frozenset[TsVertex],
+    collider_open: frozenset[TsVertex], noncollider_open: frozenset[TsVertex],
 ) -> bool:
-    """Shared reachability core for m-connection and inducing paths; every
-    vertex set is a mask over ``index``.
+    """Reachability core of m-connection and inducing paths on the edges of ``g``.
 
     A walk may continue through a middle vertex v iff v is a collider on the
     walk and v is in ``collider_open``, or v is a non-collider and v is in
@@ -352,30 +351,39 @@ def _walk_reachable(
     ``tails`` hold the vertices reached with and without one.  A step from v
     to a child is never a collider step, a step to a parent or a sibling is
     one iff v was entered with an arrowhead; steps to children and siblings
-    arrive with an arrowhead, steps to parents without.
+    arrive with an arrowhead, steps to parents without.  Each of the 2V
+    states is expanded at most once and reads only its vertex's edges, so
+    the walk, its adjacency lists included, takes O(V + E) time and memory.
     """
-    parents, children, siblings = index.parents, index.children, index.siblings
-    new_heads = new_tails = 0
-    for x in bits(sources):
-        new_heads |= children[x] | siblings[x]
-        new_tails |= parents[x]
-    heads = tails = 0
+    parents: dict[TsVertex, list[TsVertex]] = {}
+    children: dict[TsVertex, list[TsVertex]] = {}
+    siblings: dict[TsVertex, list[TsVertex]] = {}
+    for u, v in g.directed:
+        parents.setdefault(v, []).append(u)
+        children.setdefault(u, []).append(v)
+    for u, v in g.bidirected:
+        siblings.setdefault(u, []).append(v)
+        siblings.setdefault(v, []).append(u)
+    new_heads, new_tails, heads, tails = set(), set(), set(), set()
+    for x in sources:
+        new_heads.update(children.get(x, ()), siblings.get(x, ()))
+        new_tails.update(parents.get(x, ()))
     while new_heads or new_tails:
-        if (new_heads | new_tails) & targets:
+        if not (targets.isdisjoint(new_heads) and targets.isdisjoint(new_tails)):
             return True
         heads |= new_heads
         tails |= new_tails
-        step_heads = step_tails = 0
-        for v in bits(new_tails & noncollider_open):
-            step_heads |= children[v] | siblings[v]
-            step_tails |= parents[v]
-        for v in bits(new_heads & noncollider_open):
-            step_heads |= children[v]
-        for v in bits(new_heads & collider_open):
-            step_heads |= siblings[v]
-            step_tails |= parents[v]
-        new_heads = step_heads & ~heads
-        new_tails = step_tails & ~tails
+        step_heads, step_tails = set(), set()
+        for v in new_tails & noncollider_open:
+            step_heads.update(children.get(v, ()), siblings.get(v, ()))
+            step_tails.update(parents.get(v, ()))
+        for v in new_heads & noncollider_open:
+            step_heads.update(children.get(v, ()))
+        for v in new_heads & collider_open:
+            step_heads.update(siblings.get(v, ()))
+            step_tails.update(parents.get(v, ()))
+        new_heads = step_heads - heads
+        new_tails = step_tails - tails
     return False
 
 
@@ -396,14 +404,8 @@ def m_separated(
             raise ValidationError(f"{name} is not a subset of the vertices")
     if x & y or x & z or y & z:
         raise ValidationError("X, Y, Z must be pairwise disjoint")
-    index = _Index.of(g)
-    return not _walk_reachable(
-        index,
-        sources=index.mask(x),
-        targets=index.mask(y),
-        collider_open=reach(index.parents, index.mask(z), -1),
-        noncollider_open=index.mask(g.vertices - z),
-    )
+    return not _walk_reachable(g, x, y, collider_open=ancestors(g, z),
+                               noncollider_open=g.vertices - z)
 
 
 def has_inducing_path(
@@ -415,18 +417,15 @@ def has_inducing_path(
     """Whether there is a path from i to j on which every middle vertex outside
     ``latents`` is a collider and every collider is an ancestor of i or j."""
     latents = frozenset(latents)
+    for name, u in (("i", i), ("j", j)):
+        if u not in g.vertices:
+            raise ValidationError(f"{name} = {u.var}:{u.offset} is not one of the vertices")
     if i == j:
         raise ValidationError("inducing-path query requires distinct endpoints")
     if not latents <= g.vertices - {i, j}:
         raise ValidationError("latents must be a subset of the vertices minus the endpoints")
-    index = _Index.of(g)
-    return _walk_reachable(
-        index,
-        sources=index.mask({i}),
-        targets=index.mask({j}),
-        collider_open=reach(index.parents, index.mask({i, j}), -1),
-        noncollider_open=index.mask(latents),
-    )
+    return _walk_reachable(g, frozenset({i}), frozenset({j}),
+                           collider_open=ancestors(g, {i, j}), noncollider_open=latents)
 
 
 def dmag_project(g: FiniteMixedGraph, observed: Iterable[TsVertex]) -> FiniteMixedGraph:

@@ -36,7 +36,7 @@ from tsproject import (
 )
 from tsproject.ancestor_query import _default_engine
 from tsproject.cli import run
-from tsproject.oracle_testkit import random_template, window_marginal
+from tsproject.oracle_testkit import msep_by_path_enumeration, random_template, window_marginal
 
 
 @pytest.fixture
@@ -689,29 +689,40 @@ def test_msep_subcommand(b1_path, tmp_path, capsys):
     assert run(["msep", "--marginal", marginal, "--x", "bad-token", "--y", "Y:0"]) == 1
 
 
-def test_msep_refuses_a_graph_over_the_mask_limit(b1_path, tmp_path, capsys, monkeypatch):
-    """The b1 marginal at p = 1 has 4 vertices; with the limit patched to 3,
-    msep reports it in one line."""
-    marginal = str(tmp_path / "m.json")
+def test_msep_answers_a_graph_over_the_mask_limit(b1_path, tmp_path, capsys, monkeypatch):
+    """The b1 marginal at p = 1 has 4 vertices.  m-separation walks the
+    graph's own edges and builds no mask index, so with the projection
+    kernels' limit patched to 3, msep still answers every query on it, as
+    path enumeration does."""
+    marginal = tmp_path / "m.json"
     run(["project-admg", "--graph", b1_path, "--observed", "X,Y",
-         "--window", "1", "--out", marginal])
+         "--window", "1", "--out", str(marginal)])
+    g = parse_mixed_graph(marginal.read_text())
+    vertices = sorted(g.vertices)
+    assert len(vertices) == 4
     monkeypatch.setattr(finite_projection, "_MAX_INDEX_VERTICES", 3)
-    assert run(["msep", "--marginal", marginal, "--x", "X:1", "--y", "Y:0"]) == 1
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: 4 vertices exceed the limit of 3\n")
+    answers = set()
+    for x, y in itertools.combinations(vertices, 2):
+        rest = [v for v in vertices if v not in (x, y)]
+        for z in itertools.chain.from_iterable(itertools.combinations(rest, r) for r in range(3)):
+            argv = ["msep", "--marginal", str(marginal), "--x", f"{x.var}:{x.offset}",
+                    "--y", f"{y.var}:{y.offset}", "--z", ",".join(f"{v.var}:{v.offset}" for v in z)]
+            assert run(argv) == 0, argv
+            expected = msep_by_path_enumeration(g, {x}, {y}, set(z))
+            assert capsys.readouterr() == ("true\n" if expected else "false\n", ""), argv
+            answers.add(expected)
+    assert answers == {True, False}
 
 
-def test_msep_refuses_a_graph_over_the_mask_limit_before_allocating(b1_path, tmp_path):
+def test_msep_answers_a_graph_over_the_mask_limit_in_linear_memory(b1_path, tmp_path):
     """b1 unrolled over 50,002 steps has 100,004 vertices, 18.5 MB of JSON
-    that parses to about 170 MB; their masks would take 1.25 GB.  msep
-    refuses the graph before building one, inside a 512 MB address space,
-    where building them ended in a MemoryError traceback."""
+    that parses to about 170 MB; one mask per vertex would take 1.25 GB.
+    msep walks the graph's own edges and answers inside a 512 MB address
+    space."""
     marginal = tmp_path / "big.json"
     marginal.write_text(unroll_window(parse_template(Path(b1_path).read_text()), 50_001).to_json())
     done = _run_in_mb(["msep", "--marginal", str(marginal), "--x", "X:0", "--y", "Y:0"], mb=512)
-    assert (done.returncode, done.stdout, done.stderr) == (
-        1, "", "error: 100004 vertices exceed the limit of 100000\n"
-    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "false\n", "")
 
 
 def test_msep_names_variables_that_contain_a_colon(tmp_path, capsys):

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +68,24 @@ def test_ancestors_are_reflexive_and_transitive():
 def test_ancestors_rejects_unknown_seed():
     with pytest.raises(ValidationError):
         ancestors(chain("A", "B"), {v("Q")})
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "3"])
+def test_ancestors_names_unknown_seeds_in_sorted_order(hash_seed):
+    """The message lists the unknown seeds sorted, whatever the hash order of
+    the set they arrive in (under PYTHONHASHSEED=3 a set lists R:1 first)."""
+    code = (
+        "from tsproject import FiniteMixedGraph, TsVertex, ValidationError, ancestors\n"
+        "g = FiniteMixedGraph(frozenset({TsVertex('A', 0)}))\n"
+        "try:\n"
+        "    ancestors(g, {TsVertex('R', 1), TsVertex('Q', 0), TsVertex('A', 0)})\n"
+        "except ValidationError as e:\n"
+        "    print(e)\n"
+    )
+    src = str(Path(finite_projection.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed})
+    assert (done.stdout, done.stderr) == ("unknown vertices in seed set: Q:0, R:1\n", "")
 
 
 class TestAdmgLatentProjection:
@@ -254,7 +276,43 @@ class TestMSeparation:
         assert answers.count(True) >= 20 and answers.count(False) >= 20
 
 
+def test_separation_queries_build_no_mask_index(monkeypatch):
+    """m_separated and has_inducing_path walk the graph's own edges: with
+    every mask constructor and mask reachability broken, m_separated still
+    answers as path enumeration does, and has_inducing_path as worked out
+    below."""
+    def broken(*args, **kwargs):
+        raise AssertionError("a mask structure was built")
+
+    monkeypatch.setattr(finite_projection._Index, "__init__", broken)
+    monkeypatch.setattr(finite_projection._Index, "of", broken)
+    monkeypatch.setattr(finite_projection, "reach", broken)
+    a, b, c, d = v("A"), v("B"), v("C"), v("D")
+    g = FiniteMixedGraph(
+        frozenset({a, b, c, d}), directed=frozenset({(a, b), (c, b), (b, d)}),
+        bidirected=frozenset({(c, d)}),
+    )
+    for x, y in itertools.permutations(sorted(g.vertices), 2):
+        rest = [u for u in sorted(g.vertices) if u not in (x, y)]
+        for r in range(len(rest) + 1):
+            for z in itertools.combinations(rest, r):
+                assert m_separated(g, {x}, {y}, z) == msep_by_path_enumeration(g, {x}, {y}, set(z))
+    # A and C meet only at colliders (B, D) that are ancestors of neither;
+    # A reaches D through the latent non-collider B
+    assert not has_inducing_path(g, a, c, ())
+    assert has_inducing_path(g, a, d, {b})
+    assert not has_inducing_path(g, a, c, {b})
+
+
 class TestInducingPaths:
+    @pytest.mark.parametrize("i, j, named", [("Q", "B", "i = Q:0"), ("A", "Q", "j = Q:0"),
+                                             ("Q", "R", "i = Q:0")])
+    def test_rejects_an_endpoint_outside_the_graph(self, i, j, named):
+        """Either endpoint is checked against the vertices, i first, before
+        any walk."""
+        with pytest.raises(ValidationError, match=f"^{named} is not one of the vertices$"):
+            has_inducing_path(chain("A", "B"), v(i), v(j), ())
+
     def test_adjacent_vertices_always_have_one(self):
         g = chain("A", "B")
         assert has_inducing_path(g, v("A"), v("B"), frozenset())
