@@ -55,7 +55,7 @@ import heapq
 from typing import Optional
 
 from .diophantine import solvable
-from .graph_model import TsGraphTemplate, ValidationError, max_lag
+from .graph_model import TsGraphTemplate, ValidationError, _check_lag, max_lag
 from .summary_mwdg import (
     ConeTuple,
     CycleClass,
@@ -137,8 +137,7 @@ class CommonAncestorEngine:
     def query(self, i: str, tau: int, j: str) -> bool:
         """Whether (i, t-tau) and (j, t) have a common ancestor (every vertex
         counts as its own ancestor)."""
-        if tau < 0:
-            raise ValidationError("tau must be non-negative")
+        _check_lag(tau, "tau")
         self.tpl.index(i), self.tpl.index(j)
         key = (i, tau, j)
         if key in self._answers:
@@ -197,8 +196,7 @@ class WalkWeights:
     """
 
     def __init__(self, tpl: TsGraphTemplate, depth: int):
-        if depth < 0:
-            raise ValidationError("depth must be non-negative")
+        _check_lag(depth, "depth")
         if depth > _MAX_WALK_DEPTH:
             raise ValidationError(
                 f"search depth {depth} exceeds the walk-weight limit of {_MAX_WALK_DEPTH}"
@@ -220,8 +218,7 @@ class WalkWeights:
     def query(self, i: str, tau: int, j: str) -> bool:
         """Whether (i, t-tau) and (j, t) have a common ancestor at most depth
         steps before t."""
-        if tau < 0:
-            raise ValidationError("tau must be non-negative")
+        _check_lag(tau, "tau")
         if tau > self.depth:
             raise ValidationError("tau must not exceed the search depth")
         self.tpl.index(i), self.tpl.index(j)
@@ -268,8 +265,7 @@ class WalkerReach:
     """
 
     def __init__(self, tpl: TsGraphTemplate, reach: int):
-        if reach < 0:
-            raise ValidationError("reach must be non-negative")
+        _check_lag(reach, "reach")
         require_ts_dag(tpl)
         self._r = r = max_lag(tpl)
         if not _band_fits(tpl):
@@ -295,8 +291,7 @@ class WalkerReach:
 
     def query(self, i: str, tau: int, j: str) -> bool:
         """Whether (i, t-tau) and (j, t) have a common ancestor."""
-        if tau < 0:
-            raise ValidationError("tau must be non-negative")
+        _check_lag(tau, "tau")
         if tau > self.reach:
             raise ValidationError("tau must not exceed the reach")
         row, col = self.tpl.index(i) * len(self.tpl.variables), self.tpl.index(j)

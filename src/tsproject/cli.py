@@ -25,6 +25,7 @@ from .finite_projection import _dmag, m_separated
 from .graph_model import (
     TsVertex,
     ValidationError,
+    _check_lag,
     make_template,
     parse_mixed_graph,
     parse_template,
@@ -80,7 +81,7 @@ def _cmd_project(args) -> int:
         index = _dmag(index)
     text = index.to_json()
     if args.dot:  # first, so that a failed write leaves no JSON
-        _write(args.dot, index.graph().to_dot())
+        _write(args.dot, index.to_dot())
     if args.out:
         _write(args.out, text)
     else:
@@ -122,8 +123,7 @@ def _explain_dump(engine: CommonAncestorEngine, i: str, tau: int, j: str) -> dic
 def _cmd_ancestor(args) -> int:
     named = parse_template(_read(args.graph))
     tpl = canonical_ts_dag(named)
-    if args.tau < 0:  # before the rule reads it as a depth
-        raise ValidationError("tau must be non-negative")
+    _check_lag(args.tau, "tau")  # before the rule reads it as a depth
     # before either engine is built; tpl also names the auxiliary latents
     named.index(args.i), named.index(args.j)
     engine = CommonAncestorEngine(tpl) if args.explain else _default_engine(tpl, args.tau)

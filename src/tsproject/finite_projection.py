@@ -10,11 +10,11 @@ Kahn's algorithm on the masks.  The latent projection and the DMAG are
 kernels from one index to the next (:func:`_latent_project`, :func:`_dmag`)
 that keep the relative order, so a pipeline of them, here or in
 :mod:`tsproject.ts_projection`, builds one :class:`FiniteMixedGraph` and runs
-its checks once, at the end, or writes its JSON straight from the masks
-(:meth:`_Index.to_json`) when the vertices are numbered in serialization
-order.  The topological order replaces a search per vertex: the latent
-projection is one sweep down it and one up it, and the DMAG's ancestor masks
-are one pass along it.
+its checks once, at the end, or writes its JSON and DOT straight from the
+masks, through one layout (:meth:`_Index._layout`), when the vertices are
+numbered in serialization order.  The topological order replaces a search
+per vertex: the latent projection is one sweep down it and one up it, and
+the DMAG's ancestor masks are one pass along it.
 
 m-separation (:func:`m_separated`) and inducing paths
 (:func:`has_inducing_path`) are decided by one two-mark walk on vertex sets
@@ -51,7 +51,9 @@ from .graph_model import (
     TsVertex,
     ValidationError,
     _check_vertices,
+    _dot_document,
     _json_document,
+    _order_keys,
     bits,
     encode,
     reach,
@@ -150,16 +152,16 @@ class _Index:
             frozenset(vs), frozenset(directed), frozenset(bidirected), var_order=self.var_order
         )
 
-    def to_json(self) -> str:
-        """The bytes of ``self.graph().to_json()``, written from the masks.
+    def _layout(self) -> tuple:
+        """``self.graph()._layout()``, read from the masks.
 
         The checks of the graph's constructor run on the masks first, in its
         order: every vertex a :class:`TsVertex` with a str name and an int
         offset >= 0 (no bool); no self edge and no edge to a bit past the
         vertices; an acyclic directed part (:attr:`order`).  The vertices
-        must then be numbered in serialization order, by ``var_order`` and
-        offset, which is checked and not assumed, so that each mask's bits,
-        lowest first, are the edges in output order: no sort runs."""
+        must then be numbered in the order of their ``_order_keys``, which is
+        checked and not assumed, so that each mask's bits, lowest first, are
+        the edges in output order: no sort runs."""
         vs, n = self.vertices, len(self.vertices)
         _check_vertices(vs)
         ends = 0
@@ -171,18 +173,11 @@ class _Index:
         if ends < 0 or ends >> n:
             raise ValidationError(f"an edge endpoint is not one of the {n} vertices")
         self.order  # raises on a directed cycle
-        position: dict[str, int] = {}
-        for k, var in enumerate(self.var_order):
-            position.setdefault(var, k)
-        keys = []
-        for v in vs:
-            if v.var not in position:
-                raise ValidationError(f"vertex variable {v.var!r} missing from var_order")
-            keys.append((position[v.var], v.offset))
+        keys = _order_keys(vs, self.var_order)
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValidationError("the vertices are not numbered in serialization order")
         children, siblings = self.children, self.siblings
-        return _json_document(
+        return (
             vs,
             ((u, v) for u in range(n) for v in bits(children[u])),
             (
@@ -192,6 +187,14 @@ class _Index:
             ),
             (),
         )
+
+    def to_json(self) -> str:
+        """The bytes of ``self.graph().to_json()``, written from the masks."""
+        return _json_document(*self._layout())
+
+    def to_dot(self) -> str:
+        """The bytes of ``self.graph().to_dot()``, written from the masks."""
+        return _dot_document(*self._layout())
 
 
 def _latent_project(index: _Index, keep: int) -> _Index:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class ValidationError(ValueError):
@@ -217,6 +217,14 @@ def max_lag(tpl: TsGraphTemplate) -> int:
     return max(lags, default=0)
 
 
+def _check_lag(value: object, name: str) -> None:
+    """Raise ``ValidationError`` unless ``value`` is an int >= 0, as a template lag is."""
+    if type(value) is not int:  # bool is an int subclass
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValidationError(f"{name} must be non-negative")
+
+
 def _check_vertices(items: Iterable) -> None:
     """Raise ``ValidationError`` unless every item is a :class:`TsVertex`
     with a str name and an int offset >= 0.  A plain (var, offset) tuple
@@ -284,62 +292,53 @@ class FiniteMixedGraph:
     def observed(self) -> frozenset[TsVertex]:
         return self.vertices - self.latent
 
-    def vertex_key(self, v: TsVertex) -> tuple[int, int]:
-        try:
-            return (self.var_order.index(v.var), v.offset)
-        except ValueError:
-            raise ValidationError(f"vertex variable {v.var!r} missing from var_order") from None
+    def _layout(self) -> tuple:
+        """The arguments of :func:`_json_document` and :func:`_dot_document`:
+        the vertices sorted on their :func:`_order_keys`, then the directed
+        pairs, the bidirected pairs in their stored orientation and the latent
+        vertices, as positions in that list and in output order.
 
-    def sorted_vertices(self) -> list[TsVertex]:
-        return sorted(self.vertices, key=self.vertex_key)
-
-    def _sorted_edges(self) -> tuple[list, list]:
-        """The directed and the bidirected edges in canonical serialization order."""
-        key = self.vertex_key
+        A directed edge sorts on the int rank_u * n + rank_v, a bidirected
+        edge on its (min, max) rank pair with one low bit that keeps its
+        stored orientation."""
+        order = _order_keys(self.vertices, self.var_order)
+        vs = [v for _, v in sorted(zip(order, self.vertices))]  # no two keys are equal
+        n = len(vs)
+        rank = {v: k for k, v in enumerate(vs)}
+        directed = sorted([rank[u] * n + rank[v] for u, v in self.directed])
+        bidirected = sorted(
+            (a * n + b) << 1 if a < b else (b * n + a) << 1 | 1
+            for a, b in ((rank[u], rank[v]) for u, v in self.bidirected)
+        )
         return (
-            sorted(self.directed, key=lambda e: (key(e[0]), key(e[1]))),
-            sorted(self.bidirected, key=lambda e: tuple(sorted((key(e[0]), key(e[1]))))),
+            vs,
+            (divmod(key, n) for key in directed),
+            ((b, a) if key & 1 else (a, b) for key in bidirected for a, b in [divmod(key >> 1, n)]),
+            sorted(rank[v] for v in self.latent),
         )
 
     def to_json(self) -> str:
         """The bytes of ``json.dumps(doc, indent=2) + "\\n"`` for the document
-        with the keys ``vertices``, ``directed``, ``bidirected`` and ``latent``
-        in the order of :meth:`_sorted_edges`, written by :func:`_json_document`.
-
-        Each vertex is ranked once; a directed edge sorts on the int
-        rank_u * n + rank_v, a bidirected edge on its (min, max) rank pair
-        with one low bit that keeps its stored orientation."""
-        vs = self.sorted_vertices()
-        n = len(vs)
-        rank = {v: k for k, v in enumerate(vs)}
-        directed = sorted([rank[u] * n + rank[v] for u, v in self.directed])
-        keys = []
-        for u, v in self.bidirected:
-            a, b = rank[u], rank[v]
-            keys.append((a * n + b) << 1 if a < b else (b * n + a) << 1 | 1)
-        keys.sort()
-
-        def bidirected() -> Iterator[tuple[int, int]]:
-            for key in keys:
-                a, b = divmod(key >> 1, n)
-                yield (b, a) if key & 1 else (a, b)
-
-        return _json_document(
-            vs,
-            (divmod(key, n) for key in directed),
-            bidirected(),
-            sorted(rank[v] for v in self.latent),
-        )
+        with the keys ``vertices``, ``directed``, ``bidirected`` and ``latent``."""
+        return _json_document(*self._layout())
 
     def to_dot(self) -> str:
-        """DOT export: bidirected edges are rendered with ``dir=both``."""
-        directed, bidirected = self._sorted_edges()
-        lines = ["digraph {"]
-        lines += [f"  {_dot_id(v)};" for v in self.sorted_vertices()]
-        lines += [f"  {_dot_id(u)} -> {_dot_id(v)};" for u, v in directed]
-        lines += [f"  {_dot_id(u)} -> {_dot_id(v)} [dir=both];" for u, v in bidirected]
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        """DOT export in the order of :meth:`to_json`; see :func:`_dot_document`."""
+        return _dot_document(*self._layout())
+
+
+def _order_keys(vertices: Collection[TsVertex], var_order: Sequence[str]) -> list[tuple[int, int]]:
+    """The output order key of each vertex: the first position of its variable
+    in ``var_order``, then its offset.  The least variable missing from
+    ``var_order`` is named, so that the message does not follow set order."""
+    position: dict[str, int] = {}
+    for k, var in enumerate(var_order):
+        position.setdefault(var, k)
+    try:
+        return [(position[v.var], v.offset) for v in vertices]
+    except KeyError:
+        missing = min({v.var for v in vertices} - position.keys())
+        raise ValidationError(f"vertex variable {missing!r} missing from var_order") from None
 
 
 def _json_array(items: Sequence[str], pad: str) -> str:
@@ -351,12 +350,8 @@ def _json_array(items: Sequence[str], pad: str) -> str:
     return f"[{inner}{(',' + inner).join(items)}\n{pad}]"
 
 
-def _json_document(
-    vertices: Sequence[TsVertex],
-    directed: Iterable[tuple[int, int]],
-    bidirected: Iterable[tuple[int, int]],
-    latent: Iterable[int],
-) -> str:
+def _json_document(vertices: Sequence[TsVertex], directed: Iterable[tuple[int, int]],
+                   bidirected: Iterable[tuple[int, int]], latent: Iterable[int]) -> str:
     """The bytes of ``json.dumps(doc, indent=2) + "\\n"`` for the graph
     document of :meth:`FiniteMixedGraph.to_json`, written directly: with an
     indent, ``json.dumps`` runs its pure-Python encoder.  ``vertices`` are
@@ -379,9 +374,17 @@ def _json_document(
     )
 
 
-def _dot_id(v: TsVertex) -> str:
-    """Quoted DOT identifier for a vertex label."""
-    return '"' + v.label().replace("\\", "\\\\").replace('"', '\\"') + '"'
+def _dot_document(vertices: Sequence[TsVertex], directed: Iterable[tuple[int, int]],
+                  bidirected: Iterable[tuple[int, int]], latent: Iterable[int]) -> str:
+    """The DOT graph of the arguments of :func:`_json_document`: each vertex
+    quoted once as its label, then the directed edges and the bidirected
+    edges, rendered with ``dir=both``; latent marks are left out."""
+    ids = ['"' + v.label().replace("\\", "\\\\").replace('"', '\\"') + '"' for v in vertices]
+    lines = ["digraph {", *(f"  {x};" for x in ids)]
+    lines += [f"  {ids[u]} -> {ids[v]};" for u, v in directed]
+    lines += [f"  {ids[u]} -> {ids[v]} [dir=both];" for u, v in bidirected]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def parse_mixed_graph(text: str) -> FiniteMixedGraph:
@@ -427,8 +430,7 @@ def unroll_window(tpl: TsGraphTemplate, window_length: int) -> FiniteMixedGraph:
     Every template entry contributes one edge instance per time shift that
     keeps both endpoints inside the window.
     """
-    if window_length < 0:
-        raise ValidationError("window length must be non-negative")
+    _check_lag(window_length, "window length")
     w = window_length
     vertices = frozenset(
         TsVertex(var, off) for var in tpl.variables for off in range(w + 1)

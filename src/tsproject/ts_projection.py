@@ -37,8 +37,8 @@ n (p + 1) + p, and the DMAG variant projects that marginal ADMG onto its
 maximal ancestral graph; both are mask kernels that keep the relative order.
 The library functions build one :class:`FiniteMixedGraph`, the result, at
 the end, so its checks run once; the CLI builds none and writes the JSON
-from the masks (``_Index.to_json``), which runs the same checks on them.
-The oracles' windows run to the cutoff p_cut + p, so
+and the DOT from the masks, through ``_Index._layout``, which runs the same
+checks on them.  The oracles' windows run to the cutoff p_cut + p, so
 :func:`graph_model.unroll_window` stays on vertex sets.
 """
 
@@ -54,6 +54,7 @@ from .graph_model import (
     TsGraphTemplate,
     TsVertex,
     ValidationError,
+    _check_lag,
     make_template,
     max_lag,
 )
@@ -127,8 +128,7 @@ def _window_marginal(
         raise ValidationError("observed variable set must be non-empty")
     for v in observed_vars:
         tpl.index(v)
-    if p < 0:
-        raise ValidationError("window length must be non-negative")
+    _check_lag(p, "window length")
     width = p + 1
     if len(tpl.variables) * width > _MAX_INDEX_VERTICES:  # n (p + 1), n the own variables
         raise ValidationError(
@@ -240,8 +240,7 @@ def cutoff_bound(tpl: TsGraphTemplate, p: int) -> CutoffQuantities:
     class is its largest entry, and the largest weight of a cycle-free path
     is the sum of the largest lags of its edges.  ``build_mw_summary`` rejects
     a ts-ADMG."""
-    if p < 0:
-        raise ValidationError("window length must be non-negative")
+    _check_lag(p, "window length")
     summary = build_mw_summary(tpl)
     maxima = [max(c.weights) for c in enumerate_cycle_classes(summary)]
     big_k = max(maxima, default=0)

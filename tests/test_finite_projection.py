@@ -577,6 +577,7 @@ class TestIndexToJson:
                     siblings[w] |= 1 << u
             index = _Index(vertices, parents, siblings, var_order)
             assert index.to_json() == index.graph().to_json(), seed
+            assert index.to_dot() == index.graph().to_dot(), seed
 
     @pytest.mark.parametrize(
         "vertices, parents, siblings, message",
@@ -591,7 +592,7 @@ class TestIndexToJson:
     )
     def test_the_checks_of_the_graph_fire_on_the_masks(self, vertices, parents, siblings, message):
         index = _Index(vertices, parents, siblings, ("A",))
-        for write in (index.to_json, lambda: index.graph().to_json()):
+        for write in (index.to_json, index.to_dot, lambda: index.graph().to_json()):
             with pytest.raises(ValidationError, match=f"^{message}$"):
                 write()
 
@@ -607,5 +608,7 @@ class TestIndexToJson:
         ],
     )
     def test_masks_the_graph_would_not_read_are_refused(self, vertices, parents, siblings, message):
-        with pytest.raises(ValidationError, match=f"^{message}$"):
-            _Index(vertices, parents, siblings, ("A", "B")).to_json()
+        index = _Index(vertices, parents, siblings, ("A", "B"))
+        for write in (index.to_json, index.to_dot):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                write()

@@ -295,21 +295,48 @@ def test_to_json_is_deterministic(running_tpl):
     assert g.to_json() == unroll_window(running_tpl, 5).to_json()
 
 
+def _sorted_by_definition(g):
+    """The graph's lists in output order, each sorted on its own: a vertex
+    by the first position of its variable in var_order, then its offset; a
+    directed edge by its tail, then its head; a bidirected edge by its lesser
+    end, then its greater."""
+
+    def key(v):
+        return (g.var_order.index(v.var), v.offset)
+
+    return {
+        "vertices": sorted(g.vertices, key=key),
+        "directed": sorted(g.directed, key=lambda e: (key(e[0]), key(e[1]))),
+        "bidirected": sorted(g.bidirected, key=lambda e: sorted(map(key, e))),
+        "latent": sorted(g.latent, key=key),
+    }
+
+
 def _to_json_by_json_dumps(g):
     """The serialization as json.dumps writes it: the definition of to_json."""
-    directed, bidirected = g._sorted_edges()
-    doc = {
-        "vertices": g.sorted_vertices(),
-        "directed": directed,
-        "bidirected": bidirected,
-        "latent": sorted(g.latent, key=g.vertex_key),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(_sorted_by_definition(g), indent=2) + "\n"
+
+
+def _to_dot_by_sorting(g):
+    """The DOT of the sorted lists, each vertex quoted at each use: the
+    definition of to_dot."""
+
+    def dot_id(v):
+        return '"' + v.label().replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    doc = _sorted_by_definition(g)
+    lines = ["digraph {"]
+    lines += [f"  {dot_id(v)};" for v in doc["vertices"]]
+    lines += [f"  {dot_id(u)} -> {dot_id(v)};" for u, v in doc["directed"]]
+    lines += [f"  {dot_id(u)} -> {dot_id(v)} [dir=both];" for u, v in doc["bidirected"]]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def test_to_json_writes_the_bytes_of_json_dumps():
     """Random graphs over names with quotes, backslashes, non-ASCII and
-    control characters, many with one or more empty lists."""
+    control characters, many with one or more empty lists; their DOT is
+    checked against its sorting reference too."""
     pool = ["X", 'a"b', "c\\d", "é", "日本", "tab\tnl\n", "\x01\x7f", "", "Z9"]
     empty = {"directed": 0, "bidirected": 0, "latent": 0}
     for seed in range(150):
@@ -331,20 +358,48 @@ def test_to_json_writes_the_bytes_of_json_dumps():
             var_order=tuple(names),
         )
         assert g.to_json() == _to_json_by_json_dumps(g), seed
+        assert g.to_dot() == _to_dot_by_sorting(g), seed
         for key in empty:
             empty[key] += not getattr(g, key)
     assert min(empty.values()) >= 30
     empty_graph = FiniteMixedGraph(frozenset())
     assert empty_graph.to_json() == _to_json_by_json_dumps(empty_graph)
+    assert empty_graph.to_dot() == _to_dot_by_sorting(empty_graph) == "digraph {\n}\n"
 
 
 def test_both_writers_name_a_variable_missing_from_var_order():
     a, b = TsVertex("A", 0), TsVertex("B", 0)
     g = FiniteMixedGraph(frozenset({a, b}), directed=frozenset({(a, b)}), var_order=("A",))
     index = _Index([a, b], [0, 0b01], [0, 0], ("A",))
-    for write in (g.to_json, index.to_json):
+    for write in (g.to_json, g.to_dot, index.to_json, index.to_dot):
         with pytest.raises(ValidationError, match=r"^vertex variable 'B' missing from var_order$"):
             write()
+
+
+def test_missing_variable_message_does_not_depend_on_string_hashing():
+    """Of several variables missing from var_order, both writers of both
+    representations name the least, whatever order the vertex set iterates
+    in; the index lists C:0 before B:0."""
+    code = (
+        "from tsproject.finite_projection import _Index\n"
+        "from tsproject.graph_model import FiniteMixedGraph, TsVertex, ValidationError\n"
+        "vs = [TsVertex('A', 0), TsVertex('C', 0), TsVertex('B', 0)]\n"
+        "g = FiniteMixedGraph(frozenset(vs), var_order=('A',))\n"
+        "index = _Index(vs, [0, 0, 0], [0, 0, 0], ('A',))\n"
+        "for write in (g.to_json, g.to_dot, index.to_json, index.to_dot):\n"
+        "    try:\n"
+        "        write()\n"
+        "    except ValidationError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(tsproject.__file__).parents[1])
+    for seed in ("1", "2", "3", "4", "5", "6"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        message = "vertex variable 'B' missing from var_order\n"
+        assert (done.returncode, done.stdout, done.stderr) == (0, message * 4, ""), seed
 
 
 def test_to_dot_marks_bidirected_edges(fig3_tpl):

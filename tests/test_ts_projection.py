@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import time
 
 import pytest
@@ -411,6 +412,41 @@ def test_one_finite_graph_per_projection(monkeypatch, request, project, name, ob
         built.clear()
         result = project(tpl, variables, 2)
         assert len(built) == 1 and built[0] is result
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (1.5, "must be an integer, got 1.5"),
+        (True, "must be an integer, got True"),
+        ("3", "must be an integer, got '3'"),
+        (-1, "must be non-negative"),
+    ],
+)
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("tau", lambda tpl, x: CommonAncestorEngine(tpl).query("X", x, "X")),
+        ("tau", lambda tpl, x: WalkerReach(tpl, 3).query("X", x, "X")),
+        ("tau", lambda tpl, x: WalkWeights(tpl, 3).query("X", x, "X")),
+        ("depth", lambda tpl, x: WalkWeights(tpl, x)),
+        ("reach", lambda tpl, x: WalkerReach(tpl, x)),
+        ("window length", lambda tpl, x: marginal_ts_admg(tpl, ["X"], x)),
+        ("window length", lambda tpl, x: marginal_ts_dmag(tpl, ["X"], x)),
+        ("window length", lambda tpl, x: simple_marginal_ts_admg(tpl, x)),
+        ("window length", lambda tpl, x: cutoff_bound(tpl, x)),
+        ("window length", lambda tpl, x: unroll_window(tpl, x)),
+    ],
+    ids=["cone-query", "walker-query", "walks-query", "walks-depth", "walker-reach",
+         "admg", "dmag", "simple", "cutoff", "unroll"],
+)
+def test_lags_and_windows_are_read_as_template_lags(name, call, value, message):
+    """A tau, depth, reach or window length is an int >= 0, as a template
+    lag is: 1.5 and "3" are refused, not misread or raised as a TypeError,
+    and so is True, which would read as 1."""
+    tpl = make_template(["X"], directed=[("X", 1, "X")])
+    with pytest.raises(ValidationError, match=f"^{name} {re.escape(message)}$"):
+        call(tpl, value)
 
 
 class TestCutoffBound:
