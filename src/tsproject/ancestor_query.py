@@ -391,6 +391,7 @@ def lag1_shortcut(tpl: TsGraphTemplate, i: str, tau: int, j: str) -> Optional[bo
     """Exact fast path when every variable has a lag-1 auto-edge: common
     ancestorship then coincides with the summary-graph check.  Returns None
     when not applicable."""
+    _check_lag(tau, "tau")
     tpl.index(i), tpl.index(j)
     if tpl.bidirected_t or not all((v, 1, v) in tpl.directed_t for v in tpl.variables):
         return None

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -242,8 +241,8 @@ def _count(text: str) -> int:
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    """The parser, built once per process, and its verify subparser."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="tsproject",
         description="Finite-window projections and queries on stationary time-series graphs",
@@ -285,22 +284,18 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p.add_argument("--lhs", required=True, help="tuple as 'a0;c1,c2'")
     p.add_argument("--rhs", required=True)
 
-    verify = sub.add_parser("verify", help="run the oracle-equivalence suites")
-    verify.set_defaults(handler=_cmd_verify)
-    verify.add_argument("--seed", type=int)
-    verify.add_argument("--templates", type=_count, default=25)
-    verify.add_argument("--queries", type=_count, default=10)
+    p = sub.add_parser("verify", help="run the oracle-equivalence suites")
+    p.set_defaults(handler=_cmd_verify)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--templates", type=_count, default=25)
+    p.add_argument("--queries", type=_count, default=10)
 
-    return parser, verify
+    return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser, verify = _build_parser()
-    # read on every call; a string default goes through type=int only when
-    # verify runs without --seed
-    verify.set_defaults(seed=os.environ.get("TSPROJECT_SEED", "0"))
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

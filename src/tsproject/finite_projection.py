@@ -6,9 +6,10 @@ m-separation, inducing paths, and the DMAG latent projection of an ADMG.
 The projections work on :class:`_Index`, a graph as int masks: the
 vertices numbered (bit n stands for the n-th vertex), with one parent, child
 and sibling mask per vertex and one topological order, parents first, from
-Kahn's algorithm on the masks.  The latent projection and the DMAG are
-kernels from one index to the next (:func:`_latent_project`, :func:`_dmag`)
-that keep the relative order, so a pipeline of them, here or in
+Kahn's algorithm on the masks.  An index numbers the observed vertices
+first, so the latent projection (:func:`_latent_project`) keeps a prefix of
+the numbering, and the DMAG (:func:`_dmag`) keeps all of it; each kernel
+maps one index to the next, so a pipeline of them, here or in
 :mod:`tsproject.ts_projection`, builds one :class:`FiniteMixedGraph` and runs
 its checks once, at the end, or writes its JSON and DOT straight from the
 masks, through one layout (:meth:`_Index._layout`), when the vertices are
@@ -55,7 +56,6 @@ from .graph_model import (
     _json_document,
     _order_keys,
     bits,
-    encode,
     reach,
 )
 
@@ -97,13 +97,15 @@ class _Index:
         self.var_order = var_order
 
     @classmethod
-    def of(cls, g: FiniteMixedGraph) -> _Index:
-        """The masks of ``g``, its vertices numbered in sorted order."""
+    def of(cls, g: FiniteMixedGraph, first: frozenset[TsVertex]) -> _Index:
+        """The masks of ``g``, the vertices of ``first`` numbered before the
+        others, each group in sorted order; so ``first`` is the prefix that
+        :func:`_latent_project` keeps."""
         if len(g.vertices) > _MAX_INDEX_VERTICES:
             raise ValidationError(
                 f"{len(g.vertices)} vertices exceed the limit of {_MAX_INDEX_VERTICES}"
             )
-        vertices = sorted(g.vertices)
+        vertices = sorted(first) + sorted(g.vertices - first)
         pos = {v: n for n, v in enumerate(vertices)}
         parents = [0] * len(vertices)
         siblings = [0] * len(vertices)
@@ -137,9 +139,6 @@ class _Index:
         if len(order) < len(indegree):
             raise ValidationError("directed part is cyclic")
         return order
-
-    def mask(self, vertices: Iterable[TsVertex]) -> int:
-        return encode(vertices, {v: n for n, v in enumerate(self.vertices)})
 
     def graph(self) -> FiniteMixedGraph:
         """The graph of these masks; its constructor runs every check on it."""
@@ -197,9 +196,9 @@ class _Index:
         return _dot_document(*self._layout())
 
 
-def _latent_project(index: _Index, keep: int) -> _Index:
-    """The ADMG latent projection of ``index`` onto the vertices of the mask
-    ``keep``, numbered in the same order (see :func:`admg_latent_project`).
+def _latent_project(index: _Index, m: int) -> _Index:
+    """The ADMG latent projection of ``index`` onto its first ``m`` vertices,
+    numbered as they are (see :func:`admg_latent_project`).
 
     Two sweeps over the topological order replace a search per observed
     vertex.  Backward, children first: ``sink[v]`` is v itself when v is
@@ -210,16 +209,17 @@ def _latent_project(index: _Index, keep: int) -> _Index:
     ``common[v] |= sink[u] | common[u]`` (every i that shares a latent
     source with v) and ``bridged[v] = OR(sink[x] for siblings x) |
     bridged[u]`` (every i with a source joined by a bidirected edge to a
-    source of v).  An observed i then has the parents ``up[i] & keep`` and
-    the siblings ``(common[i] | bridged[i]) & ~bit i``."""
+    source of v).  An observed i < m then has the parents ``up[i] & keep``,
+    for ``keep = (1 << m) - 1``, and the siblings ``(common[i] | bridged[i])
+    & ~bit i``, which hold observed bits only."""
     n = len(index.vertices)
-    if keep == (1 << n) - 1:  # nothing is latent
+    if m == n:  # nothing is latent
         return index
     parents, children, siblings, order = index.parents, index.children, index.siblings, index.order
-    latents = ((1 << n) - 1) & ~keep
+    keep = (1 << m) - 1
     sink = [0] * n
     for v in reversed(order):
-        if keep >> v & 1:
+        if v < m:
             sink[v] = 1 << v
         else:
             s = 0
@@ -232,29 +232,15 @@ def _latent_project(index: _Index, keep: int) -> _Index:
         for x in bits(siblings[v]):
             b |= sink[x]
         p, c = up[v], 0
-        for u in bits(parents[v] & latents):
+        for u in bits(parents[v] & ~keep):
             p |= up[u]
             c |= sink[u] | common[u]
             b |= bridged[u]
         up[v], common[v], bridged[v] = p, c, b
-    # keep's runs of consecutive bits as (lowest bit, run mask, new lowest bit)
-    runs, rest, width = [], keep, 0
-    while rest:
-        low = (rest & -rest).bit_length() - 1
-        above = rest >> low
-        length = (~above & (above + 1)).bit_length() - 1
-        runs.append((low, (1 << length) - 1, width))
-        width += length
-        rest = above >> length << low + length
-
-    def renumber(mask: int) -> int:
-        return sum((mask >> low & ones) << to for low, ones, to in runs)
-
-    obs = list(bits(keep))
     return _Index(
-        [index.vertices[i] for i in obs],
-        [renumber(up[i] & keep) for i in obs],
-        [renumber((common[i] | bridged[i]) & ~(1 << i)) for i in obs],
+        index.vertices[:m],
+        [up[i] & keep for i in range(m)],
+        [(common[i] | bridged[i]) & ~(1 << i) for i in range(m)],
         index.var_order,
     )
 
@@ -311,8 +297,7 @@ def admg_latent_project(
     observed = frozenset(observed)
     if not observed <= g.vertices:
         raise ValidationError("observed set is not a subset of the vertices")
-    index = _Index.of(g)
-    return _latent_project(index, index.mask(observed)).graph()
+    return _latent_project(_Index.of(g, observed), len(observed)).graph()
 
 
 def canonical_dag(g: FiniteMixedGraph) -> FiniteMixedGraph:
@@ -444,5 +429,4 @@ def dmag_project(g: FiniteMixedGraph, observed: Iterable[TsVertex]) -> FiniteMix
     observed = frozenset(observed)
     if observed != g.vertices - g.latent:
         raise ValidationError("observed must equal the non-latent vertices")
-    index = _Index.of(g)
-    return _dmag(_latent_project(index, index.mask(observed))).graph()
+    return _dmag(_latent_project(_Index.of(g, observed), len(observed))).graph()

@@ -29,12 +29,14 @@ nothing builds no engine.
 
 The pipeline carries one mask graph (:class:`finite_projection._Index`)
 from start to finish.  The window marginal is written as masks straight from
-the template entries and the engine's answers: (v, off) is bit
-n (p + 1) + off for the n-th variable v of the template, so the bits run in
-serialization order, by template variable and then offset.  Its ADMG latent
-projection onto the observed variables keeps their rows, bits n (p + 1) to
-n (p + 1) + p, and the DMAG variant projects that marginal ADMG onto its
-maximal ancestral graph; both are mask kernels that keep the relative order.
+the template entries and the engine's answers, one row of p + 1 bits per
+variable: the observed variables' rows first, then the others, each group
+in template order, and (v, off) is bit n (p + 1) + off for the n-th row v.
+So the observed bits run in serialization order, by template variable and
+then offset, and the ADMG latent projection onto them keeps the first
+m (p + 1) bits, m the observed variables; the DMAG variant projects that
+marginal ADMG onto its maximal ancestral graph.  Both are mask kernels that
+keep the numbering.
 The library functions build one :class:`FiniteMixedGraph`, the result, at
 the end, so its checks run once; the CLI builds none and writes the JSON
 and the DOT from the masks, through ``_Index._layout``, which runs the same
@@ -117,7 +119,9 @@ def _window_marginal(
     engine: Optional[CommonAncestorEngine | WalkerReach | WalkWeights],
 ) -> _Index:
     """:func:`marginal_ts_admg` of ``tpl``, a ts-DAG or a ts-ADMG, as masks
-    numbered as in the module docstring, the observed names checked first.
+    numbered as in the module docstring, the observed names checked first:
+    the window's rows are laid out observed variables first, so that the
+    latent projection keeps a prefix.
 
     A bidirected entry is written as its sibling edges; the lag pairs are
     those of :func:`simple_marginal_ts_admg` on ``canonical_ts_dag(tpl)``,
@@ -138,8 +142,10 @@ def _window_marginal(
     ctpl = canonical_ts_dag(tpl)
     if engine is not None and engine.tpl != ctpl:
         raise ValidationError("the engine was built on another template")
-    first = {v: n * width for n, v in enumerate(tpl.variables)}
-    parents = [0] * (len(tpl.variables) * width)
+    observed = set(observed_vars)
+    rows = sorted(tpl.variables, key=lambda v: v not in observed)  # observed first
+    first = {v: n * width for n, v in enumerate(rows)}
+    parents = [0] * (len(rows) * width)
     siblings = [0] * len(parents)
 
     def link(i: str, j: str, dt: int, start: int) -> None:
@@ -187,9 +193,9 @@ def _window_marginal(
                             continue
                     link(i, j, dt, start)
                     break
-    keep = sum(((1 << width) - 1) << first[v] for v in set(observed_vars))  # observed rows
-    vertices = [TsVertex(v, off) for v in tpl.variables for off in range(width)]
-    return _latent_project(_Index(vertices, parents, siblings, tpl.variables), keep)
+    vertices = [TsVertex(v, off) for v in rows for off in range(width)]
+    index = _Index(vertices, parents, siblings, tpl.variables)
+    return _latent_project(index, len(observed) * width)
 
 
 def marginal_ts_admg(

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -190,6 +191,17 @@ class TestLag1Shortcut:
             lag1_shortcut(tpl, "X", 0, "Q")
         with pytest.raises(ValidationError):
             lag1_shortcut(tpl, "Q", 0, "X")
+
+    @pytest.mark.parametrize("tau", [-1, 1.5, True, "3"])
+    def test_rejects_a_bad_tau_as_the_engine_does(self, tau):
+        """An applicable template (X -> X, Y -> Y at lag 1, X -> Y at lag 0)
+        would answer from the summary graph whatever tau is; the lag check
+        runs first and says what the engine says."""
+        tpl = make_template(["X", "Y"], [("X", 1, "X"), ("Y", 1, "Y"), ("X", 0, "Y")])
+        with pytest.raises(ValidationError) as engine_error:
+            CommonAncestorEngine(tpl).query("X", tau, "Y")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(engine_error.value))}$"):
+            lag1_shortcut(tpl, "X", tau, "Y")
 
     def test_matches_full_engine_when_applicable(self):
         for seed in range(15):

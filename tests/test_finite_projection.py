@@ -517,10 +517,11 @@ def _neither_index_order_is_topological(index):
 
 
 class TestTopologicalSweeps:
-    """The kernels that sweep ``_Index.order`` on window marginals numbered
-    in serialization order, whose lag-0 edges run against the template's
-    variable order: neither the index order nor its reverse lists every
-    parent before its children."""
+    """The kernels that sweep ``_Index.order`` on window marginals, whose
+    lag-0 edges run against the template's variable order: neither the index
+    order nor its reverse lists every parent before its children.  The
+    latent sweep runs on the marginal renumbered by ``_Index.of``, its
+    scattered observed vertices first."""
 
     def test_the_latent_sweep_matches_the_reference(self):
         unordered = 0
@@ -536,8 +537,9 @@ class TestTopologicalSweeps:
             )
             observed = frozenset(u for k, u in enumerate(index.vertices) if keep >> k & 1)
             expected = _reference_latent_project(index.graph(), observed).to_json()
-            assert _latent_project(index, keep).to_json() == expected, seed
-            unordered += _neither_index_order_is_topological(index)
+            swept = _Index.of(index.graph(), observed)
+            assert _latent_project(swept, len(observed)).graph().to_json() == expected, seed
+            unordered += _neither_index_order_is_topological(swept)
         assert unordered >= 30
 
     def test_the_dmag_matches_inducing_paths(self):

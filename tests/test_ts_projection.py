@@ -113,17 +113,20 @@ class TestMarginalTsAdmg:
 
     def test_matches_window_oracle_at_wider_windows(self):
         """At p = 3 and 5 an offset pattern spans up to six offsets, so a wrong
-        first offset of its edges shows; windows past 150 steps are skipped."""
+        first offset of its edges shows; windows past 150 steps are skipped.
+        The last observed set is scattered, reversed and duplicated: its rows
+        are not a prefix of the template's."""
         checked = 0
         for seed in range(100):
             tpl = random_template(
                 seed, n_vars=3, max_lag=2, edge_density=0.25, bidirected_density=0.08
             )
+            v = tpl.variables
             for p in (3, 5):
                 w = cutoff_bound(canonical_ts_dag(tpl), p).p_cut + p
                 if w > 150:
                     continue
-                for observed in (tpl.variables, tpl.variables[:2]):
+                for observed in (v, v[:2], (v[2], v[0], v[2])):
                     assert marginal_ts_admg(tpl, observed, p) == window_marginal(
                         tpl, observed, p, w
                     ), (seed, p, observed)
